@@ -12,17 +12,17 @@ from .controller import (ControllerPolicy, SampleBatch, log_prob,
 from .datasets import TrajectoryDataset
 from .epidemic import (EpiParams, ModelKind, benchmark_params,
                        generate_trajectories, train_test_split, vector_field)
-from .expressions import (DEFAULT_OPERATORS, TYPE1, TYPE2, CompiledExpression,
-                          OperatorSet, TreeTemplate, build_template, evaluate,
-                          evaluate_batch, param_count, param_gradient,
-                          to_symbolic_string)
+from .expressions import (BINARY_TAGS, TYPE1, TYPE2, UNARY_TAGS,
+                          CompiledExpression, TreeTemplate, build_template,
+                          evaluate, evaluate_batch, param_count,
+                          param_gradient, to_symbolic_string)
 from .forecast import (RolloutMode, RolloutResult, per_step_mse,
                        persistence_baseline, rollout)
 from .losses import EulerResidualObjective, euler_residual_loss, loss_and_gradient
 from .optimize import (OptimConfig, OptimResult, minimize_bfgs,
                        minimize_first_order, two_stage_minimize)
 from .search import (CandidatePool, ScoreRecord, SearchConfig, SystemModel,
-                     assemble_system, pool_insert, score_from_loss,
+                     assemble_system, score_from_loss,
                      score_sequence, search_component)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_run_config
+from .config import load_run_config, run_config_from_dict
 from .dataio import load_csv, save_trajectories_csv
 from .errors import (ConfigError, DataError, EvaluationError,
                      NonFiniteLossError, NumericalError)
@@ -60,16 +60,16 @@ def _make_parser():
 
 
 def _load_config(args):
-    cfg = load_run_config(args.config)
+    """The config file with the command-line overrides applied as file keys,
+    so they pass the same validation."""
+    doc = load_run_config(args.config).to_dict()
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        doc["seed"] = args.seed
     if getattr(args, "out", None):
-        cfg.output_dir = args.out
+        doc["output_dir"] = args.out
     if getattr(args, "epochs", None) is not None:
-        if args.epochs < 1:
-            raise ConfigError("--epochs: must be >= 1")
-        cfg.search.epochs = args.epochs
-    return cfg
+        doc["search"]["epochs"] = args.epochs
+    return run_config_from_dict(doc)
 
 
 def _cmd_generate(args):

@@ -1,24 +1,51 @@
 """Run configuration: a strict JSON schema with field-path error messages.
 
-Unknown keys are rejected everywhere, and every reported problem names the
-offending path (e.g. ``search.optim.t1_iters``), so a malformed file fails
-before any computation starts.
+The dataclasses are the schema: a field's annotation, default and
+``__post_init__`` range checks govern its JSON key, which is the field name
+or the ``key`` in its metadata (None: no file sets it). Metadata ``mode``
+limits a key to one run mode; ``fields_of`` makes a dict hold a subset of
+another dataclass's fields. Unknown keys are rejected everywhere, and every
+reported problem names the offending path (e.g. ``search.optim.t1_iters``),
+so a malformed file fails before any computation starts.
+
+A ``__post_init__`` message starting ``<field>:`` is reported at that
+field's path (``search.epochs: must be >= 1``), any other at the object's.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Optional
 
 from .dataio import NORMALIZATION_MODES
-from .epidemic import ModelKind
+from .epidemic import EpiParams, ModelKind, benchmark_params
 from .errors import ConfigError
-from .expressions import TYPE1, TYPE2
-from .optimize import OptimConfig
 from .search import SearchConfig
 
-_EPI_RATE_KEYS = ("beta", "gamma", "mu", "sigma", "nu_rate", "delta", "n_pop")
+_SYNTHETIC = {"mode": "synthetic"}
+_REAL = {"mode": "real"}
+
+
+@dataclass
+class ModelConfig:
+    """Ground-truth model of synthetic data. ``params`` overrides some of
+    the model's benchmark rate constants; its keys are EpiParams fields."""
+
+    kind: str = "sir"
+    params: dict = field(default_factory=dict, metadata={"fields_of": EpiParams})
+
+    def __post_init__(self):
+        self.kind = self.kind.lower()
+        if self.kind not in [m.value for m in ModelKind]:
+            raise ValueError(f"kind: unknown model {self.kind!r}")
+        self.epi_params()  # range-checks the overridden rates
+
+    def epi_params(self):
+        """The model's benchmark rate constants with ``params`` applied."""
+        return replace(benchmark_params(self.kind), **self.params)
 
 
 @dataclass
@@ -31,221 +58,135 @@ class DataConfig:
     train_fraction: float = 0.5
     normalize_init: bool = True
 
+    def __post_init__(self):
+        if self.n_trajectories < 2:
+            raise ValueError("n_trajectories: must be >= 2")
+        if self.steps < 1:
+            raise ValueError("steps: must be >= 1")
+        if self.dt <= 0:
+            raise ValueError("dt: must be > 0")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError("train_fraction: must lie in (0, 1)")
+
 
 @dataclass
 class NormalizationConfig:
     mode: str = "by_max_total"
-    constant: float = None
+    constant: Optional[float] = None
+
+    def __post_init__(self):
+        if self.mode not in NORMALIZATION_MODES:
+            raise ValueError(f"mode: expected one of {NORMALIZATION_MODES}")
+        if self.constant is not None and self.constant <= 0:
+            raise ValueError("constant: must be > 0")
+        if self.mode == "by_constant" and self.constant is None:
+            raise ValueError("constant: required for by_constant mode")
 
 
 @dataclass
 class RunConfig:
+    """One run. Fields are in the order ``to_dict`` echoes them."""
+
     mode: str = "synthetic"
     seed: int = 0
     output_dir: str = "results"
-    model_kind: str = "sir"
-    model_params: dict = field(default_factory=dict)
-    data: DataConfig = field(default_factory=DataConfig)
-    input_csv: str = None
-    train_days: int = 85
-    real_dt: float = 1.0
-    normalization: NormalizationConfig = field(default_factory=NormalizationConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
+    model: ModelConfig = field(default_factory=ModelConfig, metadata=_SYNTHETIC)
+    data: DataConfig = field(default_factory=DataConfig, metadata=_SYNTHETIC)
+    input_csv: str = field(default=None, metadata=_REAL)
+    train_days: int = field(default=85, metadata=_REAL)
+    real_dt: float = field(default=1.0, metadata={**_REAL, "key": "dt"})
+    normalization: NormalizationConfig = field(
+        default_factory=NormalizationConfig, metadata=_REAL)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
+        if self.mode == "real" and not self.input_csv:
+            raise ValueError("input_csv: required in real mode")
+        if self.train_days < 2:
+            raise ValueError("train_days: must be >= 2")
+        if self.real_dt <= 0:
+            raise ValueError("dt: must be > 0")
 
     def to_dict(self):
-        doc = {
-            "mode": self.mode,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "search": {
-                "epochs": self.search.epochs,
-                "batch_size": self.search.batch_size,
-                "pool_capacity": self.search.pool_capacity,
-                "nu": self.search.nu,
-                "epsilon": self.search.epsilon,
-                "controller_lr": self.search.controller_lr,
-                "templates": (self.search.templates
-                              if isinstance(self.search.templates, str)
-                              else list(self.search.templates)),
-                "optim": {
-                    "t1_iters": self.search.optim.t1_iters,
-                    "t2_iters": self.search.optim.t2_iters,
-                    "t3_iters": self.search.optim.t3_iters,
-                    "lr_first": self.search.optim.lr_first,
-                    "lr_finetune": self.search.optim.lr_finetune,
-                    "grad_tol": self.search.optim.grad_tol,
-                    "armijo_c": self.search.optim.armijo_c,
-                    "backtrack_factor": self.search.optim.backtrack_factor,
-                },
-            },
-        }
-        if self.mode == "synthetic":
-            doc["model"] = {"kind": self.model_kind, "params": dict(self.model_params)}
-            doc["data"] = {
-                "n_trajectories": self.data.n_trajectories,
-                "steps": self.data.steps,
-                "dt": self.data.dt,
-                "train_fraction": self.data.train_fraction,
-                "normalize_init": self.data.normalize_init,
-            }
-        else:
-            doc["input_csv"] = self.input_csv
-            doc["train_days"] = self.train_days
-            doc["dt"] = self.real_dt
-            doc["normalization"] = {"mode": self.normalization.mode,
-                                    "constant": self.normalization.constant}
-        return doc
+        """The document that ``run_config_from_dict`` reads back into this
+        config, as echoed into results.json."""
+        return _echo(self, self.mode)
 
 
-def _require_mapping(value, path):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return value
+def _file_fields(cls, mode):
+    """(field, JSON key) of each field of ``cls`` that a ``mode`` file sets."""
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        if key is not None and f.metadata.get("mode", mode) == mode:
+            yield f, key
 
 
-def _reject_unknown(mapping, allowed, path):
-    unknown = sorted(set(mapping) - set(allowed))
+def _kwargs(cls, mapping, path, mode=None):
+    """Type-checked constructor arguments of ``cls`` for the keys that
+    ``mapping`` sets, in the mapping's order."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    known = {key: f for f, key in _file_fields(cls, mode)}
+    unknown = sorted(set(mapping) - set(known))
     if unknown:
         raise ConfigError(f"{path or 'config'}: unknown keys {unknown}")
+    hints = typing.get_type_hints(cls)
+    return {known[key].name: _value(hints[known[key].name], known[key],
+                                    mapping[key],
+                                    f"{path}.{key}" if path else key, mode)
+            for key in mapping}
 
 
-def _get_typed(mapping, key, kind, path, default):
-    if key not in mapping:
-        return default
-    value = mapping[key]
+def _value(kind, f, value, path, mode):
+    """``value`` checked against field ``f`` and its annotation ``kind``."""
+    if is_dataclass(kind):
+        return _build(kind, value, path, mode)
+    if "fields_of" in f.metadata:
+        return _kwargs(f.metadata["fields_of"], value, path)
+    if typing.get_origin(kind) is typing.Union:  # Optional[...]
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}")
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{path}: expected {kind.__name__}")
     return value
 
 
-def _check(condition, message):
-    if not condition:
-        raise ConfigError(message)
-
-
-def _parse_optim(mapping, path):
-    allowed = ("t1_iters", "t2_iters", "t3_iters", "lr_first", "lr_finetune",
-               "grad_tol", "armijo_c", "backtrack_factor")
-    _reject_unknown(mapping, allowed, path)
-    defaults = OptimConfig()
-    kwargs = {}
-    for key in allowed:
-        kind = int if key.endswith("iters") else float
-        kwargs[key] = _get_typed(mapping, key, kind, path, getattr(defaults, key))
+def _build(cls, mapping, path, mode=None):
+    kwargs = _kwargs(cls, mapping, path, mode)
     try:
-        return OptimConfig(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        message = str(exc)
+        # a "<field>: ..." message extends the path; a message about the
+        # whole object follows it
+        sep = "." if message.partition(":")[0].isidentifier() else ": "
+        raise ConfigError(f"{path}{sep}{message}" if path else message) from None
 
 
-def _parse_search(mapping, path):
-    allowed = ("epochs", "batch_size", "pool_capacity", "nu", "epsilon",
-               "controller_lr", "templates", "optim")
-    _reject_unknown(mapping, allowed, path)
-    defaults = SearchConfig()
-    templates = mapping.get("templates", defaults.templates)
-    if isinstance(templates, list):
-        _check(all(isinstance(t, str) for t in templates),
-               f"{path}.templates: expected template-kind strings")
-        templates = [t.lower() for t in templates]
-        bad = [t for t in templates if t not in (TYPE1, TYPE2)]
-    elif isinstance(templates, str):
-        templates = templates.lower()
-        bad = [] if templates in (TYPE1, TYPE2) else [templates]
-    else:
-        raise ConfigError(f"{path}.templates: expected a string or list")
-    _check(not bad, f"{path}.templates: unknown template kinds {bad}")
-    optim = _parse_optim(_require_mapping(mapping.get("optim", {}),
-                                          f"{path}.optim"), f"{path}.optim")
-    try:
-        return SearchConfig(
-            epochs=_get_typed(mapping, "epochs", int, path, defaults.epochs),
-            batch_size=_get_typed(mapping, "batch_size", int, path,
-                                  defaults.batch_size),
-            pool_capacity=_get_typed(mapping, "pool_capacity", int, path,
-                                     defaults.pool_capacity),
-            nu=_get_typed(mapping, "nu", float, path, defaults.nu),
-            epsilon=_get_typed(mapping, "epsilon", float, path, defaults.epsilon),
-            controller_lr=_get_typed(mapping, "controller_lr", float, path,
-                                     defaults.controller_lr),
-            templates=templates,
-            optim=optim,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _echo(obj, mode):
+    doc = {}
+    for f, key in _file_fields(type(obj), mode):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _echo(value, mode)
+        elif isinstance(value, (dict, list)):
+            value = value.copy()
+        doc[key] = value
+    return doc
 
 
 def run_config_from_dict(doc):
     """Validate a raw JSON document and build a RunConfig."""
-    _require_mapping(doc, "config")
-    mode = doc.get("mode")
-    _check(mode in ("synthetic", "real"),
-           "mode: expected 'synthetic' or 'real'")
-    common = ("mode", "seed", "output_dir", "search")
-    if mode == "synthetic":
-        _reject_unknown(doc, common + ("model", "data"), "")
-    else:
-        _reject_unknown(doc, common + ("input_csv", "train_days", "dt",
-                                       "normalization"), "")
-    cfg = RunConfig(mode=mode)
-    cfg.seed = _get_typed(doc, "seed", int, "", 0)
-    _check(cfg.seed >= 0, "seed: must be >= 0")
-    cfg.output_dir = _get_typed(doc, "output_dir", str, "", "results")
-    cfg.search = _parse_search(_require_mapping(doc.get("search", {}), "search"),
-                               "search")
-
-    if mode == "synthetic":
-        model = _require_mapping(doc.get("model", {}), "model")
-        _reject_unknown(model, ("kind", "params"), "model")
-        kind = _get_typed(model, "kind", str, "model", "sir").lower()
-        _check(kind in [m.value for m in ModelKind],
-               f"model.kind: unknown model {kind!r}")
-        cfg.model_kind = kind
-        params = _require_mapping(model.get("params", {}), "model.params")
-        _reject_unknown(params, _EPI_RATE_KEYS, "model.params")
-        cfg.model_params = {k: _get_typed(params, k, float, "model.params", None)
-                            for k in params}
-        data = _require_mapping(doc.get("data", {}), "data")
-        allowed = ("n_trajectories", "steps", "dt", "train_fraction",
-                   "normalize_init")
-        _reject_unknown(data, allowed, "data")
-        dc = DataConfig(
-            n_trajectories=_get_typed(data, "n_trajectories", int, "data", 200),
-            steps=_get_typed(data, "steps", int, "data", 250),
-            dt=_get_typed(data, "dt", float, "data", 0.2),
-            train_fraction=_get_typed(data, "train_fraction", float, "data", 0.5),
-            normalize_init=_get_typed(data, "normalize_init", bool, "data", True),
-        )
-        _check(dc.n_trajectories >= 2, "data.n_trajectories: must be >= 2")
-        _check(dc.steps >= 1, "data.steps: must be >= 1")
-        _check(dc.dt > 0, "data.dt: must be > 0")
-        _check(0 < dc.train_fraction < 1,
-               "data.train_fraction: must lie in (0, 1)")
-        cfg.data = dc
-    else:
-        cfg.input_csv = _get_typed(doc, "input_csv", str, "", None)
-        _check(cfg.input_csv, "input_csv: required in real mode")
-        cfg.train_days = _get_typed(doc, "train_days", int, "", 85)
-        _check(cfg.train_days >= 2, "train_days: must be >= 2")
-        cfg.real_dt = _get_typed(doc, "dt", float, "", 1.0)
-        _check(cfg.real_dt > 0, "dt: must be > 0")
-        norm = _require_mapping(doc.get("normalization", {}), "normalization")
-        _reject_unknown(norm, ("mode", "constant"), "normalization")
-        nm = _get_typed(norm, "mode", str, "normalization", "by_max_total")
-        _check(nm in NORMALIZATION_MODES,
-               f"normalization.mode: expected one of {NORMALIZATION_MODES}")
-        constant = norm.get("constant")
-        if constant is not None:
-            constant = _get_typed(norm, "constant", float, "normalization", None)
-            _check(constant > 0, "normalization.constant: must be > 0")
-        _check(nm != "by_constant" or constant is not None,
-               "normalization.constant: required for by_constant mode")
-        cfg.normalization = NormalizationConfig(nm, constant)
-    return cfg
+    if not isinstance(doc, dict):
+        raise ConfigError("config: expected an object")
+    if doc.get("mode") not in ("synthetic", "real"):
+        raise ConfigError("mode: expected 'synthetic' or 'real'")
+    return _build(RunConfig, doc, "", doc["mode"])
 
 
 def load_run_config(path):

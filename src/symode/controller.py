@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import DEFAULT_OPERATORS
+from .expressions import BINARY_TAGS, UNARY_TAGS
 
 
 def _softmax(logits):
@@ -26,10 +26,10 @@ def _softmax(logits):
     return e / e.sum()
 
 
-def slot_vocabularies(template, operators=DEFAULT_OPERATORS):
+def slot_vocabularies(template):
     """Admissible operator tags per slot, in controller index order."""
     return tuple(
-        operators.unary if node.kind == "unary" else operators.binary
+        UNARY_TAGS if node.kind == "unary" else BINARY_TAGS
         for node in template.nodes
     )
 
@@ -43,8 +43,8 @@ class ControllerPolicy:
     lr: float
 
     @classmethod
-    def uniform(cls, template, epsilon, lr, operators=DEFAULT_OPERATORS):
-        vocabs = slot_vocabularies(template, operators)
+    def uniform(cls, template, epsilon, lr):
+        vocabs = slot_vocabularies(template)
         return cls([np.zeros(len(v)) for v in vocabs], epsilon, lr)
 
     def probabilities(self):
@@ -61,12 +61,12 @@ class SampleBatch:
     scores: np.ndarray = None        # filled after scoring
 
 
-def sample_sequences(policy, template, n, rng, operators=DEFAULT_OPERATORS):
+def sample_sequences(policy, template, n, rng):
     """Draw ``n`` operator sequences; each slot independently uses the
     uniform branch with probability epsilon, otherwise the softmax."""
     if n < 1:
         raise ValueError("batch size must be >= 1")
-    vocabs = slot_vocabularies(template, operators)
+    vocabs = slot_vocabularies(template)
     probs = policy.probabilities()
     choices = np.zeros((n, len(vocabs)), dtype=int)
     uniform_mask = np.zeros((n, len(vocabs)), dtype=bool)
@@ -85,9 +85,9 @@ def sample_sequences(policy, template, n, rng, operators=DEFAULT_OPERATORS):
     return SampleBatch(sequences, choices, uniform_mask)
 
 
-def log_prob(policy, template, sequence, operators=DEFAULT_OPERATORS):
+def log_prob(policy, template, sequence):
     """Log probability of ``sequence`` under the pure softmax policy."""
-    vocabs = slot_vocabularies(template, operators)
+    vocabs = slot_vocabularies(template)
     total = 0.0
     for j, (vocab, tag) in enumerate(zip(vocabs, sequence)):
         p = _softmax(policy.logits[j])

@@ -4,16 +4,19 @@ Two file layouts are supported, both UTF-8 with LF endings and ``.``
 decimals:
 
 * trajectory files: header ``trajectory_id,step,<var1>,...,<vard>``, one
-  row per (trajectory, step);
-* observed series: header ``date,<var1>,...`` with ISO-8601 dates and one
-  trajectory in date order. Dates are metadata only; the step index
-  drives the time step.
+  row per (trajectory, step), steps consecutive integers in any row order;
+* observed series: header ``date,<var1>,...`` with strictly increasing
+  ISO-8601 dates and one trajectory in date order. Dates are metadata
+  only; the step index drives the time step.
+
+Every value must be finite; a DataError names the row that breaks a rule.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,9 +41,13 @@ def _read_rows(path):
 
 def _parse_cell(path, row_idx, column, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise NonNumericCellError(path, row_idx, column, text) from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}: row {row_idx}, column {column!r}: "
+                        f"{text!r} is not finite")
+    return value
 
 
 def _check_expected(path, var_names, expected_columns):
@@ -75,16 +82,23 @@ def load_trajectories_csv(path, dt, expected_columns=None):
             raise DataError(f"{path}: row {idx}: expected {len(header)} cells, "
                             f"got {len(row)}")
         tid = row[0].strip()
-        step = int(_parse_cell(path, idx, "step", row[1]))
+        step = _parse_cell(path, idx, "step", row[1])
+        if step != int(step):
+            raise DataError(f"{path}: row {idx}: step {row[1]!r} is not an "
+                            f"integer")
         values = [_parse_cell(path, idx, var_names[j], row[2 + j])
                   for j in range(len(var_names))]
-        groups.setdefault(tid, []).append((step, values))
+        groups.setdefault(tid, []).append((int(step), idx, values))
     if not groups:
         raise EmptyFileError(path)
     trajectories = []
     for tid in groups:
-        ordered = sorted(groups[tid], key=lambda sv: sv[0])
-        arr = np.array([v for _, v in ordered], dtype=float)
+        ordered = sorted(groups[tid], key=lambda entry: entry[:2])
+        for (prev, _, _), (step, idx, _) in zip(ordered, ordered[1:]):
+            if step != prev + 1:
+                raise DataError(f"{path}: row {idx}: trajectory {tid!r}: "
+                                f"step {step} follows step {prev}")
+        arr = np.array([v for _, _, v in ordered], dtype=float)
         if arr.shape[0] < 2:
             raise DataError(f"{path}: trajectory {tid!r} has fewer than 2 rows")
         trajectories.append(arr)
@@ -99,15 +113,20 @@ def load_series_csv(path, dt=1.0, expected_columns=None):
     var_names = tuple(header[1:])
     _check_expected(path, var_names, expected_columns)
     values = []
+    prev = None
     for idx, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise DataError(f"{path}: row {idx}: expected {len(header)} cells, "
                             f"got {len(row)}")
         try:
-            datetime.date.fromisoformat(row[0].strip())
+            date = datetime.date.fromisoformat(row[0].strip())
         except ValueError:
             raise DataError(f"{path}: row {idx}: {row[0]!r} is not an "
                             f"ISO-8601 date") from None
+        if prev is not None and date <= prev:
+            raise DataError(f"{path}: row {idx}: date {date} is not after "
+                            f"{prev}")
+        prev = date
         values.append([_parse_cell(path, idx, var_names[j], row[1 + j])
                        for j in range(len(var_names))])
     if not values:
@@ -154,8 +173,8 @@ def normalize_series(data, mode, constant=None):
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     if mode == "none":
-        return data.with_split(data.split), ScaleRecord("none", 1.0)
-    if mode == "by_constant":
+        scale = 1.0
+    elif mode == "by_constant":
         if constant is None:
             raise ValueError("by_constant normalization needs a constant")
         scale = float(constant)

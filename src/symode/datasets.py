@@ -47,17 +47,9 @@ class TrajectoryDataset:
     def n_trajectories(self):
         return len(self.trajectories)
 
-    @property
-    def n_pairs(self):
-        return sum(t.shape[0] - 1 for t in self.trajectories)
-
     def stacked_pairs(self):
         """All consecutive (state, next state) pairs pooled across
         trajectories, in trajectory order: two (n_pairs, d) arrays."""
         current = np.vstack([t[:-1] for t in self.trajectories])
         nxt = np.vstack([t[1:] for t in self.trajectories])
         return current, nxt
-
-    def with_split(self, split):
-        return TrajectoryDataset([t.copy() for t in self.trajectories],
-                                 self.dt, self.var_names, split)

@@ -20,7 +20,6 @@ safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,30 +59,13 @@ BINARY_RULES = {
     "mul": lambda a, b: a * b,
 }
 
+# Ordered operator vocabularies. Controller logits index into these
+# tuples, so their order is fixed.
+UNARY_TAGS = tuple(UNARY_RULES)
+BINARY_TAGS = tuple(BINARY_RULES)
+
 TYPE1 = "type1"
 TYPE2 = "type2"
-
-
-@dataclass(frozen=True)
-class OperatorSet:
-    """Ordered operator vocabularies. Controller logits index into these
-    lists, so the ordering is fixed for the lifetime of a search."""
-
-    unary: tuple = tuple(UNARY_RULES)
-    binary: tuple = tuple(BINARY_RULES)
-
-    def __post_init__(self):
-        if len(set(self.unary)) != len(self.unary):
-            raise ValueError("duplicate unary operator tags")
-        if len(set(self.binary)) != len(self.binary):
-            raise ValueError("duplicate binary operator tags")
-        unknown = [t for t in self.unary if t not in UNARY_RULES]
-        unknown += [t for t in self.binary if t not in BINARY_RULES]
-        if unknown:
-            raise ValueError(f"unknown operator tags: {unknown}")
-
-
-DEFAULT_OPERATORS = OperatorSet()
 
 
 @dataclass(frozen=True)
@@ -102,11 +84,29 @@ class TreeNode:
 @dataclass(frozen=True)
 class TreeTemplate:
     """Fixed tree wiring. Nodes are stored in post-order and the node index
-    doubles as the canonical controller slot index."""
+    doubles as the canonical controller slot index. ``slices`` (per node, its
+    slice of the flat parameter vector) and ``n_params`` follow from it."""
 
     kind: str
     input_dim: int
     nodes: tuple = field(default=(), compare=True)
+    slices: tuple = field(init=False, compare=False, repr=False)
+    n_params: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # Leaves own d+1 parameters (alpha vector then beta); interior unary
+        # nodes own 2 (alpha, beta); binary nodes own none.
+        slices = []
+        offset = 0
+        for node in self.nodes:
+            if node.kind == "unary":
+                size = self.input_dim + 1 if node.is_leaf else 2
+                slices.append(slice(offset, offset + size))
+                offset += size
+            else:
+                slices.append(None)
+        object.__setattr__(self, "slices", tuple(slices))
+        object.__setattr__(self, "n_params", offset)
 
     @property
     def n_slots(self):
@@ -146,33 +146,14 @@ def build_template(kind, input_dim):
     return TreeTemplate(kind=kind, input_dim=input_dim, nodes=nodes)
 
 
-@functools.lru_cache(maxsize=None)
-def _param_slices(template):
-    """Per-node slices into the flat parameter vector.
-
-    Leaves own d+1 entries (alpha vector then beta); interior unary nodes
-    own 2 (alpha, beta); binary nodes own none.
-    """
-    slices = []
-    offset = 0
-    for node in template.nodes:
-        if node.kind == "unary":
-            size = template.input_dim + 1 if node.is_leaf else 2
-            slices.append(slice(offset, offset + size))
-            offset += size
-        else:
-            slices.append(None)
-    return tuple(slices), offset
-
-
-def validate_sequence(template, sequence, operators=DEFAULT_OPERATORS):
+def validate_sequence(template, sequence):
     """Check that ``sequence`` assigns an admissible tag to every slot."""
     if len(sequence) != template.n_slots:
         raise ValueError(
             f"sequence length {len(sequence)} != {template.n_slots} slots"
         )
     for j, (tag, node) in enumerate(zip(sequence, template.nodes)):
-        vocab = operators.unary if node.kind == "unary" else operators.binary
+        vocab = UNARY_TAGS if node.kind == "unary" else BINARY_TAGS
         if tag not in vocab:
             raise ValueError(f"slot {j}: tag {tag!r} not a {node.kind} operator")
 
@@ -180,7 +161,7 @@ def validate_sequence(template, sequence, operators=DEFAULT_OPERATORS):
 def param_count(template, sequence):
     """Number of trainable parameters for (template, sequence)."""
     validate_sequence(template, sequence)
-    return _param_slices(template)[1]
+    return template.n_params
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +176,7 @@ class CompiledExpression:
         object.__setattr__(self, "sequence", tuple(self.sequence))
         validate_sequence(self.template, self.sequence)
         theta = np.array(self.params, dtype=float, copy=True)
-        expected = _param_slices(self.template)[1]
+        expected = self.template.n_params
         if theta.shape != (expected,):
             raise ValueError(f"params shape {theta.shape} != ({expected},)")
         theta.setflags(write=False)
@@ -218,7 +199,6 @@ def forward_pass(template, sequence, params, X, cached_leaves=None):
     caches[i] holds whatever the backward pass needs (leaf operator matrix
     or interior operator output).
     """
-    slices, _ = _param_slices(template)
     values = [None] * len(template.nodes)
     caches = [None] * len(template.nodes)
     # overflow is legitimate here: non-finite outputs become loss sentinels
@@ -231,13 +211,13 @@ def forward_pass(template, sequence, params, X, cached_leaves=None):
                 U = cached_leaves[i] if cached_leaves is not None else None
                 if U is None:
                     U = UNARY_RULES[sequence[i]][0](X)
-                theta = params[slices[i]]
+                theta = params[template.slices[i]]
                 values[i] = U @ theta[:-1] + theta[-1]
                 caches[i] = U
             else:
                 (c,) = node.children
                 u = UNARY_RULES[sequence[i]][0](values[c])
-                theta = params[slices[i]]
+                theta = params[template.slices[i]]
                 values[i] = theta[0] * u + theta[1]
                 caches[i] = u
     return values, caches
@@ -247,7 +227,6 @@ def _node_adjoints(template, sequence, params, values, seed):
     """Adjoint of the root with respect to each node value, seeded at the
     root with ``seed`` (shape (n,)). Nodes have a single parent, so each
     adjoint is written exactly once."""
-    slices, _ = _param_slices(template)
     adj = [None] * len(template.nodes)
     adj[-1] = seed
     for i in reversed(range(len(template.nodes))):
@@ -265,7 +244,7 @@ def _node_adjoints(template, sequence, params, values, seed):
         elif not node.is_leaf:
             (c,) = node.children
             du = UNARY_RULES[sequence[i]][1](values[c])
-            alpha = params[slices[i]][0]
+            alpha = params[template.slices[i]][0]
             adj[c] = a * (alpha * du)
     return adj
 
@@ -274,15 +253,14 @@ def weighted_param_gradient(template, sequence, params, X, weights,
                             cached_leaves=None):
     """Gradient of ``sum_n weights_n * f(X_n)`` with respect to the
     parameters; the workhorse behind loss gradients."""
-    slices, total = _param_slices(template)
     values, caches = forward_pass(template, sequence, params, X, cached_leaves)
     adj = _node_adjoints(template, sequence, params, values, weights)
-    grad = np.zeros(total)
+    grad = np.zeros(template.n_params)
     for i, node in enumerate(template.nodes):
         if node.kind != "unary":
             continue
         a = adj[i]
-        sl = slices[i]
+        sl = template.slices[i]
         if node.is_leaf:
             grad[sl.start : sl.stop - 1] = caches[i].T @ a
             grad[sl.stop - 1] = a.sum()
@@ -296,16 +274,15 @@ def batch_jacobian(expr, X):
     """Jacobian d f / d theta evaluated row-wise: shape (n, p)."""
     template, sequence, params = expr.template, expr.sequence, expr.params
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    slices, total = _param_slices(template)
     values, caches = forward_pass(template, sequence, params, X)
     ones = np.ones(X.shape[0])
     adj = _node_adjoints(template, sequence, params, values, ones)
-    jac = np.zeros((X.shape[0], total))
+    jac = np.zeros((X.shape[0], template.n_params))
     for i, node in enumerate(template.nodes):
         if node.kind != "unary":
             continue
         a = adj[i]
-        sl = slices[i]
+        sl = template.slices[i]
         if node.is_leaf:
             jac[:, sl.start : sl.stop - 1] = a[:, None] * caches[i]
             jac[:, sl.stop - 1] = a
@@ -410,7 +387,6 @@ def to_symbolic_string(expr, precision=4, var_names=None, elide_below=None):
     template, sequence, params = expr.template, expr.sequence, expr.params
     if var_names is None:
         var_names = tuple(f"x{j + 1}" for j in range(template.input_dim))
-    slices, _ = _param_slices(template)
 
     def render(i):
         node = template.nodes[i]
@@ -430,7 +406,7 @@ def to_symbolic_string(expr, precision=4, var_names=None, elide_below=None):
                     parts.append(f"({render(j)})")
             sep = " + " if tag == "add" else "*"
             return sep.join(parts)
-        theta = params[slices[i]]
+        theta = params[template.slices[i]]
         if node.is_leaf:
             return leaf_string(tag, theta[:-1], theta[-1], var_names,
                                precision, elide_below)

@@ -19,9 +19,8 @@ import numpy as np
 from . import expressions as ex
 from .dataio import ScaleRecord, load_csv, normalize_series
 from .datasets import TrajectoryDataset
-from .epidemic import (ModelKind, benchmark_params, generate_trajectories,
-                       train_test_split)
-from .errors import DataError, NumericalError
+from .epidemic import generate_trajectories, train_test_split
+from .errors import ConfigError, DataError, NumericalError
 from .forecast import (RolloutMode, per_step_component_mse, per_step_mse,
                        persistence_baseline, rollout)
 from .search import SystemModel, assemble_system, search_component
@@ -40,23 +39,20 @@ def _component_rng(cfg, component):
 
 def generate_synthetic(cfg):
     """Synthetic dataset for a RunConfig (synthetic mode)."""
-    kind = ModelKind(cfg.model_kind)
-    params = benchmark_params(kind)
-    if cfg.model_params:
-        from dataclasses import replace
-        params = replace(params, **cfg.model_params)
-    return generate_trajectories(kind, params, cfg.data.n_trajectories,
-                                 cfg.data.steps, cfg.data.dt, _data_rng(cfg),
+    return generate_trajectories(cfg.model.kind, cfg.model.epi_params(),
+                                 cfg.data.n_trajectories, cfg.data.steps,
+                                 cfg.data.dt, _data_rng(cfg),
                                  cfg.data.normalize_init)
 
 
 def _search_all_components(data, cfg):
     search_cfg = cfg.search
-    outcomes = []
-    for i in range(data.dim):
-        outcomes.append(search_component(data, i, search_cfg,
-                                         rng=_component_rng(cfg, i)))
-    return outcomes
+    kinds = search_cfg.templates
+    if not isinstance(kinds, str) and len(kinds) != data.dim:
+        raise ConfigError(f"search.templates: expected {data.dim} kinds, one "
+                          f"per state component, got {len(kinds)}")
+    return [search_component(data, i, search_cfg, rng=_component_rng(cfg, i))
+            for i in range(data.dim)]
 
 
 def _component_entry(record, name, var_names):
@@ -135,6 +131,11 @@ def run_synthetic(cfg):
     return doc
 
 
+def _series_means(sq, var_names):
+    """Column means of a (steps, d) array, keyed by variable name."""
+    return {name: float(sq[:, j].mean()) for j, name in enumerate(var_names)}
+
+
 def run_real(cfg):
     raw = load_csv(cfg.input_csv, dt=cfg.real_dt)
     if raw.n_trajectories != 1:
@@ -169,23 +170,15 @@ def run_real(cfg):
     forecast_sq = (fc.states[1:] - truth_window[1:]) ** 2
     persistence_sq = (truth_window[0] - truth_window[1:]) ** 2
 
-    doc = _base_document(cfg, raw.var_names, outcomes)
+    names = raw.var_names
+    doc = _base_document(cfg, names, outcomes)
     doc["metrics"] = {
         "forecast_steps": int(horizon),
         "per_step_mse": [float(v) for v in forecast_sq.mean(axis=1)],
         "persistence_per_step": [float(v) for v in persistence_sq.mean(axis=1)],
-        "forecast_mse_per_series": {
-            name: float(forecast_sq[:, j].mean())
-            for j, name in enumerate(raw.var_names)
-        },
-        "persistence_mse_per_series": {
-            name: float(persistence_sq[:, j].mean())
-            for j, name in enumerate(raw.var_names)
-        },
-        "teacher_forced_mse_per_series": {
-            name: float(teacher_mse[:, j].mean())
-            for j, name in enumerate(raw.var_names)
-        },
+        "forecast_mse_per_series": _series_means(forecast_sq, names),
+        "persistence_mse_per_series": _series_means(persistence_sq, names),
+        "teacher_forced_mse_per_series": _series_means(teacher_mse, names),
     }
     doc["scale_record"] = {"mode": scale.mode, "scale": scale.scale}
     doc["forecast"] = {

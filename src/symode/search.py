@@ -30,7 +30,8 @@ def score_from_loss(loss):
 @dataclass
 class SearchConfig:
     """Knobs of one component search. ``templates`` is either a single
-    template kind used for every component or one kind per component."""
+    template kind used for every component or one kind per component;
+    kinds are matched case-insensitively and stored lower-case."""
 
     epochs: int = 100
     batch_size: int = 10
@@ -40,26 +41,39 @@ class SearchConfig:
     controller_lr: float = 0.002
     templates: object = ex.TYPE2
     optim: OptimConfig = field(default_factory=OptimConfig)
-    seed: int = 0
+    # seeds search_component's own generator when the caller passes none;
+    # the pipeline always passes one, so no config file sets this
+    seed: int = field(default=0, metadata={"key": None})
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.pool_capacity < 1:
-            raise ValueError("epochs, batch_size and pool_capacity must be >= 1")
+        for name in ("epochs", "batch_size", "pool_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1")
         if not 0 < self.nu < 1:
-            raise ValueError("nu must lie in (0, 1)")
+            raise ValueError("nu: must lie in (0, 1)")
         if not 0 <= self.epsilon <= 1:
-            raise ValueError("epsilon must lie in [0, 1]")
+            raise ValueError("epsilon: must lie in [0, 1]")
         if self.controller_lr < 0:
-            raise ValueError("controller_lr must be >= 0")
+            raise ValueError("controller_lr: must be >= 0")
+        single = isinstance(self.templates, str)
+        kinds = [self.templates] if single else self.templates
+        if not isinstance(kinds, (list, tuple)):
+            raise ValueError("templates: expected a string or list")
+        if not all(isinstance(t, str) for t in kinds):
+            raise ValueError("templates: expected template-kind strings")
+        kinds = [t.lower() for t in kinds]
+        bad = [t for t in kinds if t not in (ex.TYPE1, ex.TYPE2)]
+        if bad:
+            raise ValueError(f"templates: unknown template kinds {bad}")
+        self.templates = kinds[0] if single else kinds
 
     def template_for(self, component):
         if isinstance(self.templates, str):
             return self.templates
-        kinds = list(self.templates)
-        if component >= len(kinds):
+        if component >= len(self.templates):
             raise ValueError(
                 f"no template kind configured for component {component}")
-        return kinds[component]
+        return self.templates[component]
 
 
 @dataclass
@@ -136,12 +150,6 @@ class CandidatePool:
     def best(self):
         recs = self.records()
         return recs[0] if recs else None
-
-
-def pool_insert(pool, record):
-    """Functional-style alias for :meth:`CandidatePool.insert`."""
-    pool.insert(record)
-    return pool
 
 
 def score_sequence(sequence, template, data, component, optim, rng):

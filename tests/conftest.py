@@ -36,7 +36,6 @@ def sir_dataset_offsimplex():
 def random_sequence(template, rng):
     tags = []
     for node in template.nodes:
-        vocab = (sm.DEFAULT_OPERATORS.unary if node.kind == "unary"
-                 else sm.DEFAULT_OPERATORS.binary)
+        vocab = sm.UNARY_TAGS if node.kind == "unary" else sm.BINARY_TAGS
         tags.append(vocab[rng.integers(len(vocab))])
     return tuple(tags)

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from symode.config import load_run_config, run_config_from_dict
 from symode.errors import ConfigError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def minimal_synthetic():
@@ -90,7 +93,7 @@ class TestValidation:
         doc = minimal_synthetic()
         doc["model"]["params"] = {"beta": 0.5, "gamma": 0.1}
         cfg = run_config_from_dict(doc)
-        assert cfg.model_params == {"beta": 0.5, "gamma": 0.1}
+        assert cfg.model.params == {"beta": 0.5, "gamma": 0.1}
         doc["model"]["params"] = {"betta": 0.5}
         with pytest.raises(ConfigError, match="model.params"):
             run_config_from_dict(doc)
@@ -125,3 +128,202 @@ class TestValidation:
             load_run_config(bad)
         with pytest.raises(ConfigError):
             load_run_config(tmp_path / "missing.json")
+
+
+def syn(**keys):
+    return {"mode": "synthetic", "model": {"kind": "sir"}, **keys}
+
+
+def real(**keys):
+    return {"mode": "real", "input_csv": "series.csv", **keys}
+
+
+def optim(**keys):
+    return syn(search={"optim": keys})
+
+
+# (dotted field path the error must start with, document, rest of the message)
+MALFORMED = [
+    ("config", [], "expected an object"),
+    ("mode", {}, "expected 'synthetic' or 'real'"),
+    ("mode", {"mode": "fake"}, "expected 'synthetic' or 'real'"),
+    ("config", syn(typo_key=1), "unknown keys ['typo_key']"),
+    ("seed", syn(seed="1"), "expected int"),
+    ("seed", syn(seed=True), "expected int"),
+    ("seed", syn(seed=-1), "must be >= 0"),
+    ("output_dir", syn(output_dir=3), "expected str"),
+    ("search", syn(search=[]), "expected an object"),
+    ("search", syn(search={"typo": 1}), "unknown keys ['typo']"),
+    ("search", syn(search={"seed": 1}), "unknown keys ['seed']"),
+    ("search.epochs", syn(search={"epochs": "many"}), "expected int"),
+    ("search.epochs", syn(search={"epochs": 0}), "must be >= 1"),
+    ("search.batch_size", syn(search={"batch_size": 1.5}), "expected int"),
+    ("search.batch_size", syn(search={"batch_size": 0}), "must be >= 1"),
+    ("search.pool_capacity", syn(search={"pool_capacity": None}),
+     "expected int"),
+    ("search.pool_capacity", syn(search={"pool_capacity": 0}),
+     "must be >= 1"),
+    ("search.nu", syn(search={"nu": "0.2"}), "expected float"),
+    ("search.nu", syn(search={"nu": 1}), "must lie in (0, 1)"),
+    ("search.epsilon", syn(search={"epsilon": True}), "expected float"),
+    ("search.epsilon", syn(search={"epsilon": 1.5}), "must lie in [0, 1]"),
+    ("search.controller_lr", syn(search={"controller_lr": [0.1]}),
+     "expected float"),
+    ("search.controller_lr", syn(search={"controller_lr": -0.1}),
+     "must be >= 0"),
+    ("search.templates", syn(search={"templates": 2}),
+     "expected a string or list"),
+    ("search.templates", syn(search={"templates": ["type1", 2]}),
+     "expected template-kind strings"),
+    ("search.templates", syn(search={"templates": "type9"}),
+     "unknown template kinds ['type9']"),
+    ("search.templates", syn(search={"templates": ["type1", "TYPE3"]}),
+     "unknown template kinds ['type3']"),
+    ("search.optim", syn(search={"optim": 5}), "expected an object"),
+    ("search.optim", optim(t9_iters=3), "unknown keys ['t9_iters']"),
+    ("search.optim.t1_iters", optim(t1_iters=1.0), "expected int"),
+    ("search.optim.t2_iters", optim(t2_iters="5"), "expected int"),
+    ("search.optim.t3_iters", optim(t3_iters=False), "expected int"),
+    ("search.optim", optim(t3_iters=-1), "iteration counts must be >= 0"),
+    ("search.optim.lr_first", optim(lr_first="big"), "expected float"),
+    ("search.optim", optim(lr_first=0), "learning rates must be > 0"),
+    ("search.optim.lr_finetune", optim(lr_finetune=None), "expected float"),
+    ("search.optim", optim(lr_finetune=0.1),
+     "lr_finetune must be smaller than lr_first"),
+    ("search.optim.grad_tol", optim(grad_tol="tiny"), "expected float"),
+    ("search.optim.armijo_c", optim(armijo_c=[]), "expected float"),
+    ("search.optim", optim(armijo_c=1), "armijo_c must lie in (0, 1)"),
+    ("search.optim.backtrack_factor", optim(backtrack_factor={}),
+     "expected float"),
+    ("search.optim", optim(backtrack_factor=0),
+     "backtrack_factor must lie in (0, 1)"),
+    ("model", syn(model=[]), "expected an object"),
+    ("model", syn(model={"kind": "sir", "rates": {}}), "unknown keys ['rates']"),
+    ("model.kind", syn(model={"kind": 1}), "expected str"),
+    ("model.kind", syn(model={"kind": "sirs"}), "unknown model 'sirs'"),
+    ("model.params", syn(model={"params": [0.5]}), "expected an object"),
+    ("model.params", syn(model={"params": {"betta": 0.5}}),
+     "unknown keys ['betta']"),
+    ("model.params.n_pop", syn(model={"params": {"n_pop": "1"}}),
+     "expected float"),
+    ("data", syn(data=None), "expected an object"),
+    ("data", syn(data={"days": 3}), "unknown keys ['days']"),
+    ("data.n_trajectories", syn(data={"n_trajectories": 2.5}), "expected int"),
+    ("data.n_trajectories", syn(data={"n_trajectories": 1}), "must be >= 2"),
+    ("data.steps", syn(data={"steps": "250"}), "expected int"),
+    ("data.steps", syn(data={"steps": 0}), "must be >= 1"),
+    ("data.dt", syn(data={"dt": "0.2"}), "expected float"),
+    ("data.dt", syn(data={"dt": 0}), "must be > 0"),
+    ("data.train_fraction", syn(data={"train_fraction": None}),
+     "expected float"),
+    ("data.train_fraction", syn(data={"train_fraction": 1}),
+     "must lie in (0, 1)"),
+    ("data.normalize_init", syn(data={"normalize_init": 1}), "expected bool"),
+    ("config", syn(input_csv="x.csv"), "unknown keys ['input_csv']"),
+    ("config", syn(train_days=85), "unknown keys ['train_days']"),
+    ("config", syn(dt=1.0), "unknown keys ['dt']"),
+    ("config", syn(normalization={}), "unknown keys ['normalization']"),
+    ("config", syn(real_dt=1.0), "unknown keys ['real_dt']"),
+    ("input_csv", {"mode": "real"}, "required in real mode"),
+    ("input_csv", real(input_csv=""), "required in real mode"),
+    ("input_csv", real(input_csv=None), "expected str"),
+    ("input_csv", real(input_csv=["a.csv"]), "expected str"),
+    ("train_days", real(train_days="85"), "expected int"),
+    ("train_days", real(train_days=1), "must be >= 2"),
+    ("dt", real(dt="1"), "expected float"),
+    ("dt", real(dt=-1.0), "must be > 0"),
+    ("normalization", real(normalization="none"), "expected an object"),
+    ("normalization", real(normalization={"scale": 2.0}),
+     "unknown keys ['scale']"),
+    ("normalization.mode", real(normalization={"mode": None}), "expected str"),
+    ("normalization.mode", real(normalization={"mode": "zscore"}),
+     "expected one of ('none', 'by_constant', 'by_max_total')"),
+    ("normalization.constant", real(normalization={"constant": "1e3"}),
+     "expected float"),
+    ("normalization.constant", real(normalization={"constant": 0}),
+     "must be > 0"),
+    ("normalization.constant", real(normalization={"mode": "by_constant"}),
+     "required for by_constant mode"),
+    ("config", real(model={"kind": "sir"}), "unknown keys ['model']"),
+    ("config", real(data={}), "unknown keys ['data']"),
+    ("config", real(real_dt=1.0), "unknown keys ['real_dt']"),
+]
+
+
+@pytest.mark.parametrize("path,doc,message", MALFORMED,
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_document_names_field(path, doc, message):
+    with pytest.raises(ConfigError) as err:
+        run_config_from_dict(doc)
+    assert str(err.value) == f"{path}: {message}"
+
+
+# config_echo as results.json records it, for each shipped config
+SHIPPED_ECHOES = {
+    "real_sample.json": (
+        '{"mode": "real", "seed": 0, "output_dir": "results/real_sample", '
+        '"search": {"epochs": 100, "batch_size": 10, "pool_capacity": 10, "nu":'
+        ' 0.2, "epsilon": 0.1, "controller_lr": 0.002, "templates": "type2", '
+        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100, '
+        '"lr_first": 0.05, "lr_finetune": 0.005, "grad_tol": 1e-08, "armijo_c":'
+        ' 0.0001, "backtrack_factor": 0.5}}, "input_csv": '
+        '"data/covid_qdr_sample.csv", "train_days": 85, "dt": 1.0, '
+        '"normalization": {"mode": "by_max_total", "constant": null}}'),
+    "synthetic_sir.json": (
+        '{"mode": "synthetic", "seed": 0, "output_dir": "results/sir_full", '
+        '"search": {"epochs": 100, "batch_size": 10, "pool_capacity": 10, "nu":'
+        ' 0.2, "epsilon": 0.1, "controller_lr": 0.002, "templates": "type2", '
+        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100, '
+        '"lr_first": 0.05, "lr_finetune": 0.005, "grad_tol": 1e-08, "armijo_c":'
+        ' 0.0001, "backtrack_factor": 0.5}}, "model": {"kind": "sir", "params":'
+        ' {}}, "data": {"n_trajectories": 200, "steps": 250, "dt": 0.2, '
+        '"train_fraction": 0.5, "normalize_init": true}}'),
+    "synthetic_sir_desk.json": (
+        '{"mode": "synthetic", "seed": 0, "output_dir": "results/sir_desk", '
+        '"search": {"epochs": 100, "batch_size": 10, "pool_capacity": 10, "nu":'
+        ' 0.2, "epsilon": 0.1, "controller_lr": 0.002, "templates": "type2", '
+        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100, '
+        '"lr_first": 0.05, "lr_finetune": 0.005, "grad_tol": 1e-08, "armijo_c":'
+        ' 0.0001, "backtrack_factor": 0.5}}, "model": {"kind": "sir", "params":'
+        ' {}}, "data": {"n_trajectories": 40, "steps": 250, "dt": 0.2, '
+        '"train_fraction": 0.5, "normalize_init": true}}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_ECHOES))
+def test_shipped_config_echo_pinned(name):
+    cfg = load_run_config(CONFIG_DIR / name)
+    assert json.dumps(cfg.to_dict()) == SHIPPED_ECHOES[name]
+
+
+def test_echo_keeps_given_params_and_floats():
+    cfg = run_config_from_dict({
+        "mode": "synthetic",
+        "model": {"kind": "SEIR", "params": {"gamma": 1, "beta": 0.5}},
+        "data": {"dt": 1},
+        "search": {"templates": ["Type1", "type2", "type2", "type1"],
+                   "optim": {"lr_first": 1}}})
+    echo = cfg.to_dict()
+    assert json.dumps(echo["model"]) == (
+        '{"kind": "seir", "params": {"gamma": 1.0, "beta": 0.5}}')
+    assert echo["data"]["dt"] == 1.0 and isinstance(echo["data"]["dt"], float)
+    assert echo["search"]["templates"] == ["type1", "type2", "type2", "type1"]
+    assert json.dumps(echo["search"]["optim"]["lr_first"]) == "1.0"
+    real_cfg = run_config_from_dict({
+        "mode": "real", "input_csv": "q.csv", "dt": 2,
+        "normalization": {"mode": "by_constant", "constant": 1000}})
+    tail = {k: v for k, v in real_cfg.to_dict().items()
+            if k in ("input_csv", "train_days", "dt", "normalization")}
+    assert json.dumps(tail) == (
+        '{"input_csv": "q.csv", "train_days": 85, "dt": 2.0, '
+        '"normalization": {"mode": "by_constant", "constant": 1000.0}}')
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"beta": -1}, "model: rates must be nonnegative"),
+    ({"n_pop": 0}, "model: n_pop must be positive"),
+], ids=["beta", "n_pop"])
+def test_model_rates_checked_at_load(params, message):
+    with pytest.raises(ConfigError) as err:
+        run_config_from_dict(syn(model={"kind": "sir", "params": params}))
+    assert str(err.value) == message

@@ -67,6 +67,25 @@ class TestLoadSeries:
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = write(tmp_path, "series.csv", SERIES_CSV.replace("26", cell))
+        with pytest.raises(DataError, match=r"row 3, column 'D': .* not finite"):
+            load_series_csv(path)
+
+    @pytest.mark.parametrize("date", ["2020-01-22", "2020-01-21"])
+    def test_dates_must_increase(self, tmp_path, date):
+        path = write(tmp_path, "series.csv",
+                     SERIES_CSV.replace("2020-01-24", date))
+        with pytest.raises(DataError, match="row 3: date .* not after"):
+            load_series_csv(path)
+
+    def test_bundled_sample_loads(self, data_dir):
+        data = load_csv(data_dir / "covid_qdr_sample.csv")
+        assert data.var_names == ("Q", "D", "R")
+        assert data.trajectories[0].shape == (100, 3)
+        assert data.trajectories[0][0].tolist() == [420.0, 12.0, 24.0]
+
 
 class TestTrajectoryRoundTrip:
     def test_round_trip_full_precision(self, tmp_path, sir_dataset):
@@ -93,6 +112,34 @@ class TestTrajectoryRoundTrip:
         path = write(tmp_path, "short.csv",
                      "trajectory_id,step,x\n0,0,1.0\n")
         with pytest.raises(DataError):
+            load_csv(path)
+
+    @pytest.mark.parametrize("steps,match", [
+        ((0, 0, 5), r"row 2: trajectory '0': step 0 follows step 0"),
+        ((0, 1, 3), r"row 3: trajectory '0': step 3 follows step 1"),
+        ((2, 0, 0), r"row 3: trajectory '0': step 0 follows step 0"),
+    ], ids=["duplicate", "gap", "duplicate-unordered"])
+    def test_steps_must_be_consecutive(self, tmp_path, steps, match):
+        rows = "".join(f"0,{s},{k}.0\n" for k, s in enumerate(steps))
+        path = write(tmp_path, "t.csv", "trajectory_id,step,x\n" + rows)
+        with pytest.raises(DataError, match=match):
+            load_csv(path)
+
+    def test_non_integer_step_rejected(self, tmp_path):
+        path = write(tmp_path, "t.csv",
+                     "trajectory_id,step,x\n0,0,1.0\n0,1.5,2.0\n")
+        with pytest.raises(DataError, match="row 2: step '1.5' is not an integer"):
+            load_csv(path)
+
+    def test_unordered_rows_load_in_step_order(self, tmp_path):
+        path = write(tmp_path, "t.csv",
+                     "trajectory_id,step,x\n0,1,2.0\n0,0,1.0\n0,2,3.0\n")
+        assert load_csv(path).trajectories[0][:, 0].tolist() == [1.0, 2.0, 3.0]
+
+    def test_non_finite_trajectory_cell_rejected(self, tmp_path):
+        path = write(tmp_path, "t.csv",
+                     "trajectory_id,step,x\n0,0,1.0\n0,1,nan\n")
+        with pytest.raises(DataError, match=r"row 2, column 'x'"):
             load_csv(path)
 
 

@@ -12,8 +12,8 @@ from symode.expressions import (EXP_CLAMP, batch_jacobian, leaf_string,
 
 from conftest import random_sequence
 
-UNARY = sm.DEFAULT_OPERATORS.unary
-BINARY = sm.DEFAULT_OPERATORS.binary
+UNARY = sm.UNARY_TAGS
+BINARY = sm.BINARY_TAGS
 
 
 def make_expr(kind, d, sequence, params):

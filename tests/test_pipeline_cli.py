@@ -196,3 +196,43 @@ class TestCli:
         cfg_path.write_text(json.dumps(tiny_real_doc(sample_csv)),
                             encoding="utf-8")
         assert main(["generate", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "seed: must be >= 0"),
+        (["--epochs", "0"], "search.epochs: must be >= 1"),
+    ], ids=["seed", "epochs"])
+    def test_overrides_validated_like_file_keys(self, tmp_path, capsys,
+                                                flags, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_synthetic_doc(out=str(tmp_path / "o"))),
+                            encoding="utf-8")
+        assert main(["search", "--config", str(cfg_path), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("templates", [["type2"],
+                                           ["type2", "type2", "type1", "type1"]],
+                             ids=["short", "long"])
+    def test_templates_list_needs_one_kind_per_component(self, tmp_path, capsys,
+                                                         templates):
+        doc = tiny_synthetic_doc(out=str(tmp_path / "o"))
+        doc["search"] = dict(TINY_SEARCH, templates=templates)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["search", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: search.templates: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o" / "results.json").exists()
+
+    def test_non_finite_cell_exit_code(self, tmp_path, capsys, sample_csv):
+        lines = sample_csv.read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        csv_path = tmp_path / "nan.csv"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_real_doc(csv_path,
+                                                     out=str(tmp_path / "o"))),
+                            encoding="utf-8")
+        assert main(["search", "--config", str(cfg_path)]) == 3
+        assert "row 3, column 'R'" in capsys.readouterr().err
