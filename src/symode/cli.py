@@ -92,6 +92,8 @@ def _cmd_search(args):
 
 
 def _cmd_forecast(args):
+    if args.steps < 1:
+        raise ConfigError("--steps: must be >= 1")
     doc = load_results(args.results)
     system = system_from_document(doc)
     scale = scale_from_document(doc)

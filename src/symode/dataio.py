@@ -5,9 +5,11 @@ decimals:
 
 * trajectory files: header ``trajectory_id,step,<var1>,...,<vard>``, one
   row per (trajectory, step), steps consecutive integers in any row order;
-* observed series: header ``date,<var1>,...`` with strictly increasing
-  ISO-8601 dates and one trajectory in date order. Dates are metadata
-  only; the step index drives the time step.
+* observed series: header ``date,<var1>,...`` with strictly increasing,
+  evenly spaced ISO-8601 dates (the first two set the spacing, so a
+  skipped date is an error) and one trajectory in date order. Beyond
+  that check dates are metadata only; the step index drives the time
+  step.
 
 Every value must be finite; a DataError names the row that breaks a rule.
 """
@@ -113,7 +115,7 @@ def load_series_csv(path, dt=1.0, expected_columns=None):
     var_names = tuple(header[1:])
     _check_expected(path, var_names, expected_columns)
     values = []
-    prev = None
+    prev = spacing = None
     for idx, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise DataError(f"{path}: row {idx}: expected {len(header)} cells, "
@@ -123,9 +125,16 @@ def load_series_csv(path, dt=1.0, expected_columns=None):
         except ValueError:
             raise DataError(f"{path}: row {idx}: {row[0]!r} is not an "
                             f"ISO-8601 date") from None
-        if prev is not None and date <= prev:
-            raise DataError(f"{path}: row {idx}: date {date} is not after "
-                            f"{prev}")
+        if prev is not None:
+            if date <= prev:
+                raise DataError(f"{path}: row {idx}: date {date} is not "
+                                f"after {prev}")
+            if spacing is not None and date - prev != spacing:
+                raise DataError(f"{path}: row {idx}: date {date} is "
+                                f"{(date - prev).days} days after {prev}, not "
+                                f"{spacing.days} as between the first two "
+                                f"dates")
+            spacing = date - prev
         prev = date
         values.append([_parse_cell(path, idx, var_names[j], row[1 + j])
                        for j in range(len(var_names))])

@@ -184,20 +184,24 @@ class CompiledExpression:
 
 
 def leaf_values(template, sequence, X):
-    """Per-leaf operator outputs u(X), reusable across parameter updates."""
+    """Per-leaf operator outputs u(X) on a batch X of shape (n, d); they do
+    not depend on the parameters, so one set serves every forward pass."""
     out = {}
-    for i, node in enumerate(template.nodes):
-        if node.is_leaf:
-            out[i] = UNARY_RULES[sequence[i]][0](X)
+    # as in forward_pass, a non-finite output is the caller's to handle
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, node in enumerate(template.nodes):
+            if node.is_leaf:
+                out[i] = UNARY_RULES[sequence[i]][0](X)
     return out
 
 
-def forward_pass(template, sequence, params, X, cached_leaves=None):
-    """Evaluate every node on a batch X of shape (n, d).
+def forward_pass(template, sequence, params, leaves):
+    """Evaluate every node, reading the leaf operator outputs from
+    :func:`leaf_values`.
 
     Returns (values, caches): values[i] is the (n,) output of node i and
-    caches[i] holds whatever the backward pass needs (leaf operator matrix
-    or interior operator output).
+    caches[i] holds what :func:`weighted_param_gradient` reads (leaf
+    operator matrix or interior operator output).
     """
     values = [None] * len(template.nodes)
     caches = [None] * len(template.nodes)
@@ -208,9 +212,7 @@ def forward_pass(template, sequence, params, X, cached_leaves=None):
                 l, r = node.children
                 values[i] = BINARY_RULES[sequence[i]](values[l], values[r])
             elif node.is_leaf:
-                U = cached_leaves[i] if cached_leaves is not None else None
-                if U is None:
-                    U = UNARY_RULES[sequence[i]][0](X)
+                U = leaves[i]
                 theta = params[template.slices[i]]
                 values[i] = U @ theta[:-1] + theta[-1]
                 caches[i] = U
@@ -223,12 +225,15 @@ def forward_pass(template, sequence, params, X, cached_leaves=None):
     return values, caches
 
 
-def _node_adjoints(template, sequence, params, values, seed):
-    """Adjoint of the root with respect to each node value, seeded at the
-    root with ``seed`` (shape (n,)). Nodes have a single parent, so each
-    adjoint is written exactly once."""
+def weighted_param_gradient(template, sequence, params, values, caches,
+                            weights):
+    """Gradient of ``sum_n weights_n * f(X_n)`` with respect to the
+    parameters: one reverse sweep over the output of :func:`forward_pass`
+    at the same ``params``. Nodes have a single parent, so each node's
+    adjoint is written exactly once, before the sweep reaches the node."""
     adj = [None] * len(template.nodes)
-    adj[-1] = seed
+    adj[-1] = weights
+    grad = np.zeros(template.n_params)
     for i in reversed(range(len(template.nodes))):
         node = template.nodes[i]
         a = adj[i]
@@ -241,64 +246,34 @@ def _node_adjoints(template, sequence, params, values, seed):
                 adj[l], adj[r] = a, -a
             else:  # mul
                 adj[l], adj[r] = a * values[r], a * values[l]
-        elif not node.is_leaf:
-            (c,) = node.children
-            du = UNARY_RULES[sequence[i]][1](values[c])
-            alpha = params[template.slices[i]][0]
-            adj[c] = a * (alpha * du)
-    return adj
-
-
-def weighted_param_gradient(template, sequence, params, X, weights,
-                            cached_leaves=None):
-    """Gradient of ``sum_n weights_n * f(X_n)`` with respect to the
-    parameters; the workhorse behind loss gradients."""
-    values, caches = forward_pass(template, sequence, params, X, cached_leaves)
-    adj = _node_adjoints(template, sequence, params, values, weights)
-    grad = np.zeros(template.n_params)
-    for i, node in enumerate(template.nodes):
-        if node.kind != "unary":
             continue
-        a = adj[i]
         sl = template.slices[i]
         if node.is_leaf:
             grad[sl.start : sl.stop - 1] = caches[i].T @ a
             grad[sl.stop - 1] = a.sum()
         else:
+            (c,) = node.children
             grad[sl.start] = float(a @ caches[i])
             grad[sl.start + 1] = a.sum()
+            du = UNARY_RULES[sequence[i]][1](values[c])
+            alpha = params[sl][0]
+            adj[c] = a * (alpha * du)
     return grad
 
 
-def batch_jacobian(expr, X):
-    """Jacobian d f / d theta evaluated row-wise: shape (n, p)."""
-    template, sequence, params = expr.template, expr.sequence, expr.params
+def _forward(expr, X):
+    """Forward pass of ``expr`` on a batch X of shape (n, d)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    values, caches = forward_pass(template, sequence, params, X)
-    ones = np.ones(X.shape[0])
-    adj = _node_adjoints(template, sequence, params, values, ones)
-    jac = np.zeros((X.shape[0], template.n_params))
-    for i, node in enumerate(template.nodes):
-        if node.kind != "unary":
-            continue
-        a = adj[i]
-        sl = template.slices[i]
-        if node.is_leaf:
-            jac[:, sl.start : sl.stop - 1] = a[:, None] * caches[i]
-            jac[:, sl.stop - 1] = a
-        else:
-            jac[:, sl.start] = a * caches[i]
-            jac[:, sl.start + 1] = a
-    return jac
+    if X.shape[1] != expr.template.input_dim:
+        raise ValueError(f"input dim {X.shape[1]} != {expr.template.input_dim}")
+    leaves = leaf_values(expr.template, expr.sequence, X)
+    return forward_pass(expr.template, expr.sequence, expr.params, leaves)
 
 
 def evaluate_batch(expr, X):
     """Raw batch evaluation, shape (n,). May contain non-finite values;
     callers that need a hard failure should use :func:`evaluate`."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != expr.template.input_dim:
-        raise ValueError(f"input dim {X.shape[1]} != {expr.template.input_dim}")
-    values, _ = forward_pass(expr.template, expr.sequence, expr.params, X)
+    values, _ = _forward(expr, X)
     return values[-1]
 
 
@@ -315,10 +290,11 @@ def evaluate(expr, x):
 def param_gradient(expr, x):
     """Exact gradient of f with respect to every parameter at one point."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    out = evaluate_batch(expr, x)
-    if not np.isfinite(out[0]):
+    values, caches = _forward(expr, x)
+    if not np.isfinite(values[-1][0]):
         raise EvaluationError(f"expression value is not finite at x={x!r}")
-    return batch_jacobian(expr, x)[0]
+    return weighted_param_gradient(expr.template, expr.sequence, expr.params,
+                                   values, caches, np.ones(1))
 
 
 # ---------------------------------------------------------------------------

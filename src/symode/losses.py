@@ -36,34 +36,35 @@ class EulerResidualObjective:
         self.component = component
         self.dt = data.dt
         X, X_next = data.stacked_pairs()
-        self.X = X
         self.dy = X_next[:, component] - X[:, component]
         self.m = X.shape[0]
         self._leaves = ex.leaf_values(template, self.sequence, X)
-        self.n_params = ex.param_count(template, self.sequence)
+        self.n_params = template.n_params
 
-    def _phi(self, theta):
-        values, _ = ex.forward_pass(self.template, self.sequence, theta,
-                                    self.X, self._leaves)
-        return values[-1]
+    def _residual(self, theta):
+        """One forward pass and its Euler residual, which is None when phi
+        is not finite on some sample."""
+        values, caches = ex.forward_pass(self.template, self.sequence, theta,
+                                         self._leaves)
+        phi = values[-1]
+        r = self.dy - phi * self.dt if np.all(np.isfinite(phi)) else None
+        return r, values, caches
 
     def loss(self, theta):
-        phi = self._phi(theta)
-        if not np.all(np.isfinite(phi)):
+        r, _, _ = self._residual(theta)
+        if r is None:
             return float("inf")
-        r = self.dy - phi * self.dt
         return float(r @ r) / self.m
 
     def loss_and_grad(self, theta):
-        phi = self._phi(theta)
-        if not np.all(np.isfinite(phi)):
+        r, values, caches = self._residual(theta)
+        if r is None:
             return float("inf"), np.zeros(self.n_params)
-        r = self.dy - phi * self.dt
         loss = float(r @ r) / self.m
         # d loss / d theta = (2 dt / M) * sum_s r_s * (-d phi / d theta)
         weights = (-2.0 * self.dt / self.m) * r
         grad = ex.weighted_param_gradient(self.template, self.sequence, theta,
-                                          self.X, weights, self._leaves)
+                                          values, caches, weights)
         return loss, grad
 
 

@@ -233,23 +233,66 @@ def write_report(doc, out_dir):
                 writer.writerow([anchor + k, *[repr(float(v)) for v in row]])
 
 
+# The keys that ``forecast`` and ``report`` read in each section of a
+# results document; ``scale_record`` and ``forecast`` are optional sections.
+_RESULTS_FIELDS = {
+    "metrics": ("per_step_mse",),
+    "scale_record": ("mode", "scale"),
+    "forecast": ("anchor_step", "values"),
+}
+_COMPONENT_FIELDS = ("component", "name", "template", "sequence",
+                     "coefficients", "symbolic")
+
+
+def _check_keys(obj, keys, where):
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}missing field {key!r}")
+
+
 def load_results(path):
+    """Read a results document. A file that is not a JSON object, lacks a
+    field that ``forecast`` or ``report`` reads, or holds a component the
+    system cannot be rebuilt from ends in a DataError naming the file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such results document")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: top-level value is not a JSON object")
+    try:
+        _check_keys(doc, ("var_names", "components", "metrics"), "")
+        for section, keys in _RESULTS_FIELDS.items():
+            if section in doc:
+                _check_keys(doc[section], keys, f"{section}: ")
+        for k, comp in enumerate(doc["components"]):
+            _check_keys(comp, _COMPONENT_FIELDS, f"components[{k}]: ")
+        system_from_document(doc)
+        scale_from_document(doc)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return doc
 
 
 def system_from_document(doc):
-    """Rebuild the learned system from a results document."""
+    """Rebuild the learned system from a results document; a component it
+    cannot rebuild raises ValueError naming its place in the list."""
     components = doc["components"]
     d = len(components)
     exprs = []
-    for comp in sorted(components, key=lambda c: c["component"]):
-        template = ex.build_template(comp["template"], d)
-        exprs.append(ex.CompiledExpression(template, tuple(comp["sequence"]),
-                                           np.array(comp["coefficients"])))
+    for k in sorted(range(d), key=lambda k: components[k]["component"]):
+        comp = components[k]
+        try:
+            template = ex.build_template(comp["template"], d)
+            exprs.append(ex.CompiledExpression(template,
+                                               tuple(comp["sequence"]),
+                                               np.array(comp["coefficients"])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"components[{k}]: {exc}") from None
     return SystemModel(exprs, doc["var_names"])
 
 

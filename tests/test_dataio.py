@@ -80,6 +80,21 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="row 3: date .* not after"):
             load_series_csv(path)
 
+    def test_skipped_date_rejected(self, tmp_path):
+        path = write(tmp_path, "series.csv",
+                     SERIES_CSV.replace("2020-01-24", "2020-01-25"))
+        with pytest.raises(DataError) as err:
+            load_series_csv(path)
+        assert str(err.value) == (f"{path}: row 3: date 2020-01-25 is 2 days "
+                                  f"after 2020-01-23, not 1 as between the "
+                                  f"first two dates")
+
+    def test_evenly_spaced_weekly_dates_load(self, tmp_path):
+        weekly = (SERIES_CSV.replace("2020-01-23", "2020-01-29")
+                  .replace("2020-01-24", "2020-02-05"))
+        data = load_series_csv(write(tmp_path, "series.csv", weekly))
+        assert data.trajectories[0].shape == (3, 3)
+
     def test_bundled_sample_loads(self, data_dir):
         data = load_csv(data_dir / "covid_qdr_sample.csv")
         assert data.var_names == ("Q", "D", "R")

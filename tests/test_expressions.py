@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import symode as sm
 from symode.errors import EvaluationError
-from symode.expressions import (EXP_CLAMP, batch_jacobian, leaf_string,
-                                to_symbolic_string)
+from symode.expressions import (EXP_CLAMP, forward_pass, leaf_string,
+                                leaf_values, to_symbolic_string,
+                                weighted_param_gradient)
 
 from conftest import random_sequence
 
@@ -176,16 +177,22 @@ class TestGradient:
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12)
             assert rel <= 1e-5
 
-    def test_batch_jacobian_matches_rows(self):
+    def test_weighted_gradient_matches_rows(self):
+        """The batch gradient the search runs equals the weighted sum of the
+        single-point gradients; only the summation order differs."""
         rng = np.random.default_rng(11)
-        t = sm.build_template("type2", 3)
-        seq = ("sin", "id", "mul", "square", "add")
-        theta = rng.uniform(-1, 1, 12)
-        expr = sm.CompiledExpression(t, seq, theta)
-        X = rng.uniform(-1, 1, (20, 3))
-        J = batch_jacobian(expr, X)
-        for i in range(20):
-            assert J[i] == pytest.approx(sm.param_gradient(expr, X[i]))
+        for kind, seq in (("type2", ("sin", "id", "mul", "square", "add")),
+                          ("type1", ("cos", "id", "mul", "exp"))):
+            t = sm.build_template(kind, 3)
+            theta = rng.uniform(-1, 1, t.n_params)
+            expr = sm.CompiledExpression(t, seq, theta)
+            X = rng.uniform(-1, 1, (20, 3))
+            w = rng.normal(size=20)
+            values, caches = forward_pass(t, seq, theta,
+                                          leaf_values(t, seq, X))
+            g = weighted_param_gradient(t, seq, theta, values, caches, w)
+            rows = sum(w[i] * sm.param_gradient(expr, X[i]) for i in range(20))
+            assert g == pytest.approx(rows, rel=1e-12, abs=1e-12)
 
 
 @given(scale=st.floats(-3, 3), data=st.data())

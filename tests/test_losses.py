@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symode as sm
+from symode import expressions as ex
 from symode.datasets import TrajectoryDataset
 from symode.losses import EulerResidualObjective
 
@@ -140,3 +141,24 @@ class TestLossGradient:
         with pytest.raises(ValueError):
             EulerResidualObjective(template, ("id",) * 2 + ("add", "id", "add"),
                                    sir_dataset, 3)
+
+
+def test_loss_and_grad_runs_one_forward_pass(monkeypatch, sir_dataset):
+    """Loss and gradient both read one forward pass per call."""
+    calls = []
+    forward_pass = ex.forward_pass
+
+    def counting(*args):
+        calls.append(args)
+        return forward_pass(*args)
+
+    monkeypatch.setattr(ex, "forward_pass", counting)
+    template = sm.build_template("type1", 3)
+    obj = EulerResidualObjective(template, ("id", "sin", "mul", "exp"),
+                                 sir_dataset, 1)
+    theta = np.full(obj.n_params, 0.1)
+    loss, grad = obj.loss_and_grad(theta)
+    assert np.isfinite(loss) and np.any(grad != 0.0)
+    assert len(calls) == 1
+    assert obj.loss(theta) == loss
+    assert len(calls) == 2

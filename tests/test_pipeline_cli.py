@@ -133,6 +133,64 @@ class TestRealPipeline:
             run_pipeline(cfg)
 
 
+def minimal_results_doc():
+    """Every field that ``forecast`` and ``report`` read: a 3-component
+    type2 system whose right-hand sides are all zero."""
+    seq = ["id", "id", "add", "id", "add"]
+    return {
+        "var_names": ["Q", "D", "R"],
+        "components": [{"component": i, "name": name, "template": "type2",
+                        "sequence": seq, "coefficients": [0.0] * 12,
+                        "symbolic": "0"}
+                       for i, name in enumerate("QDR")],
+        "metrics": {"per_step_mse": [0.0]},
+    }
+
+
+# (results file bytes or a change to the minimal document, message)
+BAD_RESULTS = {
+    "empty": (b"", "not a JSON document: Expecting value: line 1 column 1 "
+                   "(char 0)"),
+    "invalid_json": (b"{", "not a JSON document: Expecting property name "
+                           "enclosed in double quotes: line 1 column 2 "
+                           "(char 1)"),
+    "not_utf8": (b"\xff", "not a JSON document: 'utf-8' codec can't decode "
+                          "byte 0xff in position 0: invalid start byte"),
+    "list": (b"[]", "top-level value is not a JSON object"),
+    "no_components": (lambda doc: doc.pop("components"),
+                      "missing field 'components'"),
+    "no_per_step_mse": (lambda doc: doc["metrics"].pop("per_step_mse"),
+                        "metrics: missing field 'per_step_mse'"),
+    "no_scale_mode": (
+        lambda doc: doc.update(scale_record={"scale": 2.0}),
+        "scale_record: missing field 'mode'"),
+    "bad_scale": (
+        lambda doc: doc.update(scale_record={"mode": "none", "scale": "x"}),
+        "could not convert string to float: 'x'"),
+    "no_forecast_values": (
+        lambda doc: doc.update(forecast={"anchor_step": 0}),
+        "forecast: missing field 'values'"),
+    "unknown_template": (
+        lambda doc: doc["components"][0].update(template="type9"),
+        "components[0]: unknown template kind 'type9'"),
+    "no_name": (lambda doc: doc["components"][1].pop("name"),
+                "components[1]: missing field 'name'"),
+    "no_template": (lambda doc: doc["components"][0].pop("template"),
+                    "components[0]: missing field 'template'"),
+    "no_sequence": (lambda doc: doc["components"][2].pop("sequence"),
+                    "components[2]: missing field 'sequence'"),
+    "no_coefficients": (lambda doc: doc["components"][0].pop("coefficients"),
+                        "components[0]: missing field 'coefficients'"),
+    "coefficient_count": (
+        lambda doc: doc["components"][2].update(coefficients=[0.0] * 3),
+        "components[2]: params shape (3,) != (12,)"),
+    "bad_tag": (
+        lambda doc: doc["components"][1].update(
+            sequence=["id", "id", "add", "id", "sin"]),
+        "components[1]: slot 4: tag 'sin' not a binary operator"),
+}
+
+
 class TestCli:
     def test_generate_writes_csv(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -236,3 +294,45 @@ class TestCli:
                             encoding="utf-8")
         assert main(["search", "--config", str(cfg_path)]) == 3
         assert "row 3, column 'R'" in capsys.readouterr().err
+
+    def _results_file(self, tmp_path, content):
+        path = tmp_path / "results.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            doc = minimal_results_doc()
+            content(doc)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def _forecast_and_report(self, path, sample_csv, tmp_path):
+        return [main(["forecast", "--results", str(path), "--data",
+                      str(sample_csv), "--steps", "5",
+                      "--out", str(tmp_path / "fc")]),
+                main(["report", "--results", str(path),
+                      "--out", str(tmp_path / "rep")])]
+
+    def test_minimal_results_document_loads(self, tmp_path, sample_csv):
+        path = self._results_file(tmp_path, lambda doc: None)
+        assert self._forecast_and_report(path, sample_csv, tmp_path) == [0, 0]
+
+    @pytest.mark.parametrize("content,message", list(BAD_RESULTS.values()),
+                             ids=list(BAD_RESULTS))
+    def test_malformed_results_exit_code(self, tmp_path, capsys, sample_csv,
+                                         content, message):
+        path = self._results_file(tmp_path, content)
+        assert self._forecast_and_report(path, sample_csv, tmp_path) == [3, 3]
+        line = f"data error: {path}: {message}\n"
+        assert capsys.readouterr().err == line + line
+        assert not (tmp_path / "fc").exists()
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_forecast_steps_must_be_positive(self, tmp_path, capsys,
+                                             sample_csv, steps):
+        path = self._results_file(tmp_path, lambda doc: None)
+        assert main(["forecast", "--results", str(path), "--data",
+                     str(sample_csv), "--steps", steps,
+                     "--out", str(tmp_path / "fc")]) == 2
+        assert capsys.readouterr().err == "config error: --steps: must be >= 1\n"
+        assert not (tmp_path / "fc").exists()
