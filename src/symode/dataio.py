@@ -52,16 +52,26 @@ def _parse_cell(path, row_idx, column, text):
     return value
 
 
-def _check_expected(path, var_names, expected_columns):
+def _column_order(path, var_names, expected_columns):
+    """Indices into the file's ``var_names`` of the columns to keep: every
+    column in file order, or ``expected_columns`` in their order."""
     if expected_columns is None:
-        return
+        return list(range(len(var_names)))
     for col in expected_columns:
         if col not in var_names:
             raise MissingColumnError(path, col)
+    return [var_names.index(col) for col in expected_columns]
+
+
+def _dataset(trajectories, dt, var_names, order):
+    return TrajectoryDataset([t[:, order] for t in trajectories], dt,
+                             [var_names[j] for j in order])
 
 
 def load_csv(path, dt=1.0, expected_columns=None):
-    """Load either file layout, dispatching on the first header column."""
+    """Load either file layout, dispatching on the first header column.
+    With ``expected_columns`` the data holds exactly those variables, in
+    that order, whatever the order of the file's columns."""
     rows = _read_rows(path)
     first = rows[0][0].strip().lower()
     if first == "trajectory_id":
@@ -77,7 +87,7 @@ def load_trajectories_csv(path, dt, expected_columns=None):
     if len(header) < 3 or header[0] != "trajectory_id" or header[1] != "step":
         raise MissingColumnError(path, "trajectory_id,step,<vars>")
     var_names = tuple(header[2:])
-    _check_expected(path, var_names, expected_columns)
+    order = _column_order(path, var_names, expected_columns)
     groups = {}
     for idx, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
@@ -104,7 +114,7 @@ def load_trajectories_csv(path, dt, expected_columns=None):
         if arr.shape[0] < 2:
             raise DataError(f"{path}: trajectory {tid!r} has fewer than 2 rows")
         trajectories.append(arr)
-    return TrajectoryDataset(trajectories, dt, var_names)
+    return _dataset(trajectories, dt, var_names, order)
 
 
 def load_series_csv(path, dt=1.0, expected_columns=None):
@@ -113,7 +123,7 @@ def load_series_csv(path, dt=1.0, expected_columns=None):
     if len(header) < 2 or header[0] != "date":
         raise MissingColumnError(path, "date")
     var_names = tuple(header[1:])
-    _check_expected(path, var_names, expected_columns)
+    order = _column_order(path, var_names, expected_columns)
     values = []
     prev = spacing = None
     for idx, row in enumerate(rows[1:], start=1):
@@ -142,7 +152,7 @@ def load_series_csv(path, dt=1.0, expected_columns=None):
         raise EmptyFileError(path)
     if len(values) < 2:
         raise DataError(f"{path}: need at least 2 data rows")
-    return TrajectoryDataset([np.array(values, dtype=float)], dt, var_names)
+    return _dataset([np.array(values, dtype=float)], dt, var_names, order)
 
 
 def save_trajectories_csv(path, data):

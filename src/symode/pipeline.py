@@ -250,10 +250,33 @@ def _check_keys(obj, keys, where):
             raise ValueError(f"{where}missing field {key!r}")
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_values(doc):
+    """The types of the values ``report`` writes out."""
+    mse = doc["metrics"]["per_step_mse"]
+    if not isinstance(mse, list) or not all(map(_is_number, mse)):
+        raise ValueError("metrics.per_step_mse: expected a list of numbers")
+    if "forecast" not in doc:
+        return
+    anchor, rows = doc["forecast"]["anchor_step"], doc["forecast"]["values"]
+    if not isinstance(anchor, int) or isinstance(anchor, bool):
+        raise ValueError("forecast.anchor_step: expected an int")
+    width = len(doc["var_names"])
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == width
+            and all(map(_is_number, row)) for row in rows):
+        raise ValueError(f"forecast.values: expected a list of rows of "
+                         f"{width} numbers")
+
+
 def load_results(path):
     """Read a results document. A file that is not a JSON object, lacks a
-    field that ``forecast`` or ``report`` reads, or holds a component the
-    system cannot be rebuilt from ends in a DataError naming the file."""
+    field that ``forecast`` or ``report`` reads, holds a value of the wrong
+    type there, or holds a component the system cannot be rebuilt from ends
+    in a DataError naming the file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such results document")
@@ -271,6 +294,7 @@ def load_results(path):
                 _check_keys(doc[section], keys, f"{section}: ")
         for k, comp in enumerate(doc["components"]):
             _check_keys(comp, _COMPONENT_FIELDS, f"components[{k}]: ")
+        _check_values(doc)
         system_from_document(doc)
         scale_from_document(doc)
     except (TypeError, ValueError) as exc:

@@ -18,6 +18,16 @@ from .optimize import (OptimConfig, minimize_first_order, two_stage_minimize,
 # re-initialization attempts when random parameters give a non-finite loss
 MAX_INIT_RETRIES = 3
 
+# Unary tags whose leaf is a constant whatever its parameters; every other
+# tag's leaf features are columns of the closed-form fit.
+CONSTANT_TAGS = ("0", "1")
+FEATURE_TAGS = tuple(t for t in ex.UNARY_TAGS if t not in CONSTANT_TAGS)
+# Rows of [features | target] folded into the factor at a time. It bounds
+# the factor's memory and keeps each QR below the size at which OpenBLAS
+# hands it to worker threads (about 400 x 23 rows x columns on 2 cores);
+# there a 1,024-row QR took twice as long and its threads spun on after it.
+FACTOR_CHUNK_ROWS = 256
+
 
 def score_from_loss(loss):
     """Score of a minimized loss: 1 / (1 + L); non-finite losses map to the
@@ -152,12 +162,130 @@ class CandidatePool:
         return recs[0] if recs else None
 
 
-def score_sequence(sequence, template, data, component, optim, rng):
+def feature_factor(data, component):
+    """R of the QR factorization of [Phi | y] for one component, or None
+    when a feature is not finite.
+
+    Phi holds every tag of ``FEATURE_TAGS`` applied to each state coordinate
+    of the pooled sample pairs (tag-major columns) and then a ones column;
+    y is the Euler difference quotient of the component. R is built one
+    row chunk at a time, each chunk factored together with the R so far
+    (TSQR), so no M-row matrix is factored whole. For any column set S,
+    |Phi_S w - y| = |R_S w - R_y|, which is what lets every linear sequence
+    of a component search be solved from this one small matrix.
+    """
+    X, X_next = data.stacked_pairs()
+    y = (X_next[:, component] - X[:, component]) / data.dt
+    R = np.empty((0, len(FEATURE_TAGS) * data.dim + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, X.shape[0], FACTOR_CHUNK_ROWS):
+            rows = slice(start, start + FACTOR_CHUNK_ROWS)
+            x = X[rows]
+            chunk = np.column_stack(
+                [ex.UNARY_RULES[tag][0](x) for tag in FEATURE_TAGS]
+                + [np.ones(x.shape[0]), y[rows]])
+            if not np.all(np.isfinite(chunk)):
+                return None
+            R = np.linalg.qr(np.vstack([R, chunk]), mode="r")
+    return R
+
+
+def _is_constant(template, sequence, i):
+    """Whether node i is constant whatever its parameters: a '0'/'1' leaf,
+    or a binary node over two constant nodes."""
+    node = template.nodes[i]
+    if node.kind == "binary":
+        return all(_is_constant(template, sequence, c) for c in node.children)
+    return node.is_leaf and sequence[i] in CONSTANT_TAGS
+
+
+def linear_form(template, sequence):
+    """The expression as a signed sum of leaves, when its function class is
+    linear in the leaf features; None when it is not.
+
+    That holds when every binary node is ``add``/``sub``, except ``mul``
+    nodes with a constant operand: scaling the other operand by a constant
+    leaves its function class unchanged. Returns (terms, units): ``terms``
+    lists (leaf index, sign) pairs whose signed sum is the expression once
+    every node in ``units`` (the constant ``mul`` operands) is 1. An
+    interior unary node (type1) is never linear.
+    """
+    terms, units = [], []
+
+    def walk(i, sign):
+        node = template.nodes[i]
+        if node.kind == "unary":
+            terms.append((i, sign))
+            return node.is_leaf
+        l, r = node.children
+        if sequence[i] == "mul":
+            for unit, rest in ((l, r), (r, l)):
+                if _is_constant(template, sequence, unit):
+                    units.append(unit)
+                    return walk(rest, sign)
+            return False
+        return walk(l, sign) and walk(r, -sign if sequence[i] == "sub" else sign)
+
+    return (terms, units) if walk(template.n_slots - 1, 1.0) else None
+
+
+def _set_one(template, sequence, theta, i):
+    """Make the constant node i evaluate to 1 (theta starts at zero)."""
+    node = template.nodes[i]
+    if node.kind == "unary":
+        theta[template.slices[i].stop - 1] = 1.0   # beta; alpha stays 0
+        return
+    l, r = node.children
+    _set_one(template, sequence, theta, l)          # 1 + 0, 1 - 0
+    if sequence[i] == "mul":
+        _set_one(template, sequence, theta, r)      # 1 * 1
+
+
+def _closed_form(factor, template, sequence, form):
+    """Parameters at the least-squares minimum of a linear sequence.
+
+    The solve reads only the factor's rows: an n x (3d+1) problem at most,
+    with n = len(FEATURE_TAGS) * d + 1, whatever the number of samples. Each
+    non-constant leaf's alpha is its block of the solution, the intercept
+    is the first term's beta, and each constant ``mul`` operand is set to 1;
+    every other parameter is zero.
+    """
+    terms, units = form
+    d = template.input_dim
+    n = len(FEATURE_TAGS) * d + 1
+    first, first_sign = terms[0]
+    columns, signs = [n - 1], [first_sign]
+    targets = [template.slices[first].stop - 1]
+    for leaf, sign in terms:
+        if sequence[leaf] in CONSTANT_TAGS:
+            continue
+        start = FEATURE_TAGS.index(sequence[leaf]) * d
+        sl = template.slices[leaf]
+        columns.extend(range(start, start + d))
+        signs.extend([sign] * d)
+        targets.extend(range(sl.start, sl.stop - 1))
+    # the minimum-norm solution through the SVD (np.linalg.lstsq's gelsd
+    # wakes OpenBLAS worker threads at 22 x 10); columns repeat when two
+    # leaves share a tag, and on the simplex the ids sum to the ones column
+    w = np.linalg.pinv(factor[:n, columns] * signs) @ factor[:n, n]
+    theta = np.zeros(template.n_params)
+    theta[targets] = w
+    for unit in units:
+        _set_one(template, sequence, theta, unit)
+    return theta
+
+
+def score_sequence(sequence, template, data, component, optim, rng,
+                   factor=None):
     """Fit the parameters of one sequence and score the result.
 
     Parameters start uniform on [-1, 1]; a non-finite starting loss is
     retried up to three times before the sequence is written off with a
-    score-0 sentinel. Numerical failures never propagate out of here.
+    score-0 sentinel. Given the component's :func:`feature_factor`, a
+    sequence whose :func:`linear_form` exists takes its least-squares
+    minimum in closed form; every other sequence, and a closed form whose
+    loss is not finite, runs :func:`two_stage_minimize` from the start.
+    Numerical failures never propagate out of here.
     """
     sequence = tuple(sequence)
     objective = EulerResidualObjective(template, sequence, data, component)
@@ -170,6 +298,13 @@ def score_sequence(sequence, template, data, component, optim, rng):
     if theta0 is None:
         return ScoreRecord(sequence, 0.0, float("inf"),
                            np.zeros(objective.n_params), component, template)
+    form = None if factor is None else linear_form(template, sequence)
+    if form is not None:
+        theta = _closed_form(factor, template, sequence, form)
+        loss = objective.loss(theta)
+        if np.isfinite(loss):
+            return ScoreRecord(sequence, score_from_loss(loss), loss, theta,
+                               component, template)
     try:
         result = two_stage_minimize(objective.loss_and_grad, theta0, optim)
     except NonFiniteLossError:
@@ -193,11 +328,15 @@ def search_component(data, component, cfg: SearchConfig, rng=None):
     Every epoch: sample a batch, score each distinct sequence once, insert
     the records into the pool, then update the controller on the batch
     scores. After the last epoch each pool entry gets a slow first-order
-    fine-tuning pass, which can only improve its recorded loss.
+    fine-tuning pass, which can only improve its recorded loss. A type2
+    search factors the component's features once, for the closed-form fits
+    of its linear sequences.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, component]))
     template = ex.build_template(cfg.template_for(component), data.dim)
+    factor = (feature_factor(data, component) if template.kind == ex.TYPE2
+              else None)
     policy = ControllerPolicy.uniform(template, cfg.epsilon, cfg.controller_lr)
     pool = CandidatePool(cfg.pool_capacity)
     history = []
@@ -208,7 +347,7 @@ def search_component(data, component, cfg: SearchConfig, rng=None):
         for i, seq in enumerate(batch.sequences):
             if seq not in scored:
                 record = score_sequence(seq, template, data, component,
-                                        cfg.optim, rng)
+                                        cfg.optim, rng, factor)
                 scored[seq] = record
                 pool.insert(record)
             scores[i] = scored[seq].score

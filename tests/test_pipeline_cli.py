@@ -188,6 +188,29 @@ BAD_RESULTS = {
         lambda doc: doc["components"][1].update(
             sequence=["id", "id", "add", "id", "sin"]),
         "components[1]: slot 4: tag 'sin' not a binary operator"),
+    "mse_string": (
+        lambda doc: doc["metrics"].update(per_step_mse=[0.5, "x"]),
+        "metrics.per_step_mse: expected a list of numbers"),
+    "mse_not_list": (
+        lambda doc: doc["metrics"].update(per_step_mse=0.5),
+        "metrics.per_step_mse: expected a list of numbers"),
+    "anchor_float": (
+        lambda doc: doc.update(forecast={"anchor_step": 1.5, "values": []}),
+        "forecast.anchor_step: expected an int"),
+    "anchor_bool": (
+        lambda doc: doc.update(forecast={"anchor_step": True, "values": []}),
+        "forecast.anchor_step: expected an int"),
+    "values_short_row": (
+        lambda doc: doc.update(forecast={"anchor_step": 0,
+                                         "values": [[1.0, 2.0, 3.0], [1.0]]}),
+        "forecast.values: expected a list of rows of 3 numbers"),
+    "values_string": (
+        lambda doc: doc.update(forecast={"anchor_step": 0,
+                                         "values": [[1.0, "x", 3.0]]}),
+        "forecast.values: expected a list of rows of 3 numbers"),
+    "values_not_rows": (
+        lambda doc: doc.update(forecast={"anchor_step": 0, "values": [1.0]}),
+        "forecast.values: expected a list of rows of 3 numbers"),
 }
 
 
@@ -326,6 +349,24 @@ class TestCli:
         assert capsys.readouterr().err == line + line
         assert not (tmp_path / "fc").exists()
         assert not (tmp_path / "rep").exists()
+
+    def test_forecast_reads_columns_by_name(self, tmp_path, sample_csv):
+        # dQ/dt = -0.1 Q, so the prediction depends on which column is Q
+        path = self._results_file(
+            tmp_path,
+            lambda doc: doc["components"][0]["coefficients"].__setitem__(0, -0.1))
+        rows = [line.split(",") for line in
+                sample_csv.read_text(encoding="utf-8").splitlines()]
+        rdq = tmp_path / "rdq.csv"
+        rdq.write_text("".join(f"{r[0]},{r[3]},{r[2]},{r[1]}\n" for r in rows),
+                       encoding="utf-8")
+        predictions = []
+        for k, data in enumerate((sample_csv, rdq)):
+            out = tmp_path / f"fc{k}"
+            assert main(["forecast", "--results", str(path), "--data",
+                         str(data), "--steps", "5", "--out", str(out)]) == 0
+            predictions.append((out / "predictions.csv").read_bytes())
+        assert predictions[0] == predictions[1]
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_forecast_steps_must_be_positive(self, tmp_path, capsys,

@@ -1,9 +1,19 @@
+import dataclasses
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symode as sm
+import symode.search as search_mod
+from symode.config import run_config_from_dict
+from symode.dataio import load_csv, normalize_series
+from symode.losses import EulerResidualObjective
+from symode.optimize import uniform_init
+from symode.pipeline import generate_synthetic
 from symode.search import CandidatePool, ScoreRecord
 
 from conftest import random_sequence
@@ -139,6 +149,116 @@ class TestScoreSequence:
         record = sm.score_sequence(seq, template, sir_dataset, 0,
                                    sm.OptimConfig(t1_iters=5, t2_iters=5), rng)
         assert 0.0 <= record.score <= 1.0
+
+
+def all_sequences(template):
+    return itertools.product(*[
+        sm.UNARY_TAGS if node.kind == "unary" else sm.BINARY_TAGS
+        for node in template.nodes])
+
+
+def linear_sequences(template):
+    return [seq for seq in all_sequences(template)
+            if search_mod.linear_form(template, seq) is not None]
+
+
+@pytest.fixture(scope="module")
+def desk_sir_train(request):
+    """The training half of the desk SIR protocol's data (M = 5,000)."""
+    path = request.config.rootpath / "configs" / "synthetic_sir_desk.json"
+    cfg = run_config_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    train, _ = sm.train_test_split(generate_synthetic(cfg),
+                                   cfg.data.train_fraction)
+    return train
+
+
+@pytest.fixture(scope="module")
+def qdr_train(data_dir):
+    """The real-sample protocol's training window (85 days, M = 84)."""
+    raw = load_csv(data_dir / "covid_qdr_sample.csv")
+    normalized, _ = normalize_series(raw, "by_max_total")
+    return sm.TrajectoryDataset([normalized.trajectories[0][:85]], 1.0,
+                                raw.var_names)
+
+
+class TestClosedForm:
+    def test_linear_rule_counts(self):
+        linear = linear_sequences(sm.build_template("type2", 3))
+        assert len(linear) == 3964
+        assert ("sin", "1", "mul", "exp", "sub") in linear
+        assert ("0", "1", "mul", "cos", "mul") in linear
+        assert ("sin", "id", "mul", "exp", "add") not in linear
+        type1 = sm.build_template("type1", 3)
+        assert all(search_mod.linear_form(type1, seq) is None
+                   for seq in all_sequences(type1))
+
+    @pytest.mark.parametrize("dataset", ["desk_sir_train", "qdr_train"])
+    def test_never_worse_than_two_stage(self, request, dataset):
+        data = request.getfixturevalue(dataset)
+        template = sm.build_template("type2", 3)
+        linear = linear_sequences(template)
+        pick = np.random.default_rng(11)
+        for component in range(3):
+            factor = search_mod.feature_factor(data, component)
+            for k in pick.choice(len(linear), 12, replace=False):
+                seq = linear[k]
+                closed = sm.score_sequence(seq, template, data, component,
+                                           sm.OptimConfig(),
+                                           np.random.default_rng(k), factor)
+                iterative = sm.score_sequence(seq, template, data, component,
+                                              sm.OptimConfig(),
+                                              np.random.default_rng(k))
+                assert closed.loss <= iterative.loss * (1 + 1e-9), seq
+                # the recorded loss is the objective's at the recorded params
+                objective = EulerResidualObjective(template, seq, data,
+                                                   component)
+                assert objective.loss(closed.params) == closed.loss
+
+    @pytest.mark.parametrize("component,seq", [
+        (2, ("id", "0", "add", "0", "add")),
+        (0, ("square", "id", "add", "0", "add")),
+        (1, ("square", "id", "add", "0", "add")),
+    ])
+    def test_exact_recovery_on_sir(self, desk_sir_train, component, seq):
+        # dR/dt = gamma I is linear in id; on the simplex S*I is linear in
+        # the squares and ids, so dS/dt and dI/dt are exact there too
+        template = sm.build_template("type2", 3)
+        factor = search_mod.feature_factor(desk_sir_train, component)
+        record = sm.score_sequence(seq, template, desk_sir_train, component,
+                                   sm.OptimConfig(), np.random.default_rng(0),
+                                   factor)
+        assert record.loss < 1e-25
+
+    def test_type1_search_never_reaches_closed_form(self, sir_dataset,
+                                                    monkeypatch):
+        def refuse(*args):
+            raise AssertionError("closed form reached")
+
+        cfg = sm.SearchConfig(epochs=2, batch_size=4, seed=3,
+                              optim=sm.OptimConfig(t1_iters=5, t2_iters=5,
+                                                   t3_iters=2))
+        monkeypatch.setattr(search_mod, "feature_factor", refuse)
+        monkeypatch.setattr(search_mod, "_closed_form", refuse)
+        sm.search_component(sir_dataset, 2,
+                            dataclasses.replace(cfg, templates="type1"))
+        with pytest.raises(AssertionError, match="closed form reached"):
+            sm.search_component(sir_dataset, 2, cfg)
+
+    def test_nonlinear_record_is_two_stage(self, sir_dataset):
+        template = sm.build_template("type2", 3)
+        seq = ("sin", "id", "mul", "exp", "add")
+        assert search_mod.linear_form(template, seq) is None
+        optim = sm.OptimConfig(t1_iters=30, t2_iters=20)
+        factor = search_mod.feature_factor(sir_dataset, 1)
+        record = sm.score_sequence(seq, template, sir_dataset, 1, optim,
+                                   np.random.default_rng(5), factor)
+        # what the two-stage path alone gives from the first uniform draw
+        objective = EulerResidualObjective(template, seq, sir_dataset, 1)
+        theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
+        result = sm.two_stage_minimize(objective.loss_and_grad, theta0, optim)
+        assert record.loss == result.final_loss
+        assert record.score == sm.score_from_loss(result.final_loss)
+        assert np.array_equal(record.params, result.final_params)
 
 
 class TestSearchComponent:
