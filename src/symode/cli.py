@@ -21,9 +21,9 @@ from .dataio import load_csv, save_trajectories_csv
 from .errors import (ConfigError, DataError, EvaluationError,
                      NonFiniteLossError, NumericalError)
 from .forecast import RolloutMode, rollout
-from .pipeline import (generate_synthetic, load_results, run_pipeline,
-                       scale_from_document, system_from_document,
-                       write_report)
+from .pipeline import (dt_from_document, generate_synthetic, load_results,
+                       run_pipeline, scale_from_document,
+                       system_from_document, write_report)
 
 
 def _make_parser():
@@ -97,7 +97,12 @@ def _cmd_forecast(args):
     doc = load_results(args.results)
     system = system_from_document(doc)
     scale = scale_from_document(doc)
-    data = load_csv(args.data, expected_columns=doc["var_names"])
+    # step at the dt the system was fitted at
+    data = load_csv(args.data, dt_from_document(doc),
+                    expected_columns=doc["var_names"])
+    if data.n_trajectories != 1:
+        raise DataError(f"{args.data}: forecast expects a single series, "
+                        f"got {data.n_trajectories} trajectories")
     series = data.trajectories[0]
     # work in the units the system was fitted in
     values = series / scale.scale

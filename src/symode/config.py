@@ -2,11 +2,11 @@
 
 The dataclasses are the schema: a field's annotation, default and
 ``__post_init__`` range checks govern its JSON key, which is the field name
-or the ``key`` in its metadata (None: no file sets it). Metadata ``mode``
-limits a key to one run mode; ``fields_of`` makes a dict hold a subset of
-another dataclass's fields. Unknown keys are rejected everywhere, and every
-reported problem names the offending path (e.g. ``search.optim.t1_iters``),
-so a malformed file fails before any computation starts.
+or the ``key`` in its metadata. Metadata ``mode`` limits a key to one run
+mode; ``fields_of`` makes a dict hold a subset of another dataclass's
+fields. Unknown keys are rejected everywhere, and every reported problem
+names the offending path (e.g. ``search.optim.t1_iters``), so a malformed
+file fails before any computation starts.
 
 A ``__post_init__`` message starting ``<field>:`` is reported at that
 field's path (``search.epochs: must be >= 1``), any other at the object's.
@@ -118,9 +118,8 @@ class RunConfig:
 def _file_fields(cls, mode):
     """(field, JSON key) of each field of ``cls`` that a ``mode`` file sets."""
     for f in fields(cls):
-        key = f.metadata.get("key", f.name)
-        if key is not None and f.metadata.get("mode", mode) == mode:
-            yield f, key
+        if f.metadata.get("mode", mode) == mode:
+            yield f, f.metadata.get("key", f.name)
 
 
 def _kwargs(cls, mapping, path, mode=None):

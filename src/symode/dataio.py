@@ -204,9 +204,3 @@ def normalize_series(data, mode, constant=None):
     scaled = [t / scale for t in data.trajectories]
     return (TrajectoryDataset(scaled, data.dt, data.var_names, data.split),
             ScaleRecord(mode, scale))
-
-
-def denormalize_series(data, record):
-    """Invert :func:`normalize_series`."""
-    restored = [t * record.scale for t in data.trajectories]
-    return TrajectoryDataset(restored, data.dt, data.var_names, data.split)

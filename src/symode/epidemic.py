@@ -133,24 +133,18 @@ def generate_trajectories(kind, params, n_traj, steps, dt, rng,
     return TrajectoryDataset(trajectories, dt, kind.var_names, split="full")
 
 
-def train_test_split(data, train_fraction, rng=None):
-    """Split whole trajectories into train and test subsets.
-
-    With ``rng`` given the trajectory order is shuffled first; otherwise
-    the split is contiguous. No trajectory straddles the boundary.
-    """
+def train_test_split(data, train_fraction):
+    """Split whole trajectories, in order, into train and test subsets; no
+    trajectory straddles the boundary."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must lie in (0, 1)")
     n = data.n_trajectories
     if n < 2:
         raise ValueError("need at least 2 trajectories to split")
-    order = np.arange(n)
-    if rng is not None:
-        order = rng.permutation(n)
     n_train = int(round(train_fraction * n))
     n_train = max(1, min(n - 1, n_train))
-    train = [data.trajectories[i].copy() for i in order[:n_train]]
-    test = [data.trajectories[i].copy() for i in order[n_train:]]
+    train = [t.copy() for t in data.trajectories[:n_train]]
+    test = [t.copy() for t in data.trajectories[n_train:]]
     return (
         TrajectoryDataset(train, data.dt, data.var_names, split="train"),
         TrajectoryDataset(test, data.dt, data.var_names, split="test"),

@@ -112,9 +112,6 @@ class TreeTemplate:
     def n_slots(self):
         return len(self.nodes)
 
-    def slot_kinds(self):
-        return tuple(n.kind for n in self.nodes)
-
 
 def build_template(kind, input_dim):
     """Build a template of the given kind for ``input_dim`` state variables.
@@ -307,13 +304,9 @@ def _fmt(value, precision):
     return f"{value:.{precision}f}"
 
 
-def _join_affine(terms, constant, precision, elide_below):
+def _join_affine(terms, constant, precision):
     """Render ``sum coef*term + constant`` as infix text. ``terms`` is a
     list of (coefficient, text) pairs."""
-    if elide_below is not None:
-        terms = [(c, t) for c, t in terms if abs(c) >= elide_below]
-        if abs(constant) < elide_below:
-            constant = 0.0
     parts = list(terms)
     if constant != 0.0 or not parts:
         parts.append((constant, None))
@@ -344,22 +337,21 @@ def _unary_term(tag, operand):
     return f"{tag}({operand})"
 
 
-def leaf_string(tag, alpha, beta, var_names, precision=4, elide_below=None):
+def leaf_string(tag, alpha, beta, var_names, precision=4):
     """Render one unary leaf in the printed-equation style, e.g.
     ``0.1919*sin(R) + 0.1812*sin(D) + 0.7006*sin(Q) - 0.7283``."""
     alpha = np.asarray(alpha, dtype=float)
     if tag == "0":
-        return _join_affine([], float(beta), precision, elide_below)
+        return _join_affine([], float(beta), precision)
     if tag == "1":
-        return _join_affine([], float(alpha.sum() + beta), precision, elide_below)
+        return _join_affine([], float(alpha.sum() + beta), precision)
     terms = [(float(a), _unary_term(tag, name)) for a, name in zip(alpha, var_names)]
-    return _join_affine(terms, float(beta), precision, elide_below)
+    return _join_affine(terms, float(beta), precision)
 
 
-def to_symbolic_string(expr, precision=4, var_names=None, elide_below=None):
+def to_symbolic_string(expr, precision=4, var_names=None):
     """Human-readable infix form of the expression with coefficients
-    rounded to ``precision`` decimal digits. Terms smaller in magnitude
-    than ``elide_below`` are dropped when that threshold is given."""
+    rounded to ``precision`` decimal digits."""
     template, sequence, params = expr.template, expr.sequence, expr.params
     if var_names is None:
         var_names = tuple(f"x{j + 1}" for j in range(template.input_dim))
@@ -385,18 +377,17 @@ def to_symbolic_string(expr, precision=4, var_names=None, elide_below=None):
         theta = params[template.slices[i]]
         if node.is_leaf:
             return leaf_string(tag, theta[:-1], theta[-1], var_names,
-                               precision, elide_below)
+                               precision)
         inner = render(node.children[0])
         if tag == "0":
-            return _join_affine([], float(theta[1]), precision, elide_below)
+            return _join_affine([], float(theta[1]), precision)
         if tag == "1":
-            return _join_affine([], float(theta[0] + theta[1]), precision,
-                                elide_below)
+            return _join_affine([], float(theta[0] + theta[1]), precision)
         if tag in ("sin", "cos", "exp"):
             text = f"{tag}({inner})"
         else:
             text = _unary_term(tag, f"({inner})")
         return _join_affine([(float(theta[0]), text)], float(theta[1]),
-                            precision, elide_below)
+                            precision)
 
     return render(len(template.nodes) - 1)

@@ -8,8 +8,6 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import TrajectoryDataset
-
 
 class RolloutMode(enum.Enum):
     # next step computed from the ground-truth current state
@@ -25,16 +23,6 @@ class RolloutResult:
     failure_step: Optional[int] = None
 
 
-def _truth_array(truth):
-    if truth is None:
-        return None
-    if isinstance(truth, TrajectoryDataset):
-        if truth.n_trajectories != 1:
-            raise ValueError("teacher forcing needs exactly one truth trajectory")
-        return truth.trajectories[0]
-    return np.asarray(truth, dtype=float)
-
-
 def rollout(model, init, steps, dt, mode=RolloutMode.AUTONOMOUS, truth=None):
     """Propagate ``steps`` explicit-Euler steps from ``init``.
 
@@ -44,7 +32,7 @@ def rollout(model, init, steps, dt, mode=RolloutMode.AUTONOMOUS, truth=None):
     rollout and reports the failing step index.
     """
     init = np.asarray(init, dtype=float)
-    truth_arr = _truth_array(truth)
+    truth_arr = None if truth is None else np.asarray(truth, dtype=float)
     if mode is RolloutMode.TEACHER_FORCED:
         if truth_arr is None or truth_arr.shape[0] < steps:
             raise ValueError("teacher forcing requires truth covering all steps")

@@ -17,31 +17,30 @@ import numpy as np
 from .errors import NonFiniteLossError
 
 
+# The fixed parts of the schedule: the step sizes of the warm-up and of the
+# fine-tuning pass, the BFGS gradient-norm tolerance, the Armijo constant
+# and backtracking factor of its line search, and Adam's moment constants.
+LR_FIRST = 0.05
+LR_FINETUNE = 0.005
+GRAD_TOL = 1e-8
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 50
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimConfig:
-    """Iteration budgets and step sizes for the two-stage scheme plus the
-    slower fine-tuning pass applied to candidate-pool entries."""
+    """Iteration budgets of the two-stage scheme and of the fine-tuning
+    pass applied to candidate-pool entries."""
 
     t1_iters: int = 150
     t2_iters: int = 150
     t3_iters: int = 100
-    lr_first: float = 0.05
-    lr_finetune: float = 0.005
-    grad_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
 
     def __post_init__(self):
         if min(self.t1_iters, self.t2_iters, self.t3_iters) < 0:
             raise ValueError("iteration counts must be >= 0")
-        if self.lr_first <= 0 or self.lr_finetune <= 0:
-            raise ValueError("learning rates must be > 0")
-        if self.lr_finetune >= self.lr_first:
-            raise ValueError("lr_finetune must be smaller than lr_first")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
 
 
 @dataclass
@@ -70,13 +69,12 @@ def _check_start(loss):
         raise NonFiniteLossError(f"loss is {loss} at the initial parameters")
 
 
-def uniform_init(rng, count, low=-1.0, high=1.0):
-    """Default parameter initialization: i.i.d. uniform draws."""
-    return rng.uniform(low, high, size=count)
+def uniform_init(rng, count):
+    """Default parameter initialization: i.i.d. uniform draws on [-1, 1]."""
+    return rng.uniform(-1.0, 1.0, size=count)
 
 
-def minimize_first_order(fn, init, iters, lr, beta1=0.9, beta2=0.999,
-                         eps=1e-8):
+def minimize_first_order(fn, init, iters, lr):
     """Adam-style momentum descent with bias correction.
 
     Runs exactly ``iters`` steps (or stops early on a non-finite loss) and
@@ -92,11 +90,11 @@ def minimize_first_order(fn, init, iters, lr, beta1=0.9, beta2=0.999,
     for t in range(1, iters + 1):
         if not np.all(np.isfinite(grad)):
             break
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = BETA1 * m + (1.0 - BETA1) * grad
+        v = BETA2 * v + (1.0 - BETA2) * grad * grad
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         loss, grad = fn(theta)
         used = t
         if not np.isfinite(loss):
@@ -105,9 +103,7 @@ def minimize_first_order(fn, init, iters, lr, beta1=0.9, beta2=0.999,
     return OptimResult(best.theta, best.loss, used, converged=False)
 
 
-def minimize_bfgs(fn, init, iters, grad_tol, armijo_c=1e-4,
-                  backtrack_factor=0.5, max_backtracks=50,
-                  trace: Optional[list] = None):
+def minimize_bfgs(fn, init, iters, grad_tol, trace: Optional[list] = None):
     """BFGS with an inverse-Hessian approximation and Armijo backtracking.
 
     Stops when the gradient norm drops below ``grad_tol`` or the iteration
@@ -127,9 +123,7 @@ def minimize_bfgs(fn, init, iters, grad_tol, armijo_c=1e-4,
     used = 0
     converged = bool(np.linalg.norm(grad) <= grad_tol)
     for k in range(iters):
-        if converged:
-            break
-        if not np.all(np.isfinite(grad)):
+        if converged or not np.all(np.isfinite(grad)):
             break
         p = -H @ grad
         dd = float(grad @ p)
@@ -140,15 +134,15 @@ def minimize_bfgs(fn, init, iters, grad_tol, armijo_c=1e-4,
             dd = -float(grad @ grad)
         step = 1.0
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = theta + step * p
             cand_loss, cand_grad = fn(cand)
             if np.isfinite(cand_loss):
                 best.offer(cand, cand_loss)
-            if np.isfinite(cand_loss) and cand_loss <= loss + armijo_c * step * dd:
+            if np.isfinite(cand_loss) and cand_loss <= loss + ARMIJO_C * step * dd:
                 accepted = True
                 break
-            step *= backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             break
         if trace is not None:
@@ -164,16 +158,15 @@ def minimize_bfgs(fn, init, iters, grad_tol, armijo_c=1e-4,
             outer_sy = np.outer(s, y)
             H = (identity - rho * outer_sy) @ H @ (identity - rho * outer_sy.T)
             H += rho * np.outer(s, s)
-        if np.all(np.isfinite(grad)) and np.linalg.norm(grad) <= grad_tol:
-            converged = True
+        # a non-finite norm fails the test; the next iteration stops on it
+        converged = bool(np.linalg.norm(grad) <= grad_tol)
     return OptimResult(best.theta, best.loss, used, converged)
 
 
 def two_stage_minimize(fn, init, cfg: OptimConfig):
     """First-order warm-up for t1 iterations, then BFGS for t2."""
-    first = minimize_first_order(fn, init, cfg.t1_iters, cfg.lr_first)
-    second = minimize_bfgs(fn, first.final_params, cfg.t2_iters, cfg.grad_tol,
-                           cfg.armijo_c, cfg.backtrack_factor)
+    first = minimize_first_order(fn, init, cfg.t1_iters, LR_FIRST)
+    second = minimize_bfgs(fn, first.final_params, cfg.t2_iters, GRAD_TOL)
     # the BFGS tracker starts at the stage-one best, so this never worsens it
     return OptimResult(second.final_params, second.final_loss,
                        first.iterations_used + second.iterations_used,

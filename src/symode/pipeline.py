@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ def run_synthetic(cfg):
     full = generate_synthetic(cfg)
     train, test = train_test_split(full, cfg.data.train_fraction)
     outcomes = _search_all_components(train, cfg)
-    system = assemble_system([o.best for o in outcomes], train.var_names)
+    system = assemble_system([o.best for o in outcomes])
     steps = test.trajectories[0].shape[0] - 1
     predictions = _autonomous_forecasts(system, test, steps)
     curve = per_step_mse(predictions, test.trajectories)
@@ -150,7 +151,7 @@ def run_real(cfg):
     train = TrajectoryDataset([values[: cfg.train_days]], cfg.real_dt,
                               raw.var_names, split="train")
     outcomes = _search_all_components(train, cfg)
-    system = assemble_system([o.best for o in outcomes], raw.var_names)
+    system = assemble_system([o.best for o in outcomes])
 
     # teacher-forced replay over the training window
     fitted = rollout(system, values[0], cfg.train_days - 1, cfg.real_dt,
@@ -234,7 +235,8 @@ def write_report(doc, out_dir):
 
 
 # The keys that ``forecast`` and ``report`` read in each section of a
-# results document; ``scale_record`` and ``forecast`` are optional sections.
+# results document (``config_echo`` is read by ``dt_from_document``);
+# ``scale_record`` and ``forecast`` are optional sections.
 _RESULTS_FIELDS = {
     "metrics": ("per_step_mse",),
     "scale_record": ("mode", "scale"),
@@ -255,7 +257,11 @@ def _is_number(value):
 
 
 def _check_values(doc):
-    """The types of the values ``report`` writes out."""
+    """The types of the values ``forecast`` and ``report`` read."""
+    names, d = doc["var_names"], len(doc["components"])
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and len(names) == len(set(names)) == d):
+        raise ValueError(f"var_names: expected a list of {d} distinct strings")
     mse = doc["metrics"]["per_step_mse"]
     if not isinstance(mse, list) or not all(map(_is_number, mse)):
         raise ValueError("metrics.per_step_mse: expected a list of numbers")
@@ -288,7 +294,8 @@ def load_results(path):
     if not isinstance(doc, dict):
         raise DataError(f"{path}: top-level value is not a JSON object")
     try:
-        _check_keys(doc, ("var_names", "components", "metrics"), "")
+        _check_keys(doc, ("config_echo", "var_names", "components",
+                          "metrics"), "")
         for section, keys in _RESULTS_FIELDS.items():
             if section in doc:
                 _check_keys(doc[section], keys, f"{section}: ")
@@ -297,6 +304,7 @@ def load_results(path):
         _check_values(doc)
         system_from_document(doc)
         scale_from_document(doc)
+        dt_from_document(doc)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from None
     return doc
@@ -317,9 +325,24 @@ def system_from_document(doc):
                                                np.array(comp["coefficients"])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"components[{k}]: {exc}") from None
-    return SystemModel(exprs, doc["var_names"])
+    return SystemModel(exprs)
 
 
 def scale_from_document(doc):
     rec = doc.get("scale_record", {"mode": "none", "scale": 1.0})
     return ScaleRecord(rec["mode"], float(rec["scale"]))
+
+
+def dt_from_document(doc):
+    """The time step the system was fitted at: ``config_echo.data.dt`` in
+    synthetic mode, ``config_echo.dt`` in real mode."""
+    echo = doc["config_echo"]
+    synthetic = isinstance(echo, dict) and echo.get("mode") == "synthetic"
+    try:
+        dt = echo["data"]["dt"] if synthetic else echo["dt"]
+    except (KeyError, TypeError):
+        dt = None
+    if not (_is_number(dt) and 0 < dt < math.inf):
+        field = "config_echo.data.dt" if synthetic else "config_echo.dt"
+        raise ValueError(f"{field}: expected a positive number")
+    return float(dt)

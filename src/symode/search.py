@@ -12,8 +12,8 @@ from . import expressions as ex
 from .controller import ControllerPolicy, policy_update, sample_sequences
 from .errors import NonFiniteLossError, NumericalError
 from .losses import EulerResidualObjective
-from .optimize import (OptimConfig, minimize_first_order, two_stage_minimize,
-                       uniform_init)
+from .optimize import (LR_FINETUNE, OptimConfig, minimize_first_order,
+                       two_stage_minimize, uniform_init)
 
 # re-initialization attempts when random parameters give a non-finite loss
 MAX_INIT_RETRIES = 3
@@ -51,9 +51,6 @@ class SearchConfig:
     controller_lr: float = 0.002
     templates: object = ex.TYPE2
     optim: OptimConfig = field(default_factory=OptimConfig)
-    # seeds search_component's own generator when the caller passes none;
-    # the pipeline always passes one, so no config file sets this
-    seed: int = field(default=0, metadata={"key": None})
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "pool_capacity"):
@@ -322,7 +319,7 @@ class SearchOutcome:
     history: list               # per-epoch best batch score
 
 
-def search_component(data, component, cfg: SearchConfig, rng=None):
+def search_component(data, component, cfg: SearchConfig, rng):
     """Run the full search loop for one state component.
 
     Every epoch: sample a batch, score each distinct sequence once, insert
@@ -332,8 +329,6 @@ def search_component(data, component, cfg: SearchConfig, rng=None):
     search factors the component's features once, for the closed-form fits
     of its linear sequences.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, component]))
     template = ex.build_template(cfg.template_for(component), data.dim)
     factor = (feature_factor(data, component) if template.kind == ex.TYPE2
               else None)
@@ -369,7 +364,7 @@ def _finetune_pool(pool, data, component, optim):
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)
         result = minimize_first_order(objective.loss_and_grad, record.params,
-                                      optim.t3_iters, optim.lr_finetune)
+                                      optim.t3_iters, LR_FINETUNE)
         if result.final_loss <= record.loss:
             pool.replace(replace(record,
                                  params=result.final_params,
@@ -380,33 +375,19 @@ def _finetune_pool(pool, data, component, optim):
 class SystemModel:
     """d learned component expressions evaluated on a shared input."""
 
-    def __init__(self, components, var_names=None):
+    def __init__(self, components):
         self.components = list(components)
         d = len(self.components)
         for expr in self.components:
             if expr.template.input_dim != d:
                 raise ValueError("component input_dim != number of components")
-        self.var_names = tuple(var_names) if var_names else tuple(
-            f"x{j + 1}" for j in range(d))
-
-    @property
-    def dim(self):
-        return len(self.components)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float).reshape(1, -1)
         return np.array([ex.evaluate_batch(c, x)[0] for c in self.components])
 
-    def evaluate_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.column_stack([ex.evaluate_batch(c, X) for c in self.components])
 
-    def symbolic(self, precision=4, elide_below=None):
-        return [ex.to_symbolic_string(c, precision, self.var_names, elide_below)
-                for c in self.components]
-
-
-def assemble_system(records, var_names=None):
+def assemble_system(records):
     """Stack one ScoreRecord per component index into a SystemModel."""
     d = len(records)
     by_component = {r.component: r for r in records}
@@ -419,4 +400,4 @@ def assemble_system(records, var_names=None):
                               by_component[i].params)
         for i in range(d)
     ]
-    return SystemModel(exprs, var_names)
+    return SystemModel(exprs)

@@ -109,10 +109,8 @@ class TestValidation:
             "search": {"epochs": 2, "batch_size": 3, "pool_capacity": 4,
                        "nu": 0.25, "epsilon": 0.2, "controller_lr": 0.01,
                        "templates": "type1",
-                       "optim": {"t1_iters": 5, "t2_iters": 5, "t3_iters": 5,
-                                 "lr_first": 0.1, "lr_finetune": 0.01,
-                                 "grad_tol": 1e-6, "armijo_c": 1e-4,
-                                 "backtrack_factor": 0.5}},
+                       "optim": {"t1_iters": 5, "t2_iters": 5,
+                                 "t3_iters": 5}},
         }
         cfg = run_config_from_dict(doc)
         echoed = cfg.to_dict()
@@ -142,7 +140,8 @@ def optim(**keys):
     return syn(search={"optim": keys})
 
 
-# (dotted field path the error must start with, document, rest of the message)
+# (dotted field path the error must start with, document, rest of the message
+#  [, test id when it is not the path])
 MALFORMED = [
     ("config", [], "expected an object"),
     ("mode", {}, "expected 'synthetic' or 'real'"),
@@ -185,18 +184,23 @@ MALFORMED = [
     ("search.optim.t2_iters", optim(t2_iters="5"), "expected int"),
     ("search.optim.t3_iters", optim(t3_iters=False), "expected int"),
     ("search.optim", optim(t3_iters=-1), "iteration counts must be >= 0"),
-    ("search.optim.lr_first", optim(lr_first="big"), "expected float"),
-    ("search.optim", optim(lr_first=0), "learning rates must be > 0"),
-    ("search.optim.lr_finetune", optim(lr_finetune=None), "expected float"),
-    ("search.optim", optim(lr_finetune=0.1),
-     "lr_finetune must be smaller than lr_first"),
-    ("search.optim.grad_tol", optim(grad_tol="tiny"), "expected float"),
-    ("search.optim.armijo_c", optim(armijo_c=[]), "expected float"),
-    ("search.optim", optim(armijo_c=1), "armijo_c must lie in (0, 1)"),
-    ("search.optim.backtrack_factor", optim(backtrack_factor={}),
-     "expected float"),
+    # Deleted keys are unknown whatever their value: the rows whose values
+    # once failed the type check keep that check's test id (fourth entry).
+    ("search.optim", optim(lr_first="big"), "unknown keys ['lr_first']",
+     "search.optim.lr_first"),
+    ("search.optim", optim(lr_first=0), "unknown keys ['lr_first']"),
+    ("search.optim", optim(lr_finetune=None), "unknown keys ['lr_finetune']",
+     "search.optim.lr_finetune"),
+    ("search.optim", optim(lr_finetune=0.1), "unknown keys ['lr_finetune']"),
+    ("search.optim", optim(grad_tol="tiny"), "unknown keys ['grad_tol']",
+     "search.optim.grad_tol"),
+    ("search.optim", optim(armijo_c=[]), "unknown keys ['armijo_c']",
+     "search.optim.armijo_c"),
+    ("search.optim", optim(armijo_c=1), "unknown keys ['armijo_c']"),
+    ("search.optim", optim(backtrack_factor={}),
+     "unknown keys ['backtrack_factor']", "search.optim.backtrack_factor"),
     ("search.optim", optim(backtrack_factor=0),
-     "backtrack_factor must lie in (0, 1)"),
+     "unknown keys ['backtrack_factor']"),
     ("model", syn(model=[]), "expected an object"),
     ("model", syn(model={"kind": "sir", "rates": {}}), "unknown keys ['rates']"),
     ("model.kind", syn(model={"kind": 1}), "expected str"),
@@ -250,8 +254,9 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("path,doc,message", MALFORMED,
-                         ids=[case[0] for case in MALFORMED])
+@pytest.mark.parametrize("path,doc,message",
+                         [case[:3] for case in MALFORMED],
+                         ids=[(case[3:] or case)[0] for case in MALFORMED])
 def test_malformed_document_names_field(path, doc, message):
     with pytest.raises(ConfigError) as err:
         run_config_from_dict(doc)
@@ -264,30 +269,47 @@ SHIPPED_ECHOES = {
         '{"mode": "real", "seed": 0, "output_dir": "results/real_sample", '
         '"search": {"epochs": 100, "batch_size": 10, "pool_capacity": 10, "nu":'
         ' 0.2, "epsilon": 0.1, "controller_lr": 0.002, "templates": "type2", '
-        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100, '
-        '"lr_first": 0.05, "lr_finetune": 0.005, "grad_tol": 1e-08, "armijo_c":'
-        ' 0.0001, "backtrack_factor": 0.5}}, "input_csv": '
-        '"data/covid_qdr_sample.csv", "train_days": 85, "dt": 1.0, '
+        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100}}, '
+        '"input_csv": "data/covid_qdr_sample.csv", "train_days": 85, "dt": 1.0, '
         '"normalization": {"mode": "by_max_total", "constant": null}}'),
+    "synthetic_seir.json": (
+        '{"mode": "synthetic", "seed": 0, "output_dir": "results/seir_full", '
+        '"search": {"epochs": 100, "batch_size": 10, "pool_capacity": 10, "nu":'
+        ' 0.2, "epsilon": 0.1, "controller_lr": 0.002, "templates": "type2", '
+        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100}}, '
+        '"model": {"kind": "seir", "params": {}}, "data": {"n_trajectories": '
+        '200, "steps": 250, "dt": 0.2, "train_fraction": 0.5, "normalize_init": '
+        'true}}'),
+    "synthetic_seird.json": (
+        '{"mode": "synthetic", "seed": 0, "output_dir": "results/seird_full", '
+        '"search": {"epochs": 100, "batch_size": 10, "pool_capacity": 10, "nu":'
+        ' 0.2, "epsilon": 0.1, "controller_lr": 0.002, "templates": "type2", '
+        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100}}, '
+        '"model": {"kind": "seird", "params": {}}, "data": {"n_trajectories": '
+        '200, "steps": 250, "dt": 0.2, "train_fraction": 0.5, "normalize_init": '
+        'true}}'),
     "synthetic_sir.json": (
         '{"mode": "synthetic", "seed": 0, "output_dir": "results/sir_full", '
         '"search": {"epochs": 100, "batch_size": 10, "pool_capacity": 10, "nu":'
         ' 0.2, "epsilon": 0.1, "controller_lr": 0.002, "templates": "type2", '
-        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100, '
-        '"lr_first": 0.05, "lr_finetune": 0.005, "grad_tol": 1e-08, "armijo_c":'
-        ' 0.0001, "backtrack_factor": 0.5}}, "model": {"kind": "sir", "params":'
-        ' {}}, "data": {"n_trajectories": 200, "steps": 250, "dt": 0.2, '
-        '"train_fraction": 0.5, "normalize_init": true}}'),
+        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100}}, '
+        '"model": {"kind": "sir", "params": {}}, "data": {"n_trajectories": '
+        '200, "steps": 250, "dt": 0.2, "train_fraction": 0.5, "normalize_init": '
+        'true}}'),
     "synthetic_sir_desk.json": (
         '{"mode": "synthetic", "seed": 0, "output_dir": "results/sir_desk", '
         '"search": {"epochs": 100, "batch_size": 10, "pool_capacity": 10, "nu":'
         ' 0.2, "epsilon": 0.1, "controller_lr": 0.002, "templates": "type2", '
-        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100, '
-        '"lr_first": 0.05, "lr_finetune": 0.005, "grad_tol": 1e-08, "armijo_c":'
-        ' 0.0001, "backtrack_factor": 0.5}}, "model": {"kind": "sir", "params":'
-        ' {}}, "data": {"n_trajectories": 40, "steps": 250, "dt": 0.2, '
-        '"train_fraction": 0.5, "normalize_init": true}}'),
+        '"optim": {"t1_iters": 150, "t2_iters": 150, "t3_iters": 100}}, '
+        '"model": {"kind": "sir", "params": {}}, "data": {"n_trajectories": '
+        '40, "steps": 250, "dt": 0.2, "train_fraction": 0.5, "normalize_init": '
+        'true}}'),
 }
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(SHIPPED_ECHOES) == sorted(
+        path.name for path in CONFIG_DIR.glob("*.json"))
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_ECHOES))
@@ -302,13 +324,13 @@ def test_echo_keeps_given_params_and_floats():
         "model": {"kind": "SEIR", "params": {"gamma": 1, "beta": 0.5}},
         "data": {"dt": 1},
         "search": {"templates": ["Type1", "type2", "type2", "type1"],
-                   "optim": {"lr_first": 1}}})
+                   "controller_lr": 1}})
     echo = cfg.to_dict()
     assert json.dumps(echo["model"]) == (
         '{"kind": "seir", "params": {"gamma": 1.0, "beta": 0.5}}')
     assert echo["data"]["dt"] == 1.0 and isinstance(echo["data"]["dt"], float)
     assert echo["search"]["templates"] == ["type1", "type2", "type2", "type1"]
-    assert json.dumps(echo["search"]["optim"]["lr_first"]) == "1.0"
+    assert json.dumps(echo["search"]["controller_lr"]) == "1.0"
     real_cfg = run_config_from_dict({
         "mode": "real", "input_csv": "q.csv", "dt": 2,
         "normalization": {"mode": "by_constant", "constant": 1000}})

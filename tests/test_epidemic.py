@@ -150,7 +150,7 @@ class TestSplit:
         rng = np.random.default_rng(8)
         data = sm.generate_trajectories("sir", benchmark_params("sir"),
                                         9, 3, 0.2, rng)
-        train, test = sm.train_test_split(data, 0.4, rng=np.random.default_rng(0))
+        train, test = sm.train_test_split(data, 0.4)
         combined = [tuple(t[0]) for t in train.trajectories]
         combined += [tuple(t[0]) for t in test.trajectories]
         original = [tuple(t[0]) for t in data.trajectories]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from symode.config import run_config_from_dict
 from symode.dataio import load_csv
 from symode.pipeline import (generate_synthetic, load_results, run_pipeline,
                              system_from_document)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_SEARCH = {
     "epochs": 3,
@@ -105,9 +108,9 @@ class TestSyntheticPipeline:
         cfg = run_config_from_dict(tiny_synthetic_doc(out=str(tmp_path / "run")))
         doc = run_pipeline(cfg)
         system = system_from_document(doc)
-        lines = system.symbolic(4)
-        for comp_entry, line in zip(doc["components"], lines):
-            assert comp_entry["symbolic"] == line
+        for comp_entry, expr in zip(doc["components"], system.components):
+            assert comp_entry["symbolic"] == sm.to_symbolic_string(
+                expr, 4, doc["var_names"])
 
 
 class TestRealPipeline:
@@ -135,9 +138,10 @@ class TestRealPipeline:
 
 def minimal_results_doc():
     """Every field that ``forecast`` and ``report`` read: a 3-component
-    type2 system whose right-hand sides are all zero."""
+    type2 system whose right-hand sides are all zero, fitted at dt = 1."""
     seq = ["id", "id", "add", "id", "add"]
     return {
+        "config_echo": {"mode": "real", "dt": 1.0},
         "var_names": ["Q", "D", "R"],
         "components": [{"component": i, "name": name, "template": "type2",
                         "sequence": seq, "coefficients": [0.0] * 12,
@@ -159,6 +163,23 @@ BAD_RESULTS = {
     "list": (b"[]", "top-level value is not a JSON object"),
     "no_components": (lambda doc: doc.pop("components"),
                       "missing field 'components'"),
+    "no_config_echo": (lambda doc: doc.pop("config_echo"),
+                       "missing field 'config_echo'"),
+    "no_dt": (lambda doc: doc["config_echo"].pop("dt"),
+              "config_echo.dt: expected a positive number"),
+    "zero_dt": (lambda doc: doc["config_echo"].update(dt=0.0),
+                "config_echo.dt: expected a positive number"),
+    "no_synthetic_dt": (
+        lambda doc: doc.update(config_echo={"mode": "synthetic", "dt": 1.0}),
+        "config_echo.data.dt: expected a positive number"),
+    "negative_synthetic_dt": (
+        lambda doc: doc.update(config_echo={"mode": "synthetic",
+                                            "data": {"dt": -0.2}}),
+        "config_echo.data.dt: expected a positive number"),
+    "short_var_names": (lambda doc: doc.update(var_names=["Q"]),
+                        "var_names: expected a list of 3 distinct strings"),
+    "repeated_var_name": (lambda doc: doc.update(var_names=["Q", "Q", "R"]),
+                          "var_names: expected a list of 3 distinct strings"),
     "no_per_step_mse": (lambda doc: doc["metrics"].pop("per_step_mse"),
                         "metrics: missing field 'per_step_mse'"),
     "no_scale_mode": (
@@ -224,6 +245,15 @@ class TestCli:
         data = load_csv(tmp_path / "g" / "trajectories.csv", dt=0.2)
         assert data.n_trajectories == 4
         assert data.var_names == ("S", "I", "R")
+
+    def test_generate_shipped_seird_config(self, tmp_path):
+        out = tmp_path / "seird"
+        assert main(["generate", "--config",
+                     str(CONFIG_DIR / "synthetic_seird.json"),
+                     "--out", str(out)]) == 0
+        data = load_csv(out / "trajectories.csv", dt=0.2)
+        assert data.var_names == ("S", "E", "I", "R", "D")
+        assert data.n_trajectories == 200
 
     def test_search_forecast_report_chain(self, tmp_path, sample_csv):
         cfg_path = tmp_path / "cfg.json"
@@ -367,6 +397,34 @@ class TestCli:
                          str(data), "--steps", "5", "--out", str(out)]) == 0
             predictions.append((out / "predictions.csv").read_bytes())
         assert predictions[0] == predictions[1]
+
+    def test_forecast_steps_at_fitted_dt(self, tmp_path, sample_csv):
+        # dQ/dt = -0.1 Q fitted at dt = 0.2: each step scales Q by 0.98
+        def fitted_at_dt(doc):
+            doc["config_echo"] = {"mode": "synthetic", "data": {"dt": 0.2}}
+            doc["components"][0]["coefficients"][0] = -0.1
+
+        path = self._results_file(tmp_path, fitted_at_dt)
+        assert main(["forecast", "--results", str(path), "--data",
+                     str(sample_csv), "--steps", "2",
+                     "--out", str(tmp_path / "fc")]) == 0
+        rows = (tmp_path / "fc" / "predictions.csv").read_text().splitlines()
+        q = [float(row.split(",")[1]) for row in rows[1:]]
+        assert q[1] == pytest.approx(0.98 * q[0], rel=1e-12)
+        assert q[2] == pytest.approx(0.98 ** 2 * q[0], rel=1e-12)
+
+    def test_forecast_rejects_several_trajectories(self, tmp_path, capsys):
+        path = self._results_file(tmp_path, lambda doc: None)
+        data = tmp_path / "two.csv"
+        data.write_text("trajectory_id,step,Q,D,R\n"
+                        "0,0,1,2,3\n0,1,1,2,3\n1,0,4,5,6\n1,1,4,5,6\n",
+                        encoding="utf-8")
+        assert main(["forecast", "--results", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "fc")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data}: forecast expects a single series, got 2 "
+            f"trajectories\n")
+        assert not (tmp_path / "fc").exists()
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_forecast_steps_must_be_positive(self, tmp_path, capsys,

@@ -19,6 +19,11 @@ from symode.search import CandidatePool, ScoreRecord
 from conftest import random_sequence
 
 
+def component_rng(seed, component):
+    """The generator a test draws one component search from."""
+    return np.random.default_rng(np.random.SeedSequence([seed, component]))
+
+
 def make_record(sequence, score, loss=None, component=0):
     template = sm.build_template("type2", 2)
     if loss is None:
@@ -234,15 +239,16 @@ class TestClosedForm:
         def refuse(*args):
             raise AssertionError("closed form reached")
 
-        cfg = sm.SearchConfig(epochs=2, batch_size=4, seed=3,
+        cfg = sm.SearchConfig(epochs=2, batch_size=4,
                               optim=sm.OptimConfig(t1_iters=5, t2_iters=5,
                                                    t3_iters=2))
         monkeypatch.setattr(search_mod, "feature_factor", refuse)
         monkeypatch.setattr(search_mod, "_closed_form", refuse)
         sm.search_component(sir_dataset, 2,
-                            dataclasses.replace(cfg, templates="type1"))
+                            dataclasses.replace(cfg, templates="type1"),
+                            component_rng(3, 2))
         with pytest.raises(AssertionError, match="closed form reached"):
-            sm.search_component(sir_dataset, 2, cfg)
+            sm.search_component(sir_dataset, 2, cfg, component_rng(3, 2))
 
     def test_nonlinear_record_is_two_stage(self, sir_dataset):
         template = sm.build_template("type2", 3)
@@ -263,44 +269,34 @@ class TestClosedForm:
 
 class TestSearchComponent:
     def test_single_epoch_single_sequence(self, sir_dataset):
-        cfg = sm.SearchConfig(epochs=1, batch_size=1, seed=5,
+        cfg = sm.SearchConfig(epochs=1, batch_size=1,
                               optim=sm.OptimConfig(t1_iters=10, t2_iters=5))
-        out = sm.search_component(sir_dataset, 2, cfg)
+        out = sm.search_component(sir_dataset, 2, cfg, component_rng(5, 2))
         assert len(out.history) == 1
         assert len(out.pool) == 1
         assert out.best is not None
 
     def test_running_max_history_nondecreasing(self, sir_dataset):
-        cfg = sm.SearchConfig(epochs=6, batch_size=4, seed=2,
+        cfg = sm.SearchConfig(epochs=6, batch_size=4,
                               optim=sm.OptimConfig(t1_iters=20, t2_iters=10))
-        out = sm.search_component(sir_dataset, 2, cfg)
+        out = sm.search_component(sir_dataset, 2, cfg, component_rng(2, 2))
         running = np.maximum.accumulate(out.history)
         assert np.all(np.diff(running) >= 0)
 
     def test_deterministic_under_seed(self, sir_dataset):
-        cfg = sm.SearchConfig(epochs=4, batch_size=3, seed=9,
+        cfg = sm.SearchConfig(epochs=4, batch_size=3,
                               optim=sm.OptimConfig(t1_iters=15, t2_iters=10))
-        a = sm.search_component(sir_dataset, 1, cfg)
-        b = sm.search_component(sir_dataset, 1, cfg)
+        a = sm.search_component(sir_dataset, 1, cfg, component_rng(9, 1))
+        b = sm.search_component(sir_dataset, 1, cfg, component_rng(9, 1))
         assert a.best.sequence == b.best.sequence
         assert np.array_equal(a.best.params, b.best.params)
         assert a.history == b.history
 
-    def test_finetune_never_worsens(self, sir_dataset, monkeypatch):
-        import symode.search as search_mod
-
-        pre_losses = {}
-        original = search_mod.minimize_first_order
-
-        def spying(fn, init, iters, lr):
-            return original(fn, init, iters, lr)
-
-        cfg = sm.SearchConfig(epochs=3, batch_size=4, seed=7,
+    def test_finetune_never_worsens(self, sir_dataset):
+        cfg = sm.SearchConfig(epochs=3, batch_size=4,
                               optim=sm.OptimConfig(t1_iters=20, t2_iters=10))
-        template_losses = []
-
         # capture pool losses before fine-tuning by running the loop pieces
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
+        rng = component_rng(7, 2)
         template = sm.build_template(cfg.template_for(2), sir_dataset.dim)
         policy = sm.ControllerPolicy.uniform(template, cfg.epsilon,
                                              cfg.controller_lr)
@@ -337,13 +333,15 @@ class TestPerComponentTemplates:
         records = []
         for comp, kinds in ((0, ["type2", "type1", "type1"]),
                             (1, ["type2", "type1", "type1"])):
-            cfg = sm.SearchConfig(epochs=2, batch_size=3, seed=4,
-                                  templates=kinds, optim=optim)
-            records.append(sm.search_component(sir_dataset, comp, cfg).best)
-        cfg = sm.SearchConfig(epochs=2, batch_size=3, seed=4,
-                              templates="type1", optim=optim)
-        records.append(sm.search_component(sir_dataset, 2, cfg).best)
-        system = sm.assemble_system(records, sir_dataset.var_names)
+            cfg = sm.SearchConfig(epochs=2, batch_size=3, templates=kinds,
+                                  optim=optim)
+            records.append(sm.search_component(sir_dataset, comp, cfg,
+                                               component_rng(4, comp)).best)
+        cfg = sm.SearchConfig(epochs=2, batch_size=3, templates="type1",
+                              optim=optim)
+        records.append(sm.search_component(sir_dataset, 2, cfg,
+                                           component_rng(4, 2)).best)
+        system = sm.assemble_system(records)
         assert system.components[0].template.kind == "type2"
         assert system.components[1].template.kind == "type1"
         assert np.all(np.isfinite(system(np.array([0.4, 0.3, 0.3]))))
@@ -356,9 +354,9 @@ class TestSystemModel:
         records = []
         for comp in range(3):
             seq = random_sequence(template, rng)
-            theta = rng.uniform(-1, 1, sm.param_count(template, seq))
+            theta = rng.uniform(-1, 1, template.n_params)
             records.append(ScoreRecord(seq, 1.0, 0.0, theta, comp, template))
-        system = sm.assemble_system(records, ("S", "I", "R"))
+        system = sm.assemble_system(records)
         exprs = [sm.CompiledExpression(template, r.sequence, r.params)
                  for r in records]
         for _ in range(100):
@@ -379,7 +377,7 @@ class TestSystemModel:
         template = sm.build_template("type1", 1)
         theta = np.array([2.0, 0.0, 1.0, 0.0, 1.0, 0.0])
         rec = ScoreRecord(("id", "0", "add", "id"), 1.0, 0.0, theta, 0, template)
-        system = sm.assemble_system([rec], ("x",))
+        system = sm.assemble_system([rec])
         assert system(np.array([3.0]))[0] == pytest.approx(6.0)
 
     def test_symbolic_lines(self):
@@ -390,7 +388,8 @@ class TestSystemModel:
             seq = random_sequence(template, rng)
             theta = rng.uniform(-1, 1, 9)
             records.append(ScoreRecord(seq, 1.0, 0.0, theta, comp, template))
-        system = sm.assemble_system(records, ("u", "v"))
-        lines = system.symbolic(4)
+        system = sm.assemble_system(records)
+        lines = [sm.to_symbolic_string(c, 4, ("u", "v"))
+                 for c in system.components]
         assert len(lines) == 2
         assert all(isinstance(l, str) and l for l in lines)
