@@ -16,13 +16,12 @@ from .expressions import (BINARY_TAGS, TYPE1, TYPE2, UNARY_TAGS,
                           CompiledExpression, TreeTemplate, build_template,
                           evaluate, evaluate_batch, param_count,
                           param_gradient, to_symbolic_string)
-from .forecast import (RolloutMode, RolloutResult, per_step_mse,
-                       persistence_baseline, rollout)
+from .forecast import (RolloutResult, per_step_mse, persistence_baseline,
+                       replay, rollout)
 from .losses import EulerResidualObjective, euler_residual_loss, loss_and_gradient
 from .optimize import (OptimConfig, OptimResult, minimize_bfgs,
                        minimize_first_order, two_stage_minimize)
 from .search import (CandidatePool, ScoreRecord, SearchConfig, SystemModel,
-                     assemble_system, score_from_loss,
-                     score_sequence, search_component)
+                     score_from_loss, score_sequence, search_component)
 
 __version__ = "0.1.0"

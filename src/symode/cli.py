@@ -20,7 +20,7 @@ from .config import load_run_config, run_config_from_dict
 from .dataio import load_csv, save_trajectories_csv
 from .errors import (ConfigError, DataError, EvaluationError,
                      NonFiniteLossError, NumericalError)
-from .forecast import RolloutMode, rollout
+from .forecast import replay, rollout
 from .pipeline import (dt_from_document, generate_synthetic, load_results,
                        run_pipeline, scale_from_document,
                        system_from_document, write_report)
@@ -46,8 +46,8 @@ def _make_parser():
     fc = sub.add_parser("forecast", help="roll a saved system forward")
     fc.add_argument("--results", required=True)
     fc.add_argument("--data", required=True,
-                    help="CSV providing the anchor state (and truth for "
-                         "teacher-forced mode)")
+                    help="CSV providing the anchor state (and, in teacher "
+                         "mode, the series replayed one step at a time)")
     fc.add_argument("--steps", type=int, default=15)
     fc.add_argument("--mode", choices=["autonomous", "teacher"],
                     default="autonomous")
@@ -107,24 +107,22 @@ def _cmd_forecast(args):
     # work in the units the system was fitted in
     values = series / scale.scale
     if args.mode == "teacher":
-        steps = values.shape[0] - 1
-        result = rollout(system, values[0], steps, data.dt,
-                         RolloutMode.TEACHER_FORCED, truth=values)
-        anchor = 0
+        states, anchor = replay(system, values, data.dt), 0
+        finite = np.isfinite(states).all(axis=1)
+        failure = None if finite.all() else int(np.argmin(finite))
     else:
-        result = rollout(system, values[-1], args.steps, data.dt,
-                         RolloutMode.AUTONOMOUS)
-        anchor = values.shape[0] - 1
-    if not result.completed:
-        raise NumericalError(
-            f"rollout diverged at step {result.failure_step}")
+        result = rollout(system, values[-1], args.steps, data.dt)
+        states, anchor = result.states, values.shape[0] - 1
+        failure = result.failure_step
+    if failure is not None:
+        raise NumericalError(f"rollout diverged at step {failure}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "predictions.csv"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", *doc["var_names"]])
-        for k, row in enumerate(result.states):
+        for k, row in enumerate(states):
             restored = np.asarray(row) * scale.scale
             writer.writerow([anchor + k, *[repr(float(v)) for v in restored]])
     print(f"wrote {path}")

@@ -51,3 +51,12 @@ class NonFiniteLossError(SymodeError):
 
 class NumericalError(SymodeError):
     """A numerical stage failed irrecoverably (e.g. diverging rollout)."""
+
+
+class ForecastDivergedError(NumericalError):
+    """The forecast of a finished search diverged. ``document`` is the
+    results document with the failing step recorded."""
+
+    def __init__(self, message, document):
+        super().__init__(message)
+        self.document = document

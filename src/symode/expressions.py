@@ -259,19 +259,23 @@ def weighted_param_gradient(template, sequence, params, values, caches,
 
 
 def _forward(expr, X):
-    """Forward pass of ``expr`` on a batch X of shape (n, d)."""
+    """Forward pass of ``expr`` on a batch X of shape (..., d)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != expr.template.input_dim:
-        raise ValueError(f"input dim {X.shape[1]} != {expr.template.input_dim}")
+    if X.shape[-1] != expr.template.input_dim:
+        raise ValueError(f"input dim {X.shape[-1]} != {expr.template.input_dim}")
     leaves = leaf_values(expr.template, expr.sequence, X)
     return forward_pass(expr.template, expr.sequence, expr.params, leaves)
 
 
 def evaluate_batch(expr, X):
-    """Raw batch evaluation, shape (n,). May contain non-finite values;
-    callers that need a hard failure should use :func:`evaluate`."""
-    values, _ = _forward(expr, X)
-    return values[-1]
+    """Raw batch evaluation, shape (n,). Each row is evaluated as a stack of
+    one, so its leaves contract it with a dot product of its own, never with
+    a matrix-vector kernel whose rounding depends on the batch: a row's bits
+    do not depend on the rows evaluated with it. May contain non-finite
+    values; callers that need a hard failure should use :func:`evaluate`."""
+    rows = np.atleast_2d(np.asarray(X, dtype=float))[:, None, :]
+    values, _ = _forward(expr, rows)
+    return values[-1][:, 0]
 
 
 def evaluate(expr, x):

@@ -1,5 +1,5 @@
-"""End-to-end orchestration: data -> per-component search -> rollout ->
-metrics -> results document.
+"""End-to-end orchestration: data -> per-component search -> results
+document -> batched forecasts of the system it describes -> metrics.
 
 The results document is plain JSON and contains, per component, the
 operator sequence and full-precision coefficients, so every learned
@@ -21,10 +21,10 @@ from . import expressions as ex
 from .dataio import ScaleRecord, load_csv, normalize_series
 from .datasets import TrajectoryDataset
 from .epidemic import generate_trajectories, train_test_split
-from .errors import ConfigError, DataError, NumericalError
-from .forecast import (RolloutMode, per_step_component_mse, per_step_mse,
-                       persistence_baseline, rollout)
-from .search import SystemModel, assemble_system, search_component
+from .errors import ConfigError, DataError, ForecastDivergedError
+from .forecast import (per_step_component_mse, per_step_mse,
+                       persistence_baseline, replay, rollout)
+from .search import SystemModel, search_component
 
 SYMBOLIC_PRECISION = 4
 
@@ -94,41 +94,45 @@ def _base_document(cfg, var_names, outcomes):
     }
 
 
-def _autonomous_forecasts(system, test, steps):
-    predictions = []
-    for traj in test.trajectories:
-        result = rollout(system, traj[0], steps, test.dt,
-                         RolloutMode.AUTONOMOUS)
-        if not result.completed:
-            raise NumericalError(
-                f"autonomous rollout diverged at step {result.failure_step}")
-        predictions.append(result.states)
-    return predictions
+def _raise_if_diverged(doc, result, what):
+    """Record a forecast that did not complete in the document, then raise
+    with the document attached, so that the finished search still gets
+    written."""
+    if not result.completed:
+        doc["metrics"]["diverged_at_step"] = result.failure_step
+        raise ForecastDivergedError(
+            f"{what} diverged at step {result.failure_step}", doc)
 
 
 def run_synthetic(cfg):
     full = generate_synthetic(cfg)
     train, test = train_test_split(full, cfg.data.train_fraction)
-    outcomes = _search_all_components(train, cfg)
-    system = assemble_system([o.best for o in outcomes])
-    steps = test.trajectories[0].shape[0] - 1
-    predictions = _autonomous_forecasts(system, test, steps)
-    curve = per_step_mse(predictions, test.trajectories)
-    by_component = per_step_component_mse(predictions, test.trajectories)
-    persistence = persistence_baseline(test.trajectories)
-    doc = _base_document(cfg, train.var_names, outcomes)
+    doc = _base_document(cfg, train.var_names,
+                         _search_all_components(train, cfg))
+    truth = np.stack(test.trajectories)
+    result = rollout(system_from_document(doc), truth[:, 0],
+                     truth.shape[1] - 1, test.dt)
+    # (step, trajectory, d) -> (trajectory, step, d); a diverged rollout
+    # keeps the steps that every trajectory completed
+    predicted = result.states.swapaxes(0, 1)
+    completed = truth[:, : predicted.shape[1]]
+    curve = per_step_mse(predicted, completed)
+    by_component = per_step_component_mse(predicted, completed)
+    persistence = persistence_baseline(truth)
     # step 0 is the shared initial condition; the reported curve starts at
     # the first predicted step
-    doc["metrics"] = {
+    metrics = doc["metrics"] = {
         "per_step_mse": [float(v) for v in curve[1:]],
         "per_step_mse_by_component": {
             name: [float(v) for v in by_component[1:, j]]
             for j, name in enumerate(train.var_names)
         },
         "persistence_per_step": [float(v) for v in persistence[1:]],
-        "max_per_step_mse": float(curve[1:].max()),
     }
+    if result.completed:
+        metrics["max_per_step_mse"] = float(curve[1:].max())
     doc["scale_record"] = {"mode": "none", "scale": 1.0}
+    _raise_if_diverged(doc, result, "autonomous rollout")
     return doc
 
 
@@ -148,53 +152,54 @@ def run_real(cfg):
     normalized, scale = normalize_series(raw, cfg.normalization.mode,
                                          cfg.normalization.constant)
     values = normalized.trajectories[0]
-    train = TrajectoryDataset([values[: cfg.train_days]], cfg.real_dt,
-                              raw.var_names, split="train")
-    outcomes = _search_all_components(train, cfg)
-    system = assemble_system([o.best for o in outcomes])
+    names = raw.var_names
+    train_window = values[: cfg.train_days]
+    train = TrajectoryDataset([train_window], cfg.real_dt, names,
+                              split="train")
+    doc = _base_document(cfg, names, _search_all_components(train, cfg))
+    system = system_from_document(doc)
 
-    # teacher-forced replay over the training window
-    fitted = rollout(system, values[0], cfg.train_days - 1, cfg.real_dt,
-                     RolloutMode.TEACHER_FORCED, truth=values[: cfg.train_days])
-    teacher_mse = per_step_component_mse([fitted.states],
-                                         [values[: cfg.train_days]])
+    teacher_sq = (replay(system, train_window, cfg.real_dt) - train_window) ** 2
 
     # autonomous forecast seeded at the last training observation
     horizon = values.shape[0] - cfg.train_days
     anchor = cfg.train_days - 1
-    fc = rollout(system, values[anchor], horizon, cfg.real_dt,
-                 RolloutMode.AUTONOMOUS)
-    if not fc.completed:
-        raise NumericalError(
-            f"forecast rollout diverged at step {fc.failure_step}")
-    truth_window = values[anchor:]
+    fc = rollout(system, values[anchor], horizon, cfg.real_dt)
+    truth_window = values[anchor: anchor + fc.states.shape[0]]
     forecast_sq = (fc.states[1:] - truth_window[1:]) ** 2
-    persistence_sq = (truth_window[0] - truth_window[1:]) ** 2
+    persistence_sq = (values[anchor] - values[anchor + 1:]) ** 2
 
-    names = raw.var_names
-    doc = _base_document(cfg, names, outcomes)
-    doc["metrics"] = {
+    metrics = doc["metrics"] = {
         "forecast_steps": int(horizon),
         "per_step_mse": [float(v) for v in forecast_sq.mean(axis=1)],
         "persistence_per_step": [float(v) for v in persistence_sq.mean(axis=1)],
-        "forecast_mse_per_series": _series_means(forecast_sq, names),
-        "persistence_mse_per_series": _series_means(persistence_sq, names),
-        "teacher_forced_mse_per_series": _series_means(teacher_mse, names),
     }
+    # a diverged forecast has no mean to compare with persistence
+    if fc.completed:
+        metrics["forecast_mse_per_series"] = _series_means(forecast_sq, names)
+    metrics["persistence_mse_per_series"] = _series_means(persistence_sq, names)
+    metrics["teacher_forced_mse_per_series"] = _series_means(teacher_sq, names)
     doc["scale_record"] = {"mode": scale.mode, "scale": scale.scale}
     doc["forecast"] = {
         "anchor_step": anchor,
         "values": [[float(v) for v in row * scale.scale]
                    for row in fc.states[1:]],
     }
+    _raise_if_diverged(doc, fc, "forecast rollout")
     return doc
 
 
 def run_pipeline(cfg, out_dir=None):
     """Run the configured pipeline and write the results document plus the
-    plot-ready CSV files into the output directory."""
-    doc = run_synthetic(cfg) if cfg.mode == "synthetic" else run_real(cfg)
+    plot-ready CSV files into the output directory. A forecast that
+    diverges still writes the document, with the failing step recorded,
+    before its error is raised."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    try:
+        doc = run_synthetic(cfg) if cfg.mode == "synthetic" else run_real(cfg)
+    except ForecastDivergedError as exc:
+        write_results(exc.document, out)
+        raise
     write_results(doc, out)
     return doc
 
@@ -256,6 +261,10 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_values(doc):
     """The types of the values ``forecast`` and ``report`` read."""
     names, d = doc["var_names"], len(doc["components"])
@@ -268,7 +277,7 @@ def _check_values(doc):
     if "forecast" not in doc:
         return
     anchor, rows = doc["forecast"]["anchor_step"], doc["forecast"]["values"]
-    if not isinstance(anchor, int) or isinstance(anchor, bool):
+    if not _is_int(anchor):
         raise ValueError("forecast.anchor_step: expected an int")
     width = len(doc["var_names"])
     if not isinstance(rows, list) or not all(
@@ -281,8 +290,9 @@ def _check_values(doc):
 def load_results(path):
     """Read a results document. A file that is not a JSON object, lacks a
     field that ``forecast`` or ``report`` reads, holds a value of the wrong
-    type there, or holds a component the system cannot be rebuilt from ends
-    in a DataError naming the file."""
+    type there, lists a component out of its index order, or holds a
+    component the system cannot be rebuilt from ends in a DataError naming
+    the file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such results document")
@@ -301,6 +311,8 @@ def load_results(path):
                 _check_keys(doc[section], keys, f"{section}: ")
         for k, comp in enumerate(doc["components"]):
             _check_keys(comp, _COMPONENT_FIELDS, f"components[{k}]: ")
+            if not (_is_int(comp["component"]) and comp["component"] == k):
+                raise ValueError(f"components[{k}].component: expected {k}")
         _check_values(doc)
         system_from_document(doc)
         scale_from_document(doc)
@@ -313,11 +325,9 @@ def load_results(path):
 def system_from_document(doc):
     """Rebuild the learned system from a results document; a component it
     cannot rebuild raises ValueError naming its place in the list."""
-    components = doc["components"]
-    d = len(components)
+    d = len(doc["components"])
     exprs = []
-    for k in sorted(range(d), key=lambda k: components[k]["component"]):
-        comp = components[k]
+    for k, comp in enumerate(doc["components"]):
         try:
             template = ex.build_template(comp["template"], d)
             exprs.append(ex.CompiledExpression(template,

@@ -1,6 +1,6 @@
 """The search loop: score sampled operator sequences, update the
-controller, keep the best candidates, fine-tune them, and assemble the
-per-component winners into one vector-valued system."""
+controller, keep the best candidates and fine-tune them; and the
+vector-valued system that one expression per component forms."""
 
 from __future__ import annotations
 
@@ -99,11 +99,10 @@ class ScoreRecord:
 class CandidatePool:
     """Keeps the K highest-scoring distinct sequences seen so far.
 
-    Scores saturate at 1.0 in float64 once the loss drops below machine
-    epsilon, so ranking refines score ties by the stored loss (score is a
-    monotone bijection of loss, this is the same ordering at full
-    precision); remaining ties break toward the earlier arrival. Score-0
-    sentinels are never admitted, and re-inserting a known sequence keeps
+    Entries rank by loss, ties toward the earlier arrival. Only finite
+    losses are admitted, and S = 1 / (1 + L) is monotone in L even after
+    rounding, so this is the score order; it also orders the entries whose
+    scores saturate at 1.0 in float64. Re-inserting a known sequence keeps
     the better record.
     """
 
@@ -119,7 +118,7 @@ class CandidatePool:
 
     @staticmethod
     def _rank(record, arrival):
-        return (-record.score, record.loss, arrival)
+        return (record.loss, arrival)
 
     def insert(self, record):
         """Offer a record; returns True if the pool now contains it."""
@@ -383,21 +382,9 @@ class SystemModel:
                 raise ValueError("component input_dim != number of components")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return np.array([ex.evaluate_batch(c, x)[0] for c in self.components])
-
-
-def assemble_system(records):
-    """Stack one ScoreRecord per component index into a SystemModel."""
-    d = len(records)
-    by_component = {r.component: r for r in records}
-    missing = [i for i in range(d) if i not in by_component]
-    if missing:
-        raise ValueError(f"missing component records for indices {missing}")
-    exprs = [
-        ex.CompiledExpression(by_component[i].template,
-                              by_component[i].sequence,
-                              by_component[i].params)
-        for i in range(d)
-    ]
-    return SystemModel(exprs)
+        """The time derivative at a state (d,) or at each row of a batch
+        (n, d), from one batch evaluation per component."""
+        x = np.asarray(x, dtype=float)
+        out = np.column_stack([ex.evaluate_batch(c, x)
+                               for c in self.components])
+        return out if x.ndim == 2 else out[0]

@@ -131,6 +131,18 @@ class TestEvaluate:
         values = {sm.evaluate(expr, x) for _ in range(10)}
         assert len(values) == 1
 
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_batch_rows_are_bitwise_single_rows(self, kind):
+        # a forecast's bits must not depend on how many states share a call
+        rng = np.random.default_rng(11)
+        t = sm.build_template(kind, 3)
+        X = rng.uniform(-2, 2, (57, 3))
+        for _ in range(50):
+            expr = sm.CompiledExpression(t, random_sequence(t, rng),
+                                         rng.uniform(-1, 1, t.n_params))
+            alone = [sm.evaluate_batch(expr, x)[0] for x in X]
+            assert np.array_equal(sm.evaluate_batch(expr, X), alone)
+
     def test_dimension_mismatch(self):
         expr = leaf_only_type2(3, "id", [1, 1, 1], 0.0)
         with pytest.raises(ValueError):

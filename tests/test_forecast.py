@@ -3,8 +3,8 @@ import pytest
 
 import symode as sm
 from symode.epidemic import benchmark_params
-from symode.forecast import (RolloutMode, per_step_component_mse,
-                             per_step_mse, persistence_baseline, rollout)
+from symode.forecast import (per_step_component_mse, per_step_mse,
+                             persistence_baseline, replay, rollout)
 
 
 @pytest.fixture
@@ -17,7 +17,7 @@ class TestRollout:
     def test_true_field_reproduces_euler_data(self, sir_field, sir_dataset):
         for traj in sir_dataset.trajectories[:4]:
             result = rollout(sir_field, traj[0], traj.shape[0] - 1,
-                             sir_dataset.dt, RolloutMode.AUTONOMOUS)
+                             sir_dataset.dt)
             assert result.completed
             assert np.max(np.abs(result.states - traj)) <= 1e-12
 
@@ -33,17 +33,43 @@ class TestRollout:
         result = rollout(lambda x: np.zeros_like(x), init, 7, 0.5)
         assert np.all(result.states == init)
 
-    def test_modes_agree_on_first_step(self, sir_field, sir_dataset):
+    def test_replay_row_one_equals_rollout_step_one(self, sir_field,
+                                                    sir_dataset):
         truth = sir_dataset.trajectories[0]
-        auto = rollout(sir_field, truth[0], 5, sir_dataset.dt,
-                       RolloutMode.AUTONOMOUS)
-        forced = rollout(sir_field, truth[0], 5, sir_dataset.dt,
-                         RolloutMode.TEACHER_FORCED, truth=truth)
-        assert auto.states[1] == pytest.approx(forced.states[1], abs=1e-15)
+        auto = rollout(sir_field, truth[0], 5, sir_dataset.dt)
+        replayed = replay(sir_field, truth, sir_dataset.dt)
+        assert replayed.shape == truth.shape
+        assert np.array_equal(replayed[0], truth[0])
+        assert replayed[1] == pytest.approx(auto.states[1], abs=1e-15)
 
-    def test_teacher_forced_requires_truth(self, sir_field):
-        with pytest.raises(ValueError):
-            rollout(sir_field, np.zeros(3), 5, 0.2, RolloutMode.TEACHER_FORCED)
+    def test_replay_of_true_field_reproduces_euler_data(self, sir_field,
+                                                        sir_dataset):
+        for traj in sir_dataset.trajectories[:4]:
+            replayed = replay(sir_field, traj, sir_dataset.dt)
+            assert np.max(np.abs(replayed - traj)) <= 1e-12
+
+    def test_batch_equals_per_state_rollouts(self, sir_field, sir_dataset):
+        inits = np.stack([t[0] for t in sir_dataset.trajectories])
+        batch = rollout(sir_field, inits, 40, sir_dataset.dt)
+        assert batch.completed
+        assert batch.states.shape == (41, *inits.shape)
+        for i, init in enumerate(inits):
+            single = rollout(sir_field, init, 40, sir_dataset.dt)
+            np.testing.assert_allclose(batch.states[:, i], single.states,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_batch_reports_earliest_failing_step(self):
+        # each state grows by about its rate per step: the 1e50 row
+        # overflows at step 7, the 1e200 row at step 2, the 1e10 row never
+        rates = np.array([[1e50], [1e10], [1e200]])
+        singles = [rollout(lambda x: x * r, np.ones(1), 10, 1.0).failure_step
+                   for r in rates]
+        assert singles == [7, None, 2]
+        result = rollout(lambda x: x * rates, np.ones((3, 1)), 10, 1.0)
+        assert not result.completed
+        assert result.failure_step == 2
+        assert result.states.shape == (2, 3, 1)
+        assert np.all(np.isfinite(result.states))
 
     def test_divergence_truncates_with_step_index(self):
         result = rollout(lambda x: x * 1e155, np.array([1.0]), 10, 1.0)

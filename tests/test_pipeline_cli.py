@@ -194,6 +194,17 @@ BAD_RESULTS = {
     "unknown_template": (
         lambda doc: doc["components"][0].update(template="type9"),
         "components[0]: unknown template kind 'type9'"),
+    "duplicate_component": (
+        lambda doc: doc["components"][1].update(component=0),
+        "components[1].component: expected 1"),
+    "component_gap": (lambda doc: doc["components"][2].update(component=5),
+                      "components[2].component: expected 2"),
+    "component_not_int": (
+        lambda doc: doc["components"][0].update(component="0"),
+        "components[0].component: expected 0"),
+    "component_bool": (
+        lambda doc: doc["components"][1].update(component=True),
+        "components[1].component: expected 1"),
     "no_name": (lambda doc: doc["components"][1].pop("name"),
                 "components[1]: missing field 'name'"),
     "no_template": (lambda doc: doc["components"][0].pop("template"),
@@ -275,6 +286,34 @@ class TestCli:
                      "--out", str(tmp_path / "rep")]) == 0
         assert (tmp_path / "rep" / "equations.txt").exists()
         assert (tmp_path / "rep" / "mse_per_step.csv").exists()
+
+    def test_diverged_search_still_writes_results(self, tmp_path, capsys):
+        # this seed's type1 winners overflow the test forecast at step 27
+        doc = tiny_synthetic_doc(seed=9, out=str(tmp_path / "run"))
+        doc["data"]["steps"] = 250
+        doc["search"] = dict(TINY_SEARCH, templates="type1")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["search", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: autonomous rollout diverged at step 27\n")
+
+        results = tmp_path / "run" / "results.json"
+        written = load_results(results)
+        assert written["config_echo"] == run_config_from_dict(doc).to_dict()
+        assert [c["component"] for c in written["components"]] == [0, 1, 2]
+        assert [p["component"] for p in written["pool"]] == [0, 1, 2]
+        assert all(len(h["best_scores"]) == 3 for h in written["history"])
+        metrics = written["metrics"]
+        assert metrics["diverged_at_step"] == 27
+        # only the 26 steps that every test trajectory completed
+        assert len(metrics["per_step_mse"]) == 26
+        assert "max_per_step_mse" not in metrics
+        assert main(["report", "--results", str(results),
+                     "--out", str(tmp_path / "rep")]) == 0
+        equations = (tmp_path / "rep" / "equations.txt").read_text()
+        assert equations == (tmp_path / "run" / "equations.txt").read_text()
+        assert len(equations.splitlines()) == 3
 
     def test_seed_and_epochs_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -412,6 +451,38 @@ class TestCli:
         q = [float(row.split(",")[1]) for row in rows[1:]]
         assert q[1] == pytest.approx(0.98 * q[0], rel=1e-12)
         assert q[2] == pytest.approx(0.98 ** 2 * q[0], rel=1e-12)
+
+    def test_forecast_teacher_mode_is_one_step_replay(self, tmp_path,
+                                                      sample_csv):
+        # dQ/dt = -0.1 Q at dt = 1: row k + 1 is 0.9 times observed row k
+        path = self._results_file(
+            tmp_path,
+            lambda doc: doc["components"][0]["coefficients"].__setitem__(0, -0.1))
+        assert main(["forecast", "--results", str(path), "--data",
+                     str(sample_csv), "--mode", "teacher",
+                     "--out", str(tmp_path / "fc")]) == 0
+        observed = [float(line.split(",")[1]) for line in
+                    sample_csv.read_text(encoding="utf-8").splitlines()[1:]]
+        rows = (tmp_path / "fc" / "predictions.csv").read_text().splitlines()
+        q = [float(row.split(",")[1]) for row in rows[1:]]
+        assert len(q) == len(observed)
+        assert q[0] == observed[0]
+        assert q[1:] == pytest.approx([0.9 * v for v in observed[:-1]],
+                                      rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["autonomous", "teacher"])
+    def test_forecast_divergence_exit_code(self, tmp_path, capsys, sample_csv,
+                                           mode):
+        # dQ/dt = 1e308 Q overflows on the first step in either mode
+        path = self._results_file(
+            tmp_path,
+            lambda doc: doc["components"][0]["coefficients"].__setitem__(0, 1e308))
+        assert main(["forecast", "--results", str(path), "--data",
+                     str(sample_csv), "--mode", mode,
+                     "--out", str(tmp_path / "fc")]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: rollout diverged at step 1\n")
+        assert not (tmp_path / "fc").exists()
 
     def test_forecast_rejects_several_trajectories(self, tmp_path, capsys):
         path = self._results_file(tmp_path, lambda doc: None)

@@ -341,54 +341,51 @@ class TestPerComponentTemplates:
                               optim=optim)
         records.append(sm.search_component(sir_dataset, 2, cfg,
                                            component_rng(4, 2)).best)
-        system = sm.assemble_system(records)
+        system = sm.SystemModel([sm.CompiledExpression(r.template, r.sequence,
+                                                       r.params)
+                                 for r in records])
         assert system.components[0].template.kind == "type2"
         assert system.components[1].template.kind == "type1"
         assert np.all(np.isfinite(system(np.array([0.4, 0.3, 0.3]))))
 
 
 class TestSystemModel:
-    def test_componentwise_equality(self, sir_dataset):
+    @staticmethod
+    def _random_exprs(template, rng):
+        return [sm.CompiledExpression(template, random_sequence(template, rng),
+                                      rng.uniform(-1, 1, template.n_params))
+                for _ in range(template.input_dim)]
+
+    def test_componentwise_equality(self):
         rng = np.random.default_rng(4)
-        template = sm.build_template("type2", 3)
-        records = []
-        for comp in range(3):
-            seq = random_sequence(template, rng)
-            theta = rng.uniform(-1, 1, template.n_params)
-            records.append(ScoreRecord(seq, 1.0, 0.0, theta, comp, template))
-        system = sm.assemble_system(records)
-        exprs = [sm.CompiledExpression(template, r.sequence, r.params)
-                 for r in records]
+        exprs = self._random_exprs(sm.build_template("type2", 3), rng)
+        system = sm.SystemModel(exprs)
         for _ in range(100):
             x = rng.uniform(-1, 1, 3)
             expected = [sm.evaluate(e, x) for e in exprs]
             assert system(x) == pytest.approx(expected)
 
-    def test_missing_component_rejected(self):
-        template = sm.build_template("type2", 2)
-        rec = ScoreRecord(("id", "id", "add", "id", "add"), 1.0, 0.0,
-                          np.zeros(9), 1, template)
-        dup = ScoreRecord(("id", "id", "add", "id", "add"), 1.0, 0.0,
-                          np.zeros(9), 1, template)
-        with pytest.raises(ValueError):
-            sm.assemble_system([rec, dup])
+    def test_batch_equals_row_by_row(self):
+        rng = np.random.default_rng(5)
+        for kind in ("type1", "type2"):
+            exprs = self._random_exprs(sm.build_template(kind, 3), rng)
+            X = rng.uniform(-1, 1, (50, 3))
+            batch = sm.SystemModel(exprs)(X)
+            assert batch.shape == (50, 3)
+            expected = [[sm.evaluate(e, x) for e in exprs] for x in X]
+            np.testing.assert_allclose(batch, expected, rtol=1e-12, atol=0.0)
 
     def test_single_component_passthrough(self):
         template = sm.build_template("type1", 1)
         theta = np.array([2.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        rec = ScoreRecord(("id", "0", "add", "id"), 1.0, 0.0, theta, 0, template)
-        system = sm.assemble_system([rec])
+        system = sm.SystemModel([sm.CompiledExpression(
+            template, ("id", "0", "add", "id"), theta)])
         assert system(np.array([3.0]))[0] == pytest.approx(6.0)
 
     def test_symbolic_lines(self):
-        template = sm.build_template("type2", 2)
         rng = np.random.default_rng(8)
-        records = []
-        for comp in range(2):
-            seq = random_sequence(template, rng)
-            theta = rng.uniform(-1, 1, 9)
-            records.append(ScoreRecord(seq, 1.0, 0.0, theta, comp, template))
-        system = sm.assemble_system(records)
+        system = sm.SystemModel(
+            self._random_exprs(sm.build_template("type2", 2), rng))
         lines = [sm.to_symbolic_string(c, 4, ("u", "v"))
                  for c in system.components]
         assert len(lines) == 2
