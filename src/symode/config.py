@@ -15,6 +15,7 @@ field's path (``search.epochs: must be >= 1``), any other at the object's.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -152,6 +153,8 @@ def _value(kind, f, value, path, mode):
         value = float(value)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{path}: expected {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number")
     return value
 
 

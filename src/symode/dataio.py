@@ -54,7 +54,11 @@ def _parse_cell(path, row_idx, column, text):
 
 def _column_order(path, var_names, expected_columns):
     """Indices into the file's ``var_names`` of the columns to keep: every
-    column in file order, or ``expected_columns`` in their order."""
+    column in file order, or ``expected_columns`` in their order. A name
+    that heads two columns is an error: no one can tell which is meant."""
+    repeated = sorted({name for name in var_names if var_names.count(name) > 1})
+    if repeated:
+        raise DataError(f"{path}: repeated column names {repeated}")
     if expected_columns is None:
         return list(range(len(var_names)))
     for col in expected_columns:

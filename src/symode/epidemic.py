@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import TrajectoryDataset
+from .errors import NumericalError
 
 
 class ModelKind(str, enum.Enum):
@@ -127,8 +128,15 @@ def generate_trajectories(kind, params, n_traj, steps, dt, rng,
         init = init / init.sum(axis=1, keepdims=True)
     states = np.empty((steps + 1, n_traj, kind.dim))
     states[0] = init
-    for s in range(steps):
-        states[s + 1] = states[s] + dt * vector_field(kind, params, states[s])
+    # overflow is reported below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps):
+            states[s + 1] = states[s] + dt * vector_field(kind, params,
+                                                          states[s])
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"{kind.value} simulation at dt={dt}: a state "
+                             f"is not finite at step {int(np.argmin(finite))}")
     trajectories = [states[:, i, :].copy() for i in range(n_traj)]
     return TrajectoryDataset(trajectories, dt, kind.var_names, split="full")
 

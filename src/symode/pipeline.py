@@ -21,8 +21,9 @@ from . import expressions as ex
 from .dataio import ScaleRecord, load_csv, normalize_series
 from .datasets import TrajectoryDataset
 from .epidemic import generate_trajectories, train_test_split
-from .errors import ConfigError, DataError, ForecastDivergedError
-from .forecast import (per_step_component_mse, per_step_mse,
+from .errors import (ConfigError, DataError, ForecastDivergedError,
+                     NumericalError)
+from .forecast import (RolloutResult, per_step_component_mse, per_step_mse,
                        persistence_baseline, replay, rollout)
 from .search import SystemModel, search_component
 
@@ -47,13 +48,100 @@ def generate_synthetic(cfg):
 
 
 def _search_all_components(data, cfg):
+    """The search outcome of every state component, in component order.
+
+    Each component's search has its own data column and random stream, so
+    with more than one component, where the platform can fork, every
+    search runs in its own child process and all of them at the same time.
+    A child reads ``data`` and ``cfg`` from the memory it inherits, never
+    from a pickled copy: a copy would lose the arrays' memory layout and
+    with it the last bits of the fitted losses.
+    """
     search_cfg = cfg.search
     kinds = search_cfg.templates
     if not isinstance(kinds, str) and len(kinds) != data.dim:
         raise ConfigError(f"search.templates: expected {data.dim} kinds, one "
                           f"per state component, got {len(kinds)}")
-    return [search_component(data, i, search_cfg, rng=_component_rng(cfg, i))
-            for i in range(data.dim)]
+
+    def search(i):
+        return search_component(data, i, search_cfg, rng=_component_rng(cfg, i))
+
+    if data.dim > 1:
+        # imported here, so that commands which never search do not pay it
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _in_forked_children(search, data.dim,
+                                       multiprocessing.get_context("fork"))
+    return [search(i) for i in range(data.dim)]
+
+
+def _in_forked_children(search, n, ctx):
+    """``[search(0), ..., search(n - 1)]``, each call in its own forked
+    child process, all started together. Each child sends its result, or
+    its exception, back through a one-way pipe. The first failure is raised
+    here: a child's exception with its type and message, or a
+    NumericalError when a child ended without sending anything. Every child
+    is stopped and reaped before this returns or raises."""
+    from multiprocessing.connection import wait
+
+    children, pending = [], {}
+    try:
+        for i in range(n):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child_main, args=(search, i, writer))
+            child.start()
+            # only the child holds the write end now, so its exit is EOF
+            writer.close()
+            children.append(child)
+            pending[reader] = i
+        results = [None] * n
+        while pending:
+            for reader in wait(list(pending)):
+                i = pending.pop(reader)
+                try:
+                    result, error = reader.recv()
+                except EOFError:
+                    children[i].join()
+                    raise NumericalError(
+                        f"component {i}: the search process ended with exit "
+                        f"code {children[i].exitcode} and sent no result"
+                    ) from None
+                finally:
+                    reader.close()
+                if error is not None:
+                    raise _rebuild_exception(*error)
+                results[i] = result
+        for child in children:
+            child.join()
+        return results
+    finally:
+        for child in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+        for reader in pending:
+            reader.close()
+
+
+def _child_main(search, i, writer):
+    try:
+        reply = (search(i), None)
+    except BaseException as exc:  # Ctrl-C too: the parent raises it
+        import traceback
+        reply = (None, (type(exc), exc.args, vars(exc),
+                        traceback.format_exc()))
+    writer.send(reply)
+
+
+def _rebuild_exception(cls, args, state, child_traceback):
+    """The child's exception, rebuilt without calling ``__init__`` (the
+    package's errors take other arguments than the ``args`` they store),
+    with the child's formatted traceback as its cause."""
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    exc.__cause__ = RuntimeError(f"raised in a search process:\n"
+                                 f"{child_traceback}")
+    return exc
 
 
 def _component_entry(record, name, var_names):
@@ -94,6 +182,18 @@ def _base_document(cfg, var_names, outcomes):
     }
 
 
+def _cut_at_overflow(result, errors):
+    """The rollout ``result`` cut before the first step whose row of
+    ``errors`` is not finite, and reported as diverged there, as a step
+    with a non-finite state is: JSON has no number for the error of a
+    forecast that left the float range."""
+    finite = np.isfinite(errors).all(axis=1)
+    if finite.all():
+        return result
+    step = int(np.argmin(finite))
+    return RolloutResult(result.states[:step], False, step)
+
+
 def _raise_if_diverged(doc, result, what):
     """Record a forecast that did not complete in the document, then raise
     with the document attached, so that the finished search still gets
@@ -118,6 +218,9 @@ def run_synthetic(cfg):
     completed = truth[:, : predicted.shape[1]]
     curve = per_step_mse(predicted, completed)
     by_component = per_step_component_mse(predicted, completed)
+    result = _cut_at_overflow(result, np.column_stack([curve, by_component]))
+    curve = curve[: result.states.shape[0]]
+    by_component = by_component[: result.states.shape[0]]
     persistence = persistence_baseline(truth)
     # step 0 is the shared initial condition; the reported curve starts at
     # the first predicted step
@@ -149,8 +252,11 @@ def run_real(cfg):
     if series.shape[0] <= cfg.train_days:
         raise DataError(
             f"{cfg.input_csv}: needs more than train_days={cfg.train_days} rows")
-    normalized, scale = normalize_series(raw, cfg.normalization.mode,
-                                         cfg.normalization.constant)
+    try:
+        normalized, scale = normalize_series(raw, cfg.normalization.mode,
+                                             cfg.normalization.constant)
+    except ValueError as exc:  # a series whose scale is 0 or beyond range
+        raise DataError(f"{cfg.input_csv}: {exc}") from None
     values = normalized.trajectories[0]
     names = raw.var_names
     train_window = values[: cfg.train_days]
@@ -166,12 +272,18 @@ def run_real(cfg):
     anchor = cfg.train_days - 1
     fc = rollout(system, values[anchor], horizon, cfg.real_dt)
     truth_window = values[anchor: anchor + fc.states.shape[0]]
-    forecast_sq = (fc.states[1:] - truth_window[1:]) ** 2
+    with np.errstate(over="ignore"):
+        sq = (fc.states - truth_window) ** 2
+        step_mse = sq.mean(axis=1)
+        restored = fc.states * scale.scale
+    fc = _cut_at_overflow(fc, np.column_stack([step_mse, restored]))
+    kept = fc.states.shape[0]
+    forecast_sq = sq[1:kept]
     persistence_sq = (values[anchor] - values[anchor + 1:]) ** 2
 
     metrics = doc["metrics"] = {
         "forecast_steps": int(horizon),
-        "per_step_mse": [float(v) for v in forecast_sq.mean(axis=1)],
+        "per_step_mse": [float(v) for v in step_mse[1:kept]],
         "persistence_per_step": [float(v) for v in persistence_sq.mean(axis=1)],
     }
     # a diverged forecast has no mean to compare with persistence
@@ -182,8 +294,7 @@ def run_real(cfg):
     doc["scale_record"] = {"mode": scale.mode, "scale": scale.scale}
     doc["forecast"] = {
         "anchor_step": anchor,
-        "values": [[float(v) for v in row * scale.scale]
-                   for row in fc.states[1:]],
+        "values": [[float(v) for v in row] for row in restored[1:kept]],
     }
     _raise_if_diverged(doc, fc, "forecast rollout")
     return doc
@@ -212,7 +323,7 @@ def write_results(doc, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "results.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
     write_report(doc, out)
     return out / "results.json"

@@ -37,6 +37,16 @@ class TestLoadSeries:
             load_series_csv(path, expected_columns=("Q", "D", "R", "X"))
         assert err.value.column == "X"
 
+    @pytest.mark.parametrize("text", [
+        "date,Q,D, Q\n2020-01-22,1,2,3\n2020-01-23,4,5,6\n",
+        "trajectory_id,step,S,S\n0,0,1,2\n0,1,3,4\n",
+    ], ids=["series", "trajectories"])
+    def test_repeated_column_name_rejected(self, tmp_path, text):
+        # a results document with repeated var_names cannot be read back
+        path = write(tmp_path, "repeated.csv", text)
+        with pytest.raises(DataError, match=r"repeated column names \['"):
+            load_csv(path)
+
     def test_non_numeric_cell_location(self, tmp_path):
         bad = SERIES_CSV.replace("900", "n/a")
         path = write(tmp_path, "series.csv", bad)

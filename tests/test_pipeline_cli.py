@@ -315,6 +315,26 @@ class TestCli:
         assert equations == (tmp_path / "run" / "equations.txt").read_text()
         assert len(equations.splitlines()) == 3
 
+    def test_error_beyond_float_range_is_a_divergence(self, tmp_path, capsys):
+        # this seed's forecast states stay finite up to step 215, but their
+        # squared error at step 215 does not
+        doc = tiny_synthetic_doc(seed=26, out=str(tmp_path / "run"))
+        doc["data"]["steps"] = 250
+        doc["search"] = dict(TINY_SEARCH, templates="type1")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["search", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: autonomous rollout diverged at step 215\n")
+
+        def reject(token):
+            raise ValueError(f"non-finite token {token}")
+
+        text = (tmp_path / "run" / "results.json").read_text(encoding="utf-8")
+        metrics = json.loads(text, parse_constant=reject)["metrics"]
+        assert metrics["diverged_at_step"] == 215
+        assert len(metrics["per_step_mse"]) == 214
+
     def test_seed_and_epochs_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_synthetic_doc(out=str(tmp_path / "o"))),
