@@ -18,9 +18,8 @@ import numpy as np
 
 from .config import load_run_config, run_config_from_dict
 from .dataio import load_csv, save_trajectories_csv
-from .errors import (ConfigError, DataError, EvaluationError,
-                     NonFiniteLossError, NumericalError)
-from .forecast import replay, rollout
+from .errors import ConfigError, DataError, NumericalError
+from .forecast import RolloutResult, cut_forecast, replay, rollout
 from .pipeline import (dt_from_document, generate_synthetic, load_results,
                        run_pipeline, scale_from_document,
                        system_from_document, write_report)
@@ -103,28 +102,28 @@ def _cmd_forecast(args):
     if data.n_trajectories != 1:
         raise DataError(f"{args.data}: forecast expects a single series, "
                         f"got {data.n_trajectories} trajectories")
-    series = data.trajectories[0]
-    # work in the units the system was fitted in
-    values = series / scale.scale
-    if args.mode == "teacher":
-        states, anchor = replay(system, values, data.dt), 0
-        finite = np.isfinite(states).all(axis=1)
-        failure = None if finite.all() else int(np.argmin(finite))
-    else:
-        result = rollout(system, values[-1], args.steps, data.dt)
-        states, anchor = result.states, values.shape[0] - 1
-        failure = result.failure_step
-    if failure is not None:
-        raise NumericalError(f"rollout diverged at step {failure}")
+    # step in the units the system was fitted in, write in the data's units;
+    # a value that leaves the float range on the way is cut, not warned about
+    with np.errstate(over="ignore"):
+        values = data.trajectories[0] / scale.scale
+        if args.mode == "teacher":
+            result = RolloutResult(replay(system, values, data.dt), True)
+            anchor = 0
+        else:
+            result = rollout(system, values[-1], args.steps, data.dt)
+            anchor = values.shape[0] - 1
+        restored = result.states * scale.scale
+    result = cut_forecast(result, restored)
+    if not result.completed:
+        raise NumericalError(f"rollout diverged at step {result.failure_step}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "predictions.csv"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", *doc["var_names"]])
-        for k, row in enumerate(states):
-            restored = np.asarray(row) * scale.scale
-            writer.writerow([anchor + k, *[repr(float(v)) for v in restored]])
+        for k, row in enumerate(restored):
+            writer.writerow([anchor + k, *[repr(float(v)) for v in row]])
     print(f"wrote {path}")
 
 
@@ -151,7 +150,7 @@ def main(argv=None):
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, NonFiniteLossError, EvaluationError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -57,7 +57,6 @@ class SampleBatch:
 
     sequences: list                  # list of tag tuples
     choices: np.ndarray              # (n, s) chosen vocabulary indices
-    uniform_mask: np.ndarray         # (n, s) True where the epsilon branch fired
     scores: np.ndarray = None        # filled after scoring
 
 
@@ -69,20 +68,18 @@ def sample_sequences(policy, template, n, rng):
     vocabs = slot_vocabularies(template)
     probs = policy.probabilities()
     choices = np.zeros((n, len(vocabs)), dtype=int)
-    uniform_mask = np.zeros((n, len(vocabs)), dtype=bool)
     sequences = []
     for i in range(n):
         tags = []
         for j, vocab in enumerate(vocabs):
             if rng.random() < policy.epsilon:
                 idx = int(rng.integers(len(vocab)))
-                uniform_mask[i, j] = True
             else:
                 idx = int(rng.choice(len(vocab), p=probs[j]))
             choices[i, j] = idx
             tags.append(vocab[idx])
         sequences.append(tuple(tags))
-    return SampleBatch(sequences, choices, uniform_mask)
+    return SampleBatch(sequences, choices)
 
 
 def log_prob(policy, template, sequence):

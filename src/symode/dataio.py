@@ -202,7 +202,8 @@ def normalize_series(data, mode, constant=None):
             raise ValueError("by_constant normalization needs a constant")
         scale = float(constant)
     else:
-        scale = max(float(t.sum(axis=1).max()) for t in data.trajectories)
+        with np.errstate(over="ignore"):   # an infinite total fails below
+            scale = max(float(t.sum(axis=1).max()) for t in data.trajectories)
     if not np.isfinite(scale) or scale <= 0:
         raise ValueError(f"normalization scale must be positive, got {scale}")
     scaled = [t / scale for t in data.trajectories]

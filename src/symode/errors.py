@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, numerical failures -> 4.
+DataError -> 3, NumericalError -> 4.
 """
 
 
@@ -41,22 +41,13 @@ class NonNumericCellError(DataError):
         self.value = value
 
 
-class EvaluationError(SymodeError):
-    """An expression produced a non-finite value."""
-
-
-class NonFiniteLossError(SymodeError):
-    """Optimization could not start: loss is NaN/Inf at the initial point."""
-
-
 class NumericalError(SymodeError):
     """A numerical stage failed irrecoverably (e.g. diverging rollout)."""
 
 
-class ForecastDivergedError(NumericalError):
-    """The forecast of a finished search diverged. ``document`` is the
-    results document with the failing step recorded."""
+class EvaluationError(NumericalError):
+    """An expression produced a non-finite value."""
 
-    def __init__(self, message, document):
-        super().__init__(message)
-        self.document = document
+
+class NonFiniteLossError(NumericalError):
+    """Optimization could not start: loss is NaN/Inf at the initial point."""

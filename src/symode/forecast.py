@@ -36,6 +36,21 @@ def rollout(model, init, steps, dt):
     return RolloutResult(states, True, None)
 
 
+def cut_forecast(result, *per_step):
+    """Where every forecast ends: ``result`` cut before its first step at
+    which a state, or a row of one of the ``per_step`` arrays (its values in
+    original units, its errors against the truth), is not finite, and
+    reported as diverged there. JSON and CSV have no number for a forecast
+    that left the float range."""
+    steps = result.states.shape[0]
+    rows = [np.reshape(a, (steps, -1)) for a in (result.states, *per_step)]
+    finite = np.isfinite(np.hstack(rows)).all(axis=1)
+    if finite.all():
+        return result
+    step = int(np.argmin(finite))
+    return RolloutResult(result.states[:step], False, step)
+
+
 def replay(model, truth, dt):
     """Teacher-forced replay of a series ``truth`` (T, d): row 0 is the first
     observation and row k + 1 the Euler step from observation k, all from

@@ -74,6 +74,8 @@ def uniform_init(rng, count):
     return rng.uniform(-1.0, 1.0, size=count)
 
 
+# non-finite losses and gradients are handled below, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def minimize_first_order(fn, init, iters, lr):
     """Adam-style momentum descent with bias correction.
 
@@ -103,6 +105,7 @@ def minimize_first_order(fn, init, iters, lr):
     return OptimResult(best.theta, best.loss, used, converged=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def minimize_bfgs(fn, init, iters, grad_tol, trace: Optional[list] = None):
     """BFGS with an inverse-Hessian approximation and Armijo backtracking.
 

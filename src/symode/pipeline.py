@@ -21,9 +21,8 @@ from . import expressions as ex
 from .dataio import ScaleRecord, load_csv, normalize_series
 from .datasets import TrajectoryDataset
 from .epidemic import generate_trajectories, train_test_split
-from .errors import (ConfigError, DataError, ForecastDivergedError,
-                     NumericalError)
-from .forecast import (RolloutResult, per_step_component_mse, per_step_mse,
+from .errors import ConfigError, DataError, NumericalError
+from .forecast import (cut_forecast, per_step_component_mse, per_step_mse,
                        persistence_baseline, replay, rollout)
 from .search import SystemModel, search_component
 
@@ -182,28 +181,6 @@ def _base_document(cfg, var_names, outcomes):
     }
 
 
-def _cut_at_overflow(result, errors):
-    """The rollout ``result`` cut before the first step whose row of
-    ``errors`` is not finite, and reported as diverged there, as a step
-    with a non-finite state is: JSON has no number for the error of a
-    forecast that left the float range."""
-    finite = np.isfinite(errors).all(axis=1)
-    if finite.all():
-        return result
-    step = int(np.argmin(finite))
-    return RolloutResult(result.states[:step], False, step)
-
-
-def _raise_if_diverged(doc, result, what):
-    """Record a forecast that did not complete in the document, then raise
-    with the document attached, so that the finished search still gets
-    written."""
-    if not result.completed:
-        doc["metrics"]["diverged_at_step"] = result.failure_step
-        raise ForecastDivergedError(
-            f"{what} diverged at step {result.failure_step}", doc)
-
-
 def run_synthetic(cfg):
     full = generate_synthetic(cfg)
     train, test = train_test_split(full, cfg.data.train_fraction)
@@ -218,7 +195,7 @@ def run_synthetic(cfg):
     completed = truth[:, : predicted.shape[1]]
     curve = per_step_mse(predicted, completed)
     by_component = per_step_component_mse(predicted, completed)
-    result = _cut_at_overflow(result, np.column_stack([curve, by_component]))
+    result = cut_forecast(result, curve, by_component)
     curve = curve[: result.states.shape[0]]
     by_component = by_component[: result.states.shape[0]]
     persistence = persistence_baseline(truth)
@@ -234,8 +211,9 @@ def run_synthetic(cfg):
     }
     if result.completed:
         metrics["max_per_step_mse"] = float(curve[1:].max())
+    else:
+        metrics["diverged_at_step"] = result.failure_step
     doc["scale_record"] = {"mode": "none", "scale": 1.0}
-    _raise_if_diverged(doc, result, "autonomous rollout")
     return doc
 
 
@@ -276,7 +254,7 @@ def run_real(cfg):
         sq = (fc.states - truth_window) ** 2
         step_mse = sq.mean(axis=1)
         restored = fc.states * scale.scale
-    fc = _cut_at_overflow(fc, np.column_stack([step_mse, restored]))
+    fc = cut_forecast(fc, step_mse, restored)
     kept = fc.states.shape[0]
     forecast_sq = sq[1:kept]
     persistence_sq = (values[anchor] - values[anchor + 1:]) ** 2
@@ -291,27 +269,28 @@ def run_real(cfg):
         metrics["forecast_mse_per_series"] = _series_means(forecast_sq, names)
     metrics["persistence_mse_per_series"] = _series_means(persistence_sq, names)
     metrics["teacher_forced_mse_per_series"] = _series_means(teacher_sq, names)
+    if not fc.completed:
+        metrics["diverged_at_step"] = fc.failure_step
     doc["scale_record"] = {"mode": scale.mode, "scale": scale.scale}
     doc["forecast"] = {
         "anchor_step": anchor,
         "values": [[float(v) for v in row] for row in restored[1:kept]],
     }
-    _raise_if_diverged(doc, fc, "forecast rollout")
     return doc
 
 
 def run_pipeline(cfg, out_dir=None):
     """Run the configured pipeline and write the results document plus the
     plot-ready CSV files into the output directory. A forecast that
-    diverges still writes the document, with the failing step recorded,
-    before its error is raised."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    try:
-        doc = run_synthetic(cfg) if cfg.mode == "synthetic" else run_real(cfg)
-    except ForecastDivergedError as exc:
-        write_results(exc.document, out)
-        raise
-    write_results(doc, out)
+    diverged is written like any other, and then raised as a
+    NumericalError naming its ``diverged_at_step``."""
+    synthetic = cfg.mode == "synthetic"
+    doc = run_synthetic(cfg) if synthetic else run_real(cfg)
+    write_results(doc, out_dir if out_dir is not None else cfg.output_dir)
+    step = doc["metrics"].get("diverged_at_step")
+    if step is not None:
+        what = "autonomous rollout" if synthetic else "forecast rollout"
+        raise NumericalError(f"{what} diverged at step {step}")
     return doc
 
 
@@ -398,18 +377,30 @@ def _check_values(doc):
                          f"{width} numbers")
 
 
+def _finite(parse):
+    """A JSON number parser that rejects a ``NaN``/``Infinity`` token and a
+    literal beyond the float range with a ValueError."""
+    def checked(text):
+        if not math.isfinite(float(text)):
+            raise ValueError(f"non-finite number {float(text)}")
+        return parse(text)
+    return checked
+
+
 def load_results(path):
-    """Read a results document. A file that is not a JSON object, lacks a
-    field that ``forecast`` or ``report`` reads, holds a value of the wrong
-    type there, lists a component out of its index order, or holds a
-    component the system cannot be rebuilt from ends in a DataError naming
-    the file."""
+    """Read a results document. A file that is not strict JSON or not a JSON
+    object, lacks a field that ``forecast`` or ``report`` reads, holds a
+    value of the wrong type there, lists a component out of its index order,
+    holds a component the system cannot be rebuilt from or a scale that is
+    not positive ends in a DataError naming the file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such results document")
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite(float),
+                            parse_int=_finite(int),
+                            parse_constant=_finite(float))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
@@ -451,7 +442,10 @@ def system_from_document(doc):
 
 def scale_from_document(doc):
     rec = doc.get("scale_record", {"mode": "none", "scale": 1.0})
-    return ScaleRecord(rec["mode"], float(rec["scale"]))
+    scale = float(rec["scale"])
+    if not 0 < scale < math.inf:
+        raise ValueError("scale_record.scale: expected a positive number")
+    return ScaleRecord(rec["mode"], scale)
 
 
 def dt_from_document(doc):

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import expressions as ex
 from .controller import ControllerPolicy, policy_update, sample_sequences
-from .errors import NonFiniteLossError, NumericalError
+from .errors import NumericalError
 from .losses import EulerResidualObjective
 from .optimize import (LR_FINETUNE, OptimConfig, minimize_first_order,
                        two_stage_minimize, uniform_init)
@@ -271,6 +271,8 @@ def _closed_form(factor, template, sequence, form):
     return theta
 
 
+# a loss beyond the float range scores 0; it is no cause for a warning
+@np.errstate(over="ignore", invalid="ignore")
 def score_sequence(sequence, template, data, component, optim, rng,
                    factor=None):
     """Fit the parameters of one sequence and score the result.
@@ -301,11 +303,7 @@ def score_sequence(sequence, template, data, component, optim, rng,
         if np.isfinite(loss):
             return ScoreRecord(sequence, score_from_loss(loss), loss, theta,
                                component, template)
-    try:
-        result = two_stage_minimize(objective.loss_and_grad, theta0, optim)
-    except NonFiniteLossError:
-        return ScoreRecord(sequence, 0.0, float("inf"), theta0, component,
-                           template)
+    result = two_stage_minimize(objective.loss_and_grad, theta0, optim)
     loss = result.final_loss
     return ScoreRecord(sequence, score_from_loss(loss), loss,
                        result.final_params, component, template)

@@ -28,7 +28,6 @@ class TestSampling:
         counts = np.bincount(batch.choices[:, 0], minlength=9)
         freqs = counts / 10_000
         assert np.all(np.abs(freqs - 1 / 9) <= 0.02)
-        assert batch.uniform_mask.all()
 
     def test_epsilon_zero_dominant_logit(self, type2_template):
         policy = fresh_policy(type2_template, epsilon=0.0)
@@ -39,7 +38,6 @@ class TestSampling:
         batch = sm.sample_sequences(policy, type2_template, 5000, rng)
         freq = np.mean(batch.choices[:, 0] == 0)
         assert freq >= 0.999
-        assert not batch.uniform_mask.any()
 
     def test_same_seed_same_batch(self, type2_template):
         policy = fresh_policy(type2_template)
@@ -49,7 +47,6 @@ class TestSampling:
                                 np.random.default_rng(7))
         assert a.sequences == b.sequences
         assert np.array_equal(a.choices, b.choices)
-        assert np.array_equal(a.uniform_mask, b.uniform_mask)
 
     def test_sequences_valid_for_slots(self, type2_template):
         policy = fresh_policy(type2_template, epsilon=0.5)
@@ -131,7 +128,6 @@ def constructed_batch(template, sequences, scores):
     choices = np.array([[vocabs[j].index(tag) for j, tag in enumerate(seq)]
                         for seq in sequences])
     return sm.SampleBatch(list(sequences), choices,
-                          np.zeros_like(choices, dtype=bool),
                           scores=np.asarray(scores, float))
 
 

@@ -3,7 +3,8 @@ import pytest
 
 import symode as sm
 from symode.epidemic import benchmark_params
-from symode.forecast import (per_step_component_mse, per_step_mse,
+from symode.forecast import (RolloutResult, cut_forecast,
+                             per_step_component_mse, per_step_mse,
                              persistence_baseline, replay, rollout)
 
 
@@ -76,6 +77,41 @@ class TestRollout:
         assert not result.completed
         assert result.failure_step is not None
         assert result.states.shape[0] == result.failure_step
+
+
+class TestCutForecast:
+    def test_finite_forecast_is_kept_whole(self):
+        result = rollout(lambda x: -x, np.ones((2, 3)), 5, 0.1)
+        assert cut_forecast(result, np.ones(6), np.ones((6, 3))) is result
+
+    def test_cut_before_first_non_finite_row(self):
+        result = rollout(lambda x: -x, np.ones((2, 3)), 5, 0.1)
+        errors = np.ones((6, 3))
+        errors[4, 1] = np.inf
+        errors[5] = np.nan
+        cut = cut_forecast(result, np.ones(6), errors)
+        assert not cut.completed
+        assert cut.failure_step == 4
+        assert np.array_equal(cut.states, result.states[:4])
+
+    def test_non_finite_state_ends_the_forecast(self):
+        # a teacher-forced replay computes every row, finite or not
+        states = np.array([[1.0, 2.0], [3.0, np.inf], [5.0, 6.0]])
+        cut = cut_forecast(RolloutResult(states, True))
+        assert (cut.completed, cut.failure_step) == (False, 1)
+        assert np.array_equal(cut.states, states[:1])
+
+    def test_rollout_failure_step_kept_when_rows_are_finite(self):
+        result = rollout(lambda x: x * 1e200, np.ones(1), 10, 1.0)
+        assert result.failure_step == 2
+        assert cut_forecast(result, np.ones(2)) is result
+
+    def test_earlier_overflow_in_original_units_wins(self):
+        result = rollout(lambda x: x * 1e200, np.ones(1), 10, 1.0)
+        with np.errstate(over="ignore"):
+            restored = result.states * 1e200
+        cut = cut_forecast(result, restored)
+        assert (cut.completed, cut.failure_step) == (False, 1)
 
 
 class TestPerStepMse:

@@ -1,10 +1,14 @@
 """Property tests over what a user hands the command line: CSV text, config
 documents with one key changed, and results documents with one value
 changed. Every input ends in one of the CLI's exit codes (0 success, 2
-config error, 3 data error, 4 numerical failure), never in a traceback."""
+config error, 3 data error, 4 numerical failure), never in a traceback, and
+a forecast that succeeds writes only finite numbers. Deterministic tables
+pin the non-finite numbers that random draws rarely reach."""
 
 import copy
+import csv
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -53,14 +57,18 @@ def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def changed(doc, path, action, value, number):
     """``doc`` with the value at ``path`` replaced (a number by ``number``,
     anything else by ``value``) or deleted, or with an unknown key
     ``surprise`` added next to it."""
     doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = value_at(doc, path[:-1])
     if action == "replace":
         parent[path[-1]] = number if is_number(parent[path[-1]]) else value
     elif action == "delete":
@@ -73,6 +81,21 @@ def changed(doc, path, action, value, number):
 def run_cli(*argv):
     code = main([str(a) for a in argv])
     assert code in EXIT_CODES
+    return code
+
+
+def run_forecast(results, data, out, *flags):
+    """``symode forecast`` into ``out``: its exit code, after checking that a
+    forecast which succeeded wrote only finite numbers."""
+    predictions = Path(out) / "predictions.csv"
+    predictions.unlink(missing_ok=True)
+    code = run_cli("forecast", "--results", results, "--data", data,
+                   "--out", out, *flags)
+    if code == 0:
+        with open(predictions, encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(math.isfinite(float(cell))
+                            for row in rows for cell in row)
     return code
 
 
@@ -150,9 +173,8 @@ def test_csv_text_as_forecast_data(real_results, text):
                                           encoding="utf-8")
         (tmp / "data.csv").write_text(text, encoding="utf-8")
         for mode in ("autonomous", "teacher"):
-            run_cli("forecast", "--results", tmp / "results.json",
-                    "--data", tmp / "data.csv", "--steps", 3,
-                    "--mode", mode, "--out", tmp / "fc")
+            run_forecast(tmp / "results.json", tmp / "data.csv", tmp / "fc",
+                         "--steps", 3, "--mode", mode)
 
 
 # -- config documents -------------------------------------------------------
@@ -167,21 +189,8 @@ CONFIGS = {"synthetic": full_config(tiny_synthetic_doc()),
 CONFIG_PATHS = sorted({p for doc in CONFIGS.values() for p in paths(doc)})
 
 
-@fuzz(100)
-@given(mode=st.sampled_from(sorted(CONFIGS)),
-       path=st.sampled_from(CONFIG_PATHS), action=ACTIONS,
-       value=REPLACEMENTS, number=NUMBERS)
-@example(mode="synthetic", path=("data", "dt"), action="replace", value=None,
-         number=float("nan"))
-@example(mode="synthetic", path=("data", "dt"), action="replace", value=None,
-         number=1e300)
-@example(mode="synthetic", path=("search", "controller_lr"),
-         action="replace", value=None, number=float("inf"))
-@example(mode="real", path=("normalization", "constant"), action="replace",
-         value=float("nan"), number=None)
-def test_one_key_changed_in_a_config(mode, path, action, value, number):
-    assume(path in set(paths(CONFIGS[mode])))
-    doc = changed(CONFIGS[mode], path, action, value, number)
+def search_with(doc):
+    """``symode search`` on the config ``doc``: its exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # json.dumps writes the non-finite floats as NaN and Infinity,
@@ -189,8 +198,36 @@ def test_one_key_changed_in_a_config(mode, path, action, value, number):
         (tmp / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
         # one epoch, so that a deleted search section (100 default epochs)
         # stays cheap; the file's own epochs are still validated
-        run_cli("search", "--config", tmp / "cfg.json", "--out", tmp / "run",
-                "--epochs", 1)
+        return run_cli("search", "--config", tmp / "cfg.json",
+                       "--out", tmp / "run", "--epochs", 1)
+
+
+@fuzz(100)
+@given(mode=st.sampled_from(sorted(CONFIGS)),
+       path=st.sampled_from(CONFIG_PATHS), action=ACTIONS,
+       value=REPLACEMENTS, number=NUMBERS)
+@example(mode="synthetic", path=("data", "dt"), action="replace", value=None,
+         number=1e300)
+@example(mode="real", path=("normalization", "constant"), action="replace",
+         value=float("nan"), number=None)
+def test_one_key_changed_in_a_config(mode, path, action, value, number):
+    assume(path in set(paths(CONFIGS[mode])))
+    search_with(changed(CONFIGS[mode], path, action, value, number))
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+NUMERIC_CONFIG_PATHS = [(mode, path) for mode in sorted(CONFIGS)
+                        for path in paths(CONFIGS[mode])
+                        if is_number(value_at(CONFIGS[mode], path))]
+
+
+@pytest.mark.parametrize("number", NON_FINITE, ids=str)
+@pytest.mark.parametrize("mode,path", NUMERIC_CONFIG_PATHS,
+                         ids=[f"{m}-{'.'.join(p)}"
+                              for m, p in NUMERIC_CONFIG_PATHS])
+def test_non_finite_config_number_is_a_config_error(mode, path, number):
+    assert search_with(changed(CONFIGS[mode], path, "replace", None,
+                               number)) == 2
 
 
 # -- results documents ------------------------------------------------------
@@ -205,8 +242,26 @@ def test_one_value_changed_in_a_results_document(real_results, data, action,
         tmp = Path(tmp)
         (tmp / "results.json").write_text(json.dumps(doc), encoding="utf-8")
         for mode in ("autonomous", "teacher"):
-            run_cli("forecast", "--results", tmp / "results.json",
-                    "--data", SERIES, "--steps", 3, "--mode", mode,
-                    "--out", tmp / "fc")
+            run_forecast(tmp / "results.json", SERIES, tmp / "fc",
+                         "--steps", 3, "--mode", mode)
         run_cli("report", "--results", tmp / "results.json",
                 "--out", tmp / "rep")
+
+
+# the numbers ``forecast`` reads: the scale, the time step and one
+# coefficient of each component
+FORECAST_NUMBERS = [("scale_record", "scale"), ("config_echo", "dt"),
+                    *[("components", k, "coefficients", 0) for k in range(3)]]
+
+
+@pytest.mark.parametrize("number", [*NON_FINITE, 0.0, -1.0, 1e300], ids=str)
+@pytest.mark.parametrize("path", FORECAST_NUMBERS,
+                         ids=[".".join(map(str, p)) for p in FORECAST_NUMBERS])
+def test_number_read_by_forecast(real_results, path, number):
+    doc = changed(real_results, path, "replace", None, number)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "results.json").write_text(json.dumps(doc), encoding="utf-8")
+        for mode in ("autonomous", "teacher"):
+            assert run_forecast(tmp / "results.json", SERIES, tmp / "fc",
+                                "--steps", 15, "--mode", mode) in {0, 3, 4}

@@ -53,6 +53,16 @@ class TestEulerResidualLoss:
         data = single_pair_dataset([1e200], [1e200], dt=1.0)
         assert sm.euler_residual_loss(bad, data, 0) == float("inf")
 
+    def test_nonfinite_expression_has_zero_gradient(self):
+        template = sm.build_template("type2", 1)
+        sequence = ("id", "id", "mul", "id", "add")
+        data = single_pair_dataset([1e200], [1e200], dt=1.0)
+        objective = EulerResidualObjective(template, sequence, data, 0)
+        loss, grad = objective.loss_and_grad(
+            np.array([1e200, 0, 1e200, 0, 1e200, 0]))
+        assert loss == float("inf")
+        assert np.array_equal(grad, np.zeros(6))
+
     def test_zero_field_equals_mean_squared_increments(self, sir_dataset):
         expr = zero_expr(3)
         x, x_next = sir_dataset.stacked_pairs()

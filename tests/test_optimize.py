@@ -4,7 +4,7 @@ import pytest
 import symode as sm
 from symode.errors import NonFiniteLossError
 from symode.losses import EulerResidualObjective
-from symode.optimize import ARMIJO_C, LR_FIRST
+from symode.optimize import ARMIJO_C, LR_FIRST, MAX_BACKTRACKS
 
 
 def quadratic(theta):
@@ -55,6 +55,33 @@ class TestFirstOrder:
                 lambda th: (float("nan"), np.zeros_like(th)),
                 np.array([1.0]), 10, 0.1)
 
+    def test_non_finite_gradient_stops(self):
+        calls = []
+
+        def fn(theta):
+            calls.append(theta.copy())
+            return 1.0, np.array([np.nan])
+
+        res = sm.minimize_first_order(fn, np.array([0.5]), 10, 0.1)
+        assert len(calls) == 1
+        assert res.iterations_used == 0
+        assert np.array_equal(res.final_params, [0.5])
+        assert res.final_loss == 1.0
+
+    def test_non_finite_loss_stops(self):
+        calls = []
+
+        def fn(theta):
+            calls.append(theta.copy())
+            loss = 1.0 if len(calls) == 1 else float("inf")
+            return loss, np.array([1.0])
+
+        res = sm.minimize_first_order(fn, np.array([0.5]), 10, 0.1)
+        assert len(calls) == 2
+        assert res.iterations_used == 1
+        assert np.array_equal(res.final_params, [0.5])
+        assert res.final_loss == 1.0
+
     def test_best_iterate_tracking(self):
         seen = []
 
@@ -97,6 +124,22 @@ class TestBFGS:
         for step in trace:
             bound = step["loss_before"] + ARMIJO_C * step["step"] * step["directional_derivative"]
             assert step["loss_after"] <= bound + 1e-15
+
+    def test_failed_line_search_returns_start(self):
+        # a gradient of the wrong sign: every step along -grad goes uphill
+        calls = []
+
+        def fn(theta):
+            calls.append(theta.copy())
+            return float(theta @ theta), -2.0 * theta
+
+        init = np.array([1.0, -2.0])
+        res = sm.minimize_bfgs(fn, init, 20, 1e-8)
+        assert len(calls) == 1 + MAX_BACKTRACKS
+        assert res.iterations_used == 0
+        assert not res.converged
+        assert np.array_equal(res.final_params, init)
+        assert res.final_loss == 5.0
 
     def test_nonfinite_start_raises(self):
         with pytest.raises(NonFiniteLossError):

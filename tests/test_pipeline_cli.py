@@ -8,10 +8,12 @@ import symode as sm
 from symode.cli import main
 from symode.config import run_config_from_dict
 from symode.dataio import load_csv
+from symode.errors import NumericalError
 from symode.pipeline import (generate_synthetic, load_results, run_pipeline,
-                             system_from_document)
+                             run_synthetic, system_from_document)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SERIES = Path(__file__).resolve().parents[1] / "data" / "covid_qdr_sample.csv"
 
 TINY_SEARCH = {
     "epochs": 3,
@@ -151,6 +153,11 @@ def minimal_results_doc():
     }
 
 
+def minimal_results_text(old, new):
+    """The minimal document as JSON text with ``old`` replaced by ``new``."""
+    return json.dumps(minimal_results_doc()).replace(old, new).encode()
+
+
 # (results file bytes or a change to the minimal document, message)
 BAD_RESULTS = {
     "empty": (b"", "not a JSON document: Expecting value: line 1 column 1 "
@@ -188,6 +195,29 @@ BAD_RESULTS = {
     "bad_scale": (
         lambda doc: doc.update(scale_record={"mode": "none", "scale": "x"}),
         "could not convert string to float: 'x'"),
+    "negative_scale": (
+        lambda doc: doc.update(scale_record={"mode": "by_constant",
+                                             "scale": -1.0}),
+        "scale_record.scale: expected a positive number"),
+    "zero_scale": (
+        lambda doc: doc.update(scale_record={"mode": "by_constant",
+                                             "scale": 0}),
+        "scale_record.scale: expected a positive number"),
+    "nan_token": (lambda doc: doc["config_echo"].update(dt=float("nan")),
+                  "not a JSON document: non-finite number nan"),
+    "infinity_token": (
+        lambda doc: doc["metrics"].update(per_step_mse=[float("inf")]),
+        "not a JSON document: non-finite number inf"),
+    "minus_infinity_token": (
+        lambda doc: doc.update(scale_record={"mode": "none",
+                                             "scale": float("-inf")}),
+        "not a JSON document: non-finite number -inf"),
+    "literal_beyond_float_range": (
+        minimal_results_text('"dt": 1.0', '"dt": 1e400'),
+        "not a JSON document: non-finite number inf"),
+    "integer_beyond_float_range": (
+        minimal_results_text('"dt": 1.0', '"dt": 1' + "0" * 400),
+        "not a JSON document: non-finite number inf"),
     "no_forecast_values": (
         lambda doc: doc.update(forecast={"anchor_step": 0}),
         "forecast: missing field 'values'"),
@@ -315,6 +345,21 @@ class TestCli:
         assert equations == (tmp_path / "run" / "equations.txt").read_text()
         assert len(equations.splitlines()) == 3
 
+    def test_diverged_document_is_returned_then_raised(self, tmp_path):
+        doc = tiny_synthetic_doc(seed=9)
+        doc["data"]["steps"] = 250
+        doc["search"] = dict(TINY_SEARCH, templates="type1")
+        cfg = run_config_from_dict(doc)
+        returned = run_synthetic(cfg)
+        assert list(returned["metrics"]) == [
+            "per_step_mse", "per_step_mse_by_component",
+            "persistence_per_step", "diverged_at_step"]
+        assert returned["metrics"]["diverged_at_step"] == 27
+        with pytest.raises(NumericalError) as raised:
+            run_pipeline(cfg, out_dir=tmp_path / "run")
+        assert str(raised.value) == "autonomous rollout diverged at step 27"
+        assert load_results(tmp_path / "run" / "results.json") == returned
+
     def test_error_beyond_float_range_is_a_divergence(self, tmp_path, capsys):
         # this seed's forecast states stay finite up to step 215, but their
         # squared error at step 215 does not
@@ -334,6 +379,50 @@ class TestCli:
         metrics = json.loads(text, parse_constant=reject)["metrics"]
         assert metrics["diverged_at_step"] == 215
         assert len(metrics["per_step_mse"]) == 214
+
+    def test_real_mode_rejects_several_trajectories(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        data.write_text("trajectory_id,step,Q,D,R\n"
+                        "0,0,1,2,3\n0,1,1,2,3\n1,0,4,5,6\n1,1,4,5,6\n",
+                        encoding="utf-8")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_real_doc(data,
+                                                     out=str(tmp_path / "o"))),
+                            encoding="utf-8")
+        assert main(["search", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data}: real mode expects a single series\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_report_on_missing_results(self, tmp_path, capsys):
+        path = tmp_path / "none.json"
+        assert main(["report", "--results", str(path),
+                     "--out", str(tmp_path / "rep")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: no such results document\n")
+        assert not (tmp_path / "rep").exists()
+
+    def test_diverged_real_forecast_still_writes_results(self, tmp_path,
+                                                          capsys):
+        # this seed's type1 winners overflow the forecast at step 10
+        doc = tiny_real_doc(SERIES, out=str(tmp_path / "run"))
+        doc["seed"] = 2
+        doc["search"] = dict(TINY_SEARCH, templates="type1")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["search", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: forecast rollout diverged at step 10\n")
+        written = load_results(tmp_path / "run" / "results.json")
+        assert list(written["metrics"]) == [
+            "forecast_steps", "per_step_mse", "persistence_per_step",
+            "persistence_mse_per_series", "teacher_forced_mse_per_series",
+            "diverged_at_step"]
+        assert written["metrics"]["diverged_at_step"] == 10
+        assert len(written["metrics"]["per_step_mse"]) == 9
+        assert len(written["forecast"]["values"]) == 9
+        rows = (tmp_path / "run" / "forecast.csv").read_text().splitlines()
+        assert len(rows) == 10
 
     def test_seed_and_epochs_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -502,6 +591,29 @@ class TestCli:
                      "--out", str(tmp_path / "fc")]) == 4
         assert capsys.readouterr().err == (
             "numerical failure: rollout diverged at step 1\n")
+        assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("mode,flags,step", [
+        ("autonomous", ["--steps", "305"], 305),
+        ("teacher", [], 1),
+    ])
+    def test_overflow_in_original_units_is_a_divergence(self, tmp_path,
+                                                        capsys, mode, flags,
+                                                        step):
+        # fitted at scale 1e5: dQ/dt = 9 Q stays finite in fitted units for
+        # 305 steps and dQ/dt = 1e307 Q for one, but not in the data's units
+        rate = 9.0 if mode == "autonomous" else 1e307
+
+        def scaled(doc):
+            doc["scale_record"] = {"mode": "by_constant", "scale": 1e5}
+            doc["components"][0]["coefficients"][0] = rate
+
+        path = self._results_file(tmp_path, scaled)
+        assert main(["forecast", "--results", str(path), "--data", str(SERIES),
+                     "--mode", mode, *flags,
+                     "--out", str(tmp_path / "fc")]) == 4
+        assert capsys.readouterr().err == (
+            f"numerical failure: rollout diverged at step {step}\n")
         assert not (tmp_path / "fc").exists()
 
     def test_forecast_rejects_several_trajectories(self, tmp_path, capsys):

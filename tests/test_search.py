@@ -11,6 +11,8 @@ import symode as sm
 import symode.search as search_mod
 from symode.config import run_config_from_dict
 from symode.dataio import load_csv, normalize_series
+from symode.datasets import TrajectoryDataset
+from symode.errors import NumericalError
 from symode.losses import EulerResidualObjective
 from symode.optimize import uniform_init
 from symode.pipeline import generate_synthetic
@@ -156,6 +158,19 @@ class TestScoreSequence:
         assert 0.0 <= record.score <= 1.0
 
 
+    def test_non_finite_at_every_start_is_score_zero(self):
+        # a quartic leaf of values near 1e80 overflows whatever the start
+        data = TrajectoryDataset([np.linspace(1e80, 2e80, 6)[:, None]], 1.0,
+                                 ("x",))
+        template = sm.build_template("type2", 1)
+        record = sm.score_sequence(("quartic", "id", "add", "id", "add"),
+                                   template, data, 0, sm.OptimConfig(),
+                                   np.random.default_rng(0))
+        assert record.score == 0.0
+        assert record.loss == float("inf")
+        assert np.array_equal(record.params, np.zeros(template.n_params))
+
+
 def all_sequences(template):
     return itertools.product(*[
         sm.UNARY_TAGS if node.kind == "unary" else sm.BINARY_TAGS
@@ -266,6 +281,26 @@ class TestClosedForm:
         assert record.score == sm.score_from_loss(result.final_loss)
         assert np.array_equal(record.params, result.final_params)
 
+    def test_non_finite_feature_leaves_linear_sequence_two_stage(self):
+        # the quartic feature of values near 1e80 is not finite, so there is
+        # no factor, and a linear sequence is fitted like any other
+        data = TrajectoryDataset([np.linspace(1e80, 2e80, 6)[:, None]], 1.0,
+                                 ("x",))
+        template = sm.build_template("type2", 1)
+        seq = ("id", "id", "add", "id", "add")
+        assert search_mod.linear_form(template, seq) is not None
+        factor = search_mod.feature_factor(data, 0)
+        assert factor is None
+        optim = sm.OptimConfig(t1_iters=30, t2_iters=20)
+        record = sm.score_sequence(seq, template, data, 0, optim,
+                                   np.random.default_rng(5), factor)
+        objective = EulerResidualObjective(template, seq, data, 0)
+        theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
+        result = sm.two_stage_minimize(objective.loss_and_grad, theta0, optim)
+        assert np.isfinite(record.loss)
+        assert record.loss == result.final_loss
+        assert np.array_equal(record.params, result.final_params)
+
 
 class TestSearchComponent:
     def test_single_epoch_single_sequence(self, sir_dataset):
@@ -317,6 +352,18 @@ class TestSearchComponent:
         search_mod._finetune_pool(pool, sir_dataset, 2, cfg.optim)
         for rec in pool.records():
             assert rec.loss <= before[rec.sequence] + 1e-18
+
+
+    def test_no_finite_loss_is_a_numerical_error(self):
+        # residuals near 1e200 square beyond the float range for every
+        # sequence and start
+        data = TrajectoryDataset([np.linspace(1e200, 1e201, 6)[:, None]], 1.0,
+                                 ("x",))
+        cfg = sm.SearchConfig(epochs=1, batch_size=2,
+                              optim=sm.OptimConfig(t1_iters=5, t2_iters=5))
+        with pytest.raises(NumericalError, match=(
+                "component 0: no sequence produced a finite loss")):
+            sm.search_component(data, 0, cfg, component_rng(4, 0))
 
 
 class TestPerComponentTemplates:
