@@ -8,9 +8,18 @@ trajectories with uniform weight:
 
 A non-finite expression value on any sample yields the +inf sentinel so
 that sequence scoring maps the failure to score 0 instead of aborting.
+
+A type2 expression without interior unary nodes is multilinear in its leaf
+blocks [u(X) | 1]: phi = K z(theta), with K the product features and z the
+matching concatenation or Kronecker product of the leaf parameters. Its
+loss is then |R [dt z; -1]|^2 / M with R the QR factor of [K | dy], which
+:class:`FactoredResidualObjective` evaluates without touching an M-row
+array.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -65,6 +74,150 @@ class EulerResidualObjective:
         weights = (-2.0 * self.dt / self.m) * r
         grad = ex.weighted_param_gradient(self.template, self.sequence, theta,
                                           values, caches, weights)
+        return loss, grad
+
+
+# OpenBLAS hands a matrix-vector product of more than about 8,192 entries to
+# its worker threads; on 2 cores a 140 x 65 QR then took twice as long as
+# with one thread, and four times the CPU. Every QR of a chunked factor
+# stays within it, so its bits do not depend on the thread count either.
+QR_BUDGET = 8192
+# The widest factored objective: past it a chunk within QR_BUDGET holds
+# fewer rows than half the columns, and re-factoring R dominates the work.
+MAX_FACTOR_COLUMNS = 73
+
+
+def tsqr(n_rows, n_cols, chunk):
+    """R of the QR factorization of the ``n_rows`` x ``n_cols`` matrix
+    whose rows ``s`` are ``chunk(s)`` for a slice ``s``, or None when an
+    entry is not finite.
+
+    The rows are folded in one chunk at a time, each factored together with
+    the R so far (TSQR), so no M-row matrix is factored whole. For any w,
+    |A w| = |R w|.
+    """
+    # as many rows as keep [R; chunk] within QR_BUDGET entries, and at least
+    # half the columns (a feature factor of very many states exceeds it)
+    step = max(QR_BUDGET // n_cols - n_cols, n_cols // 2)
+    R = np.empty((0, n_cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_rows, step):
+            block = chunk(slice(start, start + step))
+            if not np.all(np.isfinite(block)):
+                return None
+            R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    return R
+
+
+def product_width(template, sequence):
+    """Number of product features K with phi = K z(theta), or None when an
+    interior unary node makes phi not multilinear in its leaf blocks. A
+    leaf has d + 1 columns; ``add``/``sub`` concatenate their operands'
+    columns and ``mul`` multiplies their counts."""
+    widths = []
+    for i, node in enumerate(template.nodes):
+        if node.is_leaf:
+            widths.append(template.input_dim + 1)
+        elif node.kind == "unary":
+            return None
+        else:
+            l, r = (widths[c] for c in node.children)
+            widths.append(l * r if sequence[i] == "mul" else l + r)
+    return widths[-1]
+
+
+class FactoredResidualObjective:
+    """The loss and gradient of :class:`EulerResidualObjective`, for a
+    sequence with a :func:`product_width`, evaluated from the R factor of
+    [K | dy] built once (``factor`` is None when an entry is not finite).
+
+    A call forms z(theta) leaf by leaf, takes R [dt z; -1], and sweeps the
+    nodes in reverse for the gradient, on vectors of at most the product
+    width; its cost does not depend on the number of samples. A value that
+    is not finite gives the +inf sentinel; callers silence the overflow
+    warning with ``np.errstate``, as the minimizers do.
+    """
+
+    def __init__(self, template, sequence, data, component):
+        width = product_width(template, sequence)
+        if width is None:
+            raise ValueError("sequence has an interior unary node")
+        ex.validate_sequence(template, sequence)
+        self.dt = data.dt
+        X, X_next = data.stacked_pairs()
+        dy = X_next[:, component] - X[:, component]
+        self.m = X.shape[0]
+        self.n_params = template.n_params
+        # per node: (leaf parameter slice or None, tag, left, right)
+        self._plan = [
+            (template.slices[i] if node.is_leaf else None, sequence[i],
+             *(node.children or (None, None)))
+            for i, node in enumerate(template.nodes)]
+
+        def chunk(rows):
+            return np.column_stack([self._features(X[rows]), dy[rows]])
+
+        self.factor = tsqr(self.m, width + 1, chunk)
+        if self.factor is not None:
+            self._rk = np.ascontiguousarray(self.factor[:, :-1])
+            self._ry = self.factor[:, -1]
+
+    def _features(self, x):
+        """The product features K of the rows ``x``, in the column order of
+        the z of :meth:`_forward`."""
+        blocks = []
+        for leaf, tag, l, r in self._plan:
+            if leaf is not None:
+                blocks.append(np.column_stack([ex.UNARY_RULES[tag][0](x),
+                                               np.ones(len(x))]))
+            elif tag == "mul":
+                blocks.append((blocks[l][:, :, None] * blocks[r][:, None, :])
+                              .reshape(len(x), -1))
+            else:
+                blocks.append(np.hstack([blocks[l], blocks[r]]))
+        return blocks[-1]
+
+    def _forward(self, theta):
+        """z of every node, post-order; the last is the root's."""
+        z = []
+        for leaf, tag, l, r in self._plan:
+            if leaf is not None:
+                z.append(theta[leaf])
+            elif tag == "mul":
+                z.append((z[l][:, None] * z[r]).ravel())
+            else:
+                right = -z[r] if tag == "sub" else z[r]
+                z.append(np.concatenate((z[l], right)))
+        return z
+
+    def _loss(self, z):
+        """The loss at the root's z, and R [dt z; -1]."""
+        rv = self.dt * (self._rk @ z) - self._ry
+        return float(rv @ rv) / self.m, rv
+
+    def loss(self, theta):
+        loss, _ = self._loss(self._forward(theta)[-1])
+        return loss if math.isfinite(loss) else float("inf")
+
+    def loss_and_grad(self, theta):
+        z = self._forward(theta)
+        loss, rv = self._loss(z[-1])
+        if not math.isfinite(loss):
+            return float("inf"), np.zeros(self.n_params)
+        adj = [None] * len(z)
+        adj[-1] = (2.0 * self.dt / self.m) * (rv @ self._rk)
+        grad = np.empty(self.n_params)
+        for i in reversed(range(len(z))):
+            leaf, tag, l, r = self._plan[i]
+            a = adj[i]
+            if leaf is not None:
+                grad[leaf] = a
+            elif tag == "mul":
+                a = a.reshape(z[l].size, z[r].size)
+                adj[l], adj[r] = a @ z[r], z[l] @ a
+            else:
+                n = z[l].size
+                adj[l], adj[r] = a[:n], -a[n:] if tag == "sub" else a[n:]
         return loss, grad
 
 

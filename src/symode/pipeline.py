@@ -77,10 +77,11 @@ def _search_all_components(data, cfg):
 def _in_forked_children(search, n, ctx):
     """``[search(0), ..., search(n - 1)]``, each call in its own forked
     child process, all started together. Each child sends its result, or
-    its exception, back through a one-way pipe. The first failure is raised
-    here: a child's exception with its type and message, or a
-    NumericalError when a child ended without sending anything. Every child
-    is stopped and reaped before this returns or raises."""
+    its exception, back through a one-way pipe. The failure of the
+    lowest-numbered failing component is raised here, whatever the order
+    the failures arrive in: a child's exception with its type and message,
+    or a NumericalError when a child ended without sending anything. Every
+    child is stopped and reaped before this returns or raises."""
     from multiprocessing.connection import wait
 
     children, pending = [], {}
@@ -93,23 +94,27 @@ def _in_forked_children(search, n, ctx):
             writer.close()
             children.append(child)
             pending[reader] = i
-        results = [None] * n
-        while pending:
-            for reader in wait(list(pending)):
+        results, failures = [None] * n, {}
+        # a component numbered below every failure so far can still fail
+        while waiting := [r for r, i in pending.items()
+                          if i < min(failures, default=n)]:
+            for reader in wait(waiting):
                 i = pending.pop(reader)
                 try:
                     result, error = reader.recv()
                 except EOFError:
                     children[i].join()
-                    raise NumericalError(
+                    failures[i] = NumericalError(
                         f"component {i}: the search process ended with exit "
-                        f"code {children[i].exitcode} and sent no result"
-                    ) from None
+                        f"code {children[i].exitcode} and sent no result")
+                    continue
                 finally:
                     reader.close()
                 if error is not None:
-                    raise _rebuild_exception(*error)
+                    failures[i] = _rebuild_exception(*error)
                 results[i] = result
+        if failures:
+            raise failures[min(failures)]
         for child in children:
             child.join()
         return results
@@ -442,10 +447,10 @@ def system_from_document(doc):
 
 def scale_from_document(doc):
     rec = doc.get("scale_record", {"mode": "none", "scale": 1.0})
-    scale = float(rec["scale"])
-    if not 0 < scale < math.inf:
+    scale = rec["scale"]
+    if not (_is_number(scale) and 0 < scale < math.inf):
         raise ValueError("scale_record.scale: expected a positive number")
-    return ScaleRecord(rec["mode"], scale)
+    return ScaleRecord(rec["mode"], float(scale))
 
 
 def dt_from_document(doc):

@@ -11,7 +11,8 @@ import numpy as np
 from . import expressions as ex
 from .controller import ControllerPolicy, policy_update, sample_sequences
 from .errors import NumericalError
-from .losses import EulerResidualObjective
+from .losses import (MAX_FACTOR_COLUMNS, EulerResidualObjective,
+                     FactoredResidualObjective, product_width, tsqr)
 from .optimize import (LR_FINETUNE, OptimConfig, minimize_first_order,
                        two_stage_minimize, uniform_init)
 
@@ -22,11 +23,6 @@ MAX_INIT_RETRIES = 3
 # tag's leaf features are columns of the closed-form fit.
 CONSTANT_TAGS = ("0", "1")
 FEATURE_TAGS = tuple(t for t in ex.UNARY_TAGS if t not in CONSTANT_TAGS)
-# Rows of [features | target] folded into the factor at a time. It bounds
-# the factor's memory and keeps each QR below the size at which OpenBLAS
-# hands it to worker threads (about 400 x 23 rows x columns on 2 cores);
-# there a 1,024-row QR took twice as long and its threads spun on after it.
-FACTOR_CHUNK_ROWS = 256
 
 
 def score_from_loss(loss):
@@ -164,26 +160,22 @@ def feature_factor(data, component):
 
     Phi holds every tag of ``FEATURE_TAGS`` applied to each state coordinate
     of the pooled sample pairs (tag-major columns) and then a ones column;
-    y is the Euler difference quotient of the component. R is built one
-    row chunk at a time, each chunk factored together with the R so far
-    (TSQR), so no M-row matrix is factored whole. For any column set S,
-    |Phi_S w - y| = |R_S w - R_y|, which is what lets every linear sequence
-    of a component search be solved from this one small matrix.
+    y is the Euler difference quotient of the component. R is built by
+    :func:`~symode.losses.tsqr`, so no M-row matrix is factored whole. For
+    any column set S, |Phi_S w - y| = |R_S w - R_y|, which is what lets
+    every linear sequence of a component search be solved from this one
+    small matrix.
     """
     X, X_next = data.stacked_pairs()
     y = (X_next[:, component] - X[:, component]) / data.dt
-    R = np.empty((0, len(FEATURE_TAGS) * data.dim + 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, X.shape[0], FACTOR_CHUNK_ROWS):
-            rows = slice(start, start + FACTOR_CHUNK_ROWS)
-            x = X[rows]
-            chunk = np.column_stack(
-                [ex.UNARY_RULES[tag][0](x) for tag in FEATURE_TAGS]
-                + [np.ones(x.shape[0]), y[rows]])
-            if not np.all(np.isfinite(chunk)):
-                return None
-            R = np.linalg.qr(np.vstack([R, chunk]), mode="r")
-    return R
+
+    def chunk(rows):
+        x = X[rows]
+        return np.column_stack(
+            [ex.UNARY_RULES[tag][0](x) for tag in FEATURE_TAGS]
+            + [np.ones(x.shape[0]), y[rows]])
+
+    return tsqr(X.shape[0], len(FEATURE_TAGS) * data.dim + 2, chunk)
 
 
 def _is_constant(template, sequence, i):
@@ -281,9 +273,12 @@ def score_sequence(sequence, template, data, component, optim, rng,
     retried up to three times before the sequence is written off with a
     score-0 sentinel. Given the component's :func:`feature_factor`, a
     sequence whose :func:`linear_form` exists takes its least-squares
-    minimum in closed form; every other sequence, and a closed form whose
-    loss is not finite, runs :func:`two_stage_minimize` from the start.
-    Numerical failures never propagate out of here.
+    minimum in closed form, and every other sequence runs
+    :func:`two_stage_minimize` on its :func:`_factored` objective where
+    there is one. Otherwise, and when a closed form's loss is not finite,
+    it runs on the direct objective. Every recorded loss is the direct
+    objective's at the recorded parameters. Numerical failures never
+    propagate out of here.
     """
     sequence = tuple(sequence)
     objective = EulerResidualObjective(template, sequence, data, component)
@@ -303,10 +298,36 @@ def score_sequence(sequence, template, data, component, optim, rng,
         if np.isfinite(loss):
             return ScoreRecord(sequence, score_from_loss(loss), loss, theta,
                                component, template)
-    result = two_stage_minimize(objective.loss_and_grad, theta0, optim)
-    loss = result.final_loss
+    fit = objective
+    if factor is not None and form is None:
+        fit = _factored(template, sequence, data, component, theta0) or fit
+    result = two_stage_minimize(fit.loss_and_grad, theta0, optim)
+    loss = objective.loss(result.final_params)
     return ScoreRecord(sequence, score_from_loss(loss), loss,
                        result.final_params, component, template)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _factored(template, sequence, data, component, start):
+    """The :class:`~symode.losses.FactoredResidualObjective` of a sequence,
+    or None when its product features are many or not finite, or its loss
+    at ``start`` is not finite.
+
+    Many is more than MAX_FACTOR_COLUMNS columns, the target's included: a
+    factor costs about the cube of its columns, and a wider one takes
+    longer to build than the direct calls of a fit save. On 2 cores, for
+    300 calls: ``abc`` at d = 3 (65 columns, M = 5,000) built in 21 ms and
+    saved 37 ms; ``ab`` at d = 5 (73 columns, M = 25,000) built in 157 ms
+    and saved 278 ms; ``abc`` at d = 5 (217 columns) took 1.1 s, against
+    0.30 s for the direct calls.
+    """
+    width = product_width(template, sequence)
+    if width is None or width + 1 > MAX_FACTOR_COLUMNS:
+        return None
+    objective = FactoredResidualObjective(template, sequence, data, component)
+    if objective.factor is None or not np.isfinite(objective.loss(start)):
+        return None
+    return objective
 
 
 @dataclass
@@ -324,7 +345,8 @@ def search_component(data, component, cfg: SearchConfig, rng):
     scores. After the last epoch each pool entry gets a slow first-order
     fine-tuning pass, which can only improve its recorded loss. A type2
     search factors the component's features once, for the closed-form fits
-    of its linear sequences.
+    of its linear sequences; its other sequences are fitted on their
+    factored objectives.
     """
     template = ex.build_template(cfg.template_for(component), data.dim)
     factor = (feature_factor(data, component) if template.kind == ex.TYPE2
@@ -355,18 +377,21 @@ def search_component(data, component, cfg: SearchConfig, rng):
 
 
 def _finetune_pool(pool, data, component, optim):
-    """Slow first-order pass over every pool entry; best-iterate tracking
-    guarantees the recorded loss never worsens."""
+    """Slow first-order pass over every pool entry, on its
+    :func:`_factored` objective where there is one. The entry takes the
+    result only when the direct loss there is no worse than its recorded
+    loss, so the recorded loss never worsens."""
     for record in pool.records():
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)
-        result = minimize_first_order(objective.loss_and_grad, record.params,
+        fit = _factored(record.template, record.sequence, data, component,
+                        record.params) or objective
+        result = minimize_first_order(fit.loss_and_grad, record.params,
                                       optim.t3_iters, LR_FINETUNE)
-        if result.final_loss <= record.loss:
-            pool.replace(replace(record,
-                                 params=result.final_params,
-                                 loss=result.final_loss,
-                                 score=score_from_loss(result.final_loss)))
+        loss = objective.loss(result.final_params)
+        if loss <= record.loss:
+            pool.replace(replace(record, params=result.final_params,
+                                 loss=loss, score=score_from_loss(loss)))
 
 
 class SystemModel:

@@ -1,8 +1,13 @@
+import json
+
 import hypothesis
 import numpy as np
 import pytest
 
 import symode as sm
+from symode.config import run_config_from_dict
+from symode.dataio import load_csv, normalize_series
+from symode.pipeline import generate_synthetic
 
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
@@ -31,6 +36,25 @@ def sir_dataset_offsimplex():
     params = sm.benchmark_params("sir")
     return sm.generate_trajectories("sir", params, 12, 80, 0.2, rng,
                                     normalize_init=False)
+
+
+@pytest.fixture(scope="session")
+def desk_sir_train(request):
+    """The training half of the desk SIR protocol's data (M = 5,000)."""
+    path = request.config.rootpath / "configs" / "synthetic_sir_desk.json"
+    cfg = run_config_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    train, _ = sm.train_test_split(generate_synthetic(cfg),
+                                   cfg.data.train_fraction)
+    return train
+
+
+@pytest.fixture(scope="session")
+def qdr_train(data_dir):
+    """The real-sample protocol's training window (85 days, M = 84)."""
+    raw = load_csv(data_dir / "covid_qdr_sample.csv")
+    normalized, _ = normalize_series(raw, "by_max_total")
+    return sm.TrajectoryDataset([normalized.trajectories[0][:85]], 1.0,
+                                raw.var_names)
 
 
 def random_sequence(template, rng):

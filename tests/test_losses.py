@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import symode as sm
 from symode import expressions as ex
 from symode.datasets import TrajectoryDataset
-from symode.losses import EulerResidualObjective
+from symode.losses import (QR_BUDGET, EulerResidualObjective,
+                           FactoredResidualObjective, product_width)
 
 from conftest import random_sequence
 
@@ -172,3 +173,123 @@ def test_loss_and_grad_runs_one_forward_pass(monkeypatch, sir_dataset):
     assert len(calls) == 1
     assert obj.loss(theta) == loss
     assert len(calls) == 2
+
+
+# the ab shape (l0 +- l1) * l3 and the ab+c shape (l0 * l1) +- l3, with
+# add and sub, a repeated tag and the constant leaves '0' and '1'
+AB = [("sin", "id", "add", "exp", "mul"),
+      ("square", "cube", "sub", "id", "mul"),
+      ("id", "id", "add", "sin", "mul"),
+      ("0", "id", "sub", "cos", "mul"),
+      ("1", "exp", "add", "square", "mul")]
+AB_PLUS_C = [("sin", "id", "mul", "exp", "add"),
+             ("id", "square", "mul", "quartic", "sub"),
+             ("cos", "cos", "mul", "1", "add"),
+             ("exp", "id", "mul", "0", "sub")]
+
+
+class TestFactoredResidualObjective:
+    @pytest.mark.parametrize("dataset", ["desk_sir_train", "qdr_train"])
+    @pytest.mark.parametrize("seq", AB + AB_PLUS_C)
+    def test_matches_direct_loss_and_finite_differences(self, request,
+                                                        dataset, seq):
+        data = request.getfixturevalue(dataset)
+        template = sm.build_template("type2", 3)
+        rng = np.random.default_rng(7)
+        h = 1e-6
+        for component in range(3):
+            direct = EulerResidualObjective(template, seq, data, component)
+            factored = FactoredResidualObjective(template, seq, data,
+                                                 component)
+            theta = rng.uniform(-1, 1, template.n_params)
+            loss, grad = factored.loss_and_grad(theta)
+            direct_loss, direct_grad = direct.loss_and_grad(theta)
+            assert loss == pytest.approx(direct_loss, rel=1e-12)
+            assert factored.loss(theta) == loss
+            fd = np.zeros_like(theta)
+            for k in range(theta.size):
+                up, down = theta.copy(), theta.copy()
+                up[k] += h
+                down[k] -= h
+                fd[k] = (factored.loss(up) - factored.loss(down)) / (2 * h)
+            scale = np.linalg.norm(direct_grad)
+            assert np.linalg.norm(grad - fd) <= 1e-5 * scale
+            assert np.linalg.norm(grad - direct_grad) <= 1e-10 * scale
+
+    def test_widths_follow_the_shapes(self):
+        for d in (1, 3, 5):
+            template = sm.build_template("type2", d)
+            assert product_width(template, AB[0]) == 2 * (d + 1) ** 2
+            assert product_width(template, AB_PLUS_C[0]) == (d + 1) ** 2 + d + 1
+            assert product_width(template, ("id", "id", "mul", "id",
+                                            "mul")) == (d + 1) ** 3
+            assert product_width(template, ("id",) * 2 + ("add", "id",
+                                                          "sub")) == 3 * (d + 1)
+
+    def test_interior_unary_node_is_refused(self, sir_dataset):
+        template = sm.build_template("type1", 3)
+        seq = ("id", "sin", "mul", "exp")
+        assert product_width(template, seq) is None
+        with pytest.raises(ValueError, match="interior unary node"):
+            FactoredResidualObjective(template, seq, sir_dataset, 0)
+
+    def test_non_finite_feature_has_no_factor(self):
+        data = TrajectoryDataset([np.linspace(1e80, 2e80, 6)[:, None]], 1.0,
+                                 ("x",))
+        template = sm.build_template("type2", 1)
+        factored = FactoredResidualObjective(
+            template, ("quartic", "id", "mul", "id", "add"), data, 0)
+        assert factored.factor is None
+
+    def test_non_finite_value_is_inf_sentinel(self, sir_dataset):
+        template = sm.build_template("type2", 3)
+        factored = FactoredResidualObjective(template, AB[0], sir_dataset, 0)
+        theta = np.full(template.n_params, 1e200)
+        # as inside a fit, where the minimizers silence the overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert factored.loss(theta) == float("inf")
+            loss, grad = factored.loss_and_grad(theta)
+        assert loss == float("inf")
+        assert np.array_equal(grad, np.zeros(template.n_params))
+
+    def test_each_call_is_independent_of_the_samples(self, monkeypatch,
+                                                     desk_sir_train):
+        # after the factor, no call reads an array with a row per sample
+        template = sm.build_template("type2", 3)
+        factored = FactoredResidualObjective(template, AB[0], desk_sir_train,
+                                             1)
+        assert factored.factor.shape == (33, 33)
+        monkeypatch.setattr(ex, "forward_pass", None)
+        monkeypatch.setattr(ex, "UNARY_RULES", None)
+        theta = np.linspace(-1, 1, template.n_params)
+        loss, _ = factored.loss_and_grad(theta)
+        assert np.isfinite(loss)
+
+
+def test_every_factor_qr_stays_within_the_budget(monkeypatch):
+    """No QR of a chunked factor, feature factor or factored objective,
+    wakes BLAS threads, at d = 3 and d = 5; the abc shape at d = 5 is too
+    wide for a factor and is fitted on the direct objective."""
+    import symode.search as search_mod
+
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    optim = sm.OptimConfig(t1_iters=3, t2_iters=3)
+    for model, d in (("sir", 3), ("seird", 5)):
+        data = sm.generate_trajectories(model, sm.benchmark_params(model), 4,
+                                        300, 0.2, np.random.default_rng(1))
+        template = sm.build_template("type2", d)
+        factor = search_mod.feature_factor(data, 0)
+        for seq in (AB[0], AB_PLUS_C[0], ("id", "sin", "mul", "cube", "mul")):
+            sm.score_sequence(seq, template, data, 0, optim,
+                              np.random.default_rng(0), factor)
+    assert max(rows * cols for rows, cols in shapes) <= QR_BUDGET
+    widths = {cols for _, cols in shapes}
+    # the feature factors, ab and ab+c at both d, abc at d = 3 only
+    assert widths == {23, 33, 21, 65, 37, 73, 43}

@@ -160,15 +160,46 @@ def deadline():
 def test_child_that_dies_is_reported_promptly_and_nothing_is_left(monkeypatch,
                                                                   deadline):
     # the last child: its pipe's write end is the one still open in the
-    # parent unless the parent closes it
+    # parent unless the parent closes it. The others finish, since a
+    # failure is raised only once no lower component can fail.
     def search(data, i, cfg, rng):
         if i == 2:
             os._exit(1)
-        time.sleep(60)
+        return i
 
     monkeypatch.setattr(pipeline, "search_component", search)
     start = time.monotonic()
     with pytest.raises(NumericalError, match=r"^component 2: .*exit code 1"):
         pipeline._search_all_components(SimpleNamespace(dim=3), fake_cfg())
     assert time.monotonic() - start < 20
+    assert multiprocessing.active_children() == []
+
+
+def test_lowest_failing_component_is_raised_whatever_the_arrival_order(
+        monkeypatch, deadline):
+    # component 2 fails first and component 0 last
+    def search(data, i, cfg, rng):
+        time.sleep(0.4 * (2 - i))
+        raise NumericalError(f"component {i}: planted")
+
+    monkeypatch.setattr(pipeline, "search_component", search)
+    with pytest.raises(NumericalError, match=r"^component 0: planted$"):
+        pipeline._search_all_components(SimpleNamespace(dim=3), fake_cfg())
+    assert multiprocessing.active_children() == []
+
+
+def test_failure_waits_for_lower_components_only(monkeypatch, deadline):
+    # component 1 fails at once; component 0 may still fail, so its result
+    # is awaited, but component 2 can no longer change the outcome
+    def search(data, i, cfg, rng):
+        if i == 1:
+            raise NumericalError("component 1: planted")
+        time.sleep(0.5 if i == 0 else 60)
+        return i
+
+    monkeypatch.setattr(pipeline, "search_component", search)
+    start = time.monotonic()
+    with pytest.raises(NumericalError, match=r"^component 1: planted$"):
+        pipeline._search_all_components(SimpleNamespace(dim=3), fake_cfg())
+    assert 0.5 <= time.monotonic() - start < 20
     assert multiprocessing.active_children() == []

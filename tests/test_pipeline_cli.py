@@ -194,7 +194,11 @@ BAD_RESULTS = {
         "scale_record: missing field 'mode'"),
     "bad_scale": (
         lambda doc: doc.update(scale_record={"mode": "none", "scale": "x"}),
-        "could not convert string to float: 'x'"),
+        "scale_record.scale: expected a positive number"),
+    "string_scale": (
+        lambda doc: doc.update(scale_record={"mode": "by_constant",
+                                             "scale": "100000"}),
+        "scale_record.scale: expected a positive number"),
     "negative_scale": (
         lambda doc: doc.update(scale_record={"mode": "by_constant",
                                              "scale": -1.0}),

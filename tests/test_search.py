@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -9,13 +8,10 @@ from hypothesis import strategies as st
 
 import symode as sm
 import symode.search as search_mod
-from symode.config import run_config_from_dict
-from symode.dataio import load_csv, normalize_series
 from symode.datasets import TrajectoryDataset
 from symode.errors import NumericalError
-from symode.losses import EulerResidualObjective
-from symode.optimize import uniform_init
-from symode.pipeline import generate_synthetic
+from symode.losses import EulerResidualObjective, FactoredResidualObjective
+from symode.optimize import OptimResult, uniform_init
 from symode.search import CandidatePool, ScoreRecord
 
 from conftest import random_sequence
@@ -182,25 +178,6 @@ def linear_sequences(template):
             if search_mod.linear_form(template, seq) is not None]
 
 
-@pytest.fixture(scope="module")
-def desk_sir_train(request):
-    """The training half of the desk SIR protocol's data (M = 5,000)."""
-    path = request.config.rootpath / "configs" / "synthetic_sir_desk.json"
-    cfg = run_config_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    train, _ = sm.train_test_split(generate_synthetic(cfg),
-                                   cfg.data.train_fraction)
-    return train
-
-
-@pytest.fixture(scope="module")
-def qdr_train(data_dir):
-    """The real-sample protocol's training window (85 days, M = 84)."""
-    raw = load_csv(data_dir / "covid_qdr_sample.csv")
-    normalized, _ = normalize_series(raw, "by_max_total")
-    return sm.TrajectoryDataset([normalized.trajectories[0][:85]], 1.0,
-                                raw.var_names)
-
-
 class TestClosedForm:
     def test_linear_rule_counts(self):
         linear = linear_sequences(sm.build_template("type2", 3))
@@ -259,6 +236,7 @@ class TestClosedForm:
                                                    t3_iters=2))
         monkeypatch.setattr(search_mod, "feature_factor", refuse)
         monkeypatch.setattr(search_mod, "_closed_form", refuse)
+        monkeypatch.setattr(search_mod, "FactoredResidualObjective", refuse)
         sm.search_component(sir_dataset, 2,
                             dataclasses.replace(cfg, templates="type1"),
                             component_rng(3, 2))
@@ -273,13 +251,16 @@ class TestClosedForm:
         factor = search_mod.feature_factor(sir_dataset, 1)
         record = sm.score_sequence(seq, template, sir_dataset, 1, optim,
                                    np.random.default_rng(5), factor)
-        # what the two-stage path alone gives from the first uniform draw
+        # what the two-stage path gives on the factored objective from the
+        # first uniform draw, its loss recomputed on the direct objective
         objective = EulerResidualObjective(template, seq, sir_dataset, 1)
+        factored = FactoredResidualObjective(template, seq, sir_dataset, 1)
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
-        result = sm.two_stage_minimize(objective.loss_and_grad, theta0, optim)
-        assert record.loss == result.final_loss
-        assert record.score == sm.score_from_loss(result.final_loss)
+        result = sm.two_stage_minimize(factored.loss_and_grad, theta0, optim)
         assert np.array_equal(record.params, result.final_params)
+        assert record.loss == objective.loss(result.final_params)
+        assert record.score == sm.score_from_loss(record.loss)
+        assert record.loss == pytest.approx(result.final_loss, rel=1e-12)
 
     def test_non_finite_feature_leaves_linear_sequence_two_stage(self):
         # the quartic feature of values near 1e80 is not finite, so there is
@@ -298,6 +279,98 @@ class TestClosedForm:
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
         result = sm.two_stage_minimize(objective.loss_and_grad, theta0, optim)
         assert np.isfinite(record.loss)
+        assert record.loss == result.final_loss
+        assert np.array_equal(record.params, result.final_params)
+
+
+class TestFactoredFits:
+    """Nonlinear type2 sequences are fitted, and every type2 pool entry is
+    fine-tuned, on the factored objective; every recorded loss is the
+    direct objective's."""
+
+    SEQUENCES = [("id", "0", "add", "0", "add"),        # linear
+                 ("id", "sin", "sub", "id", "mul"),     # ab
+                 ("square", "id", "mul", "cos", "add")]  # ab+c
+
+    def direct_loss(self, record, data):
+        return EulerResidualObjective(record.template, record.sequence, data,
+                                      record.component).loss(record.params)
+
+    @pytest.mark.parametrize("dataset", ["sir_dataset", "qdr_train"])
+    def test_every_recorded_loss_is_the_direct_loss(self, request, dataset):
+        data = request.getfixturevalue(dataset)
+        # a pool as large as the draws keeps every scored sequence
+        cfg = sm.SearchConfig(epochs=3, batch_size=10, pool_capacity=30,
+                              optim=sm.OptimConfig(t1_iters=30, t2_iters=20,
+                                                   t3_iters=10))
+        template = sm.build_template("type2", 3)
+        for component in range(3):
+            out = sm.search_component(data, component, cfg,
+                                      component_rng(1, component))
+            records = out.pool.records()
+            assert out.best is records[0]
+            assert any(search_mod.linear_form(template, r.sequence) is None
+                       for r in records)
+            for record in records:
+                assert self.direct_loss(record, data) == record.loss
+
+    def pool(self, data, optim):
+        template = sm.build_template("type2", 3)
+        factor = search_mod.feature_factor(data, 2)
+        pool = CandidatePool(len(self.SEQUENCES))
+        for k, seq in enumerate(self.SEQUENCES):
+            pool.insert(sm.score_sequence(seq, template, data, 2, optim,
+                                          np.random.default_rng(k), factor))
+        return pool
+
+    def test_finetune_runs_on_factored_objectives(self, sir_dataset,
+                                                  monkeypatch):
+        optim = sm.OptimConfig(t1_iters=20, t2_iters=10, t3_iters=20)
+        pool = self.pool(sir_dataset, optim)
+        before = {r.sequence: r.loss for r in pool.records()}
+        objectives = []
+        first_order = search_mod.minimize_first_order
+
+        def spy(fn, *args):
+            objectives.append(type(fn.__self__))
+            return first_order(fn, *args)
+
+        monkeypatch.setattr(search_mod, "minimize_first_order", spy)
+        search_mod._finetune_pool(pool, sir_dataset, 2, optim)
+        assert objectives == [FactoredResidualObjective] * 3
+        for record in pool.records():
+            assert record.loss <= before[record.sequence]
+            assert self.direct_loss(record, sir_dataset) == record.loss
+
+    def test_finetune_keeps_entries_whose_direct_loss_would_worsen(
+            self, sir_dataset, monkeypatch):
+        optim = sm.OptimConfig(t1_iters=20, t2_iters=10, t3_iters=20)
+        pool = self.pool(sir_dataset, optim)
+        before = [(r.loss, r.params.copy()) for r in pool.records()]
+
+        def claims_zero(fn, init, iters, lr):
+            return OptimResult(init + 0.5, 0.0, iters, converged=False)
+
+        monkeypatch.setattr(search_mod, "minimize_first_order", claims_zero)
+        search_mod._finetune_pool(pool, sir_dataset, 2, optim)
+        after = [(r.loss, r.params) for r in pool.records()]
+        for (loss, params), (new_loss, new_params) in zip(before, after):
+            assert new_loss == loss
+            assert np.array_equal(new_params, params)
+
+    def test_factored_loss_not_finite_at_start_is_a_direct_fit(
+            self, sir_dataset, monkeypatch):
+        monkeypatch.setattr(FactoredResidualObjective, "loss",
+                            lambda self, theta: float("inf"))
+        template = sm.build_template("type2", 3)
+        seq = self.SEQUENCES[1]
+        optim = sm.OptimConfig(t1_iters=30, t2_iters=20)
+        record = sm.score_sequence(seq, template, sir_dataset, 1, optim,
+                                   np.random.default_rng(5),
+                                   search_mod.feature_factor(sir_dataset, 1))
+        objective = EulerResidualObjective(template, seq, sir_dataset, 1)
+        theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
+        result = sm.two_stage_minimize(objective.loss_and_grad, theta0, optim)
         assert record.loss == result.final_loss
         assert np.array_equal(record.params, result.final_params)
 
