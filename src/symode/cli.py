@@ -4,7 +4,7 @@ Subcommands: ``generate`` (write synthetic trajectory CSV), ``search``
 (run the full pipeline), ``forecast`` (roll a saved system forward from
 new data), ``report`` (re-emit equations and MSE CSV from a results
 document). Exit codes: 0 success, 2 config error, 3 data error, 4
-numerical failure.
+numerical failure, running out of memory included.
 """
 
 from __future__ import annotations
@@ -152,6 +152,9 @@ def main(argv=None):
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 4
     return 0
 

@@ -79,14 +79,21 @@ def load_csv(path, dt=1.0, expected_columns=None):
     rows = _read_rows(path)
     first = rows[0][0].strip().lower()
     if first == "trajectory_id":
-        return load_trajectories_csv(path, dt, expected_columns)
+        return _trajectories(path, rows, dt, expected_columns)
     if first == "date":
-        return load_series_csv(path, dt, expected_columns)
+        return _series(path, rows, dt, expected_columns)
     raise MissingColumnError(path, "trajectory_id or date")
 
 
 def load_trajectories_csv(path, dt, expected_columns=None):
-    rows = _read_rows(path)
+    return _trajectories(path, _read_rows(path), dt, expected_columns)
+
+
+def load_series_csv(path, dt=1.0, expected_columns=None):
+    return _series(path, _read_rows(path), dt, expected_columns)
+
+
+def _trajectories(path, rows, dt, expected_columns):
     header = [h.strip() for h in rows[0]]
     if len(header) < 3 or header[0] != "trajectory_id" or header[1] != "step":
         raise MissingColumnError(path, "trajectory_id,step,<vars>")
@@ -121,8 +128,7 @@ def load_trajectories_csv(path, dt, expected_columns=None):
     return _dataset(trajectories, dt, var_names, order)
 
 
-def load_series_csv(path, dt=1.0, expected_columns=None):
-    rows = _read_rows(path)
+def _series(path, rows, dt, expected_columns):
     header = [h.strip() for h in rows[0]]
     if len(header) < 2 or header[0] != "date":
         raise MissingColumnError(path, "date")

@@ -87,25 +87,24 @@ QR_BUDGET = 8192
 MAX_FACTOR_COLUMNS = 73
 
 
-def tsqr(n_rows, n_cols, chunk):
-    """R of the QR factorization of the ``n_rows`` x ``n_cols`` matrix
-    whose rows ``s`` are ``chunk(s)`` for a slice ``s``, or None when an
-    entry is not finite.
+def tsqr(A):
+    """R of the QR factorization of ``A``, or None when an entry is not
+    finite.
 
     The rows are folded in one chunk at a time, each factored together with
-    the R so far (TSQR), so no M-row matrix is factored whole. For any w,
-    |A w| = |R w|.
+    the R so far (TSQR), as many rows as keep [R; chunk] within QR_BUDGET
+    entries. So no QR sees the whole matrix, and R has the same bits with
+    one BLAS thread or many. For any w, |A w| = |R w|.
     """
-    # as many rows as keep [R; chunk] within QR_BUDGET entries, and at least
-    # half the columns (a feature factor of very many states exceeds it)
+    if not np.all(np.isfinite(A)):
+        return None
+    n_rows, n_cols = A.shape
+    # at least half the columns: a feature factor of very many states
+    # exceeds the budget
     step = max(QR_BUDGET // n_cols - n_cols, n_cols // 2)
     R = np.empty((0, n_cols))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_rows, step):
-            block = chunk(slice(start, start + step))
-            if not np.all(np.isfinite(block)):
-                return None
-            R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    for start in range(0, n_rows, step):
+        R = np.linalg.qr(np.vstack([R, A[start:start + step]]), mode="r")
     return R
 
 
@@ -139,8 +138,7 @@ class FactoredResidualObjective:
     """
 
     def __init__(self, template, sequence, data, component):
-        width = product_width(template, sequence)
-        if width is None:
+        if product_width(template, sequence) is None:
             raise ValueError("sequence has an interior unary node")
         ex.validate_sequence(template, sequence)
         self.dt = data.dt
@@ -153,11 +151,8 @@ class FactoredResidualObjective:
             (template.slices[i] if node.is_leaf else None, sequence[i],
              *(node.children or (None, None)))
             for i, node in enumerate(template.nodes)]
-
-        def chunk(rows):
-            return np.column_stack([self._features(X[rows]), dy[rows]])
-
-        self.factor = tsqr(self.m, width + 1, chunk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.factor = tsqr(np.column_stack([self._features(X), dy]))
         if self.factor is not None:
             self._rk = np.ascontiguousarray(self.factor[:, :-1])
             self._ry = self.factor[:, -1]

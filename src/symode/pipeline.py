@@ -77,14 +77,14 @@ def _search_all_components(data, cfg):
 def _in_forked_children(search, n, ctx):
     """``[search(0), ..., search(n - 1)]``, each call in its own forked
     child process, all started together. Each child sends its result, or
-    its exception, back through a one-way pipe. The failure of the
-    lowest-numbered failing component is raised here, whatever the order
-    the failures arrive in: a child's exception with its type and message,
-    or a NumericalError when a child ended without sending anything. Every
-    child is stopped and reaped before this returns or raises."""
-    from multiprocessing.connection import wait
-
-    children, pending = [], {}
+    its exception, back through a one-way pipe, and the pipes are read in
+    component order. The first failure read is raised: a child's exception
+    with its type and message, or a NumericalError when a child ended
+    without sending anything. So the failure of the lowest-numbered
+    failing component is raised, whatever the order the failures happen
+    in, and no component above it is awaited. Every child is stopped and
+    reaped before this returns or raises."""
+    children, readers = [], []
     try:
         for i in range(n):
             reader, writer = ctx.Pipe(duplex=False)
@@ -93,28 +93,19 @@ def _in_forked_children(search, n, ctx):
             # only the child holds the write end now, so its exit is EOF
             writer.close()
             children.append(child)
-            pending[reader] = i
-        results, failures = [None] * n, {}
-        # a component numbered below every failure so far can still fail
-        while waiting := [r for r, i in pending.items()
-                          if i < min(failures, default=n)]:
-            for reader in wait(waiting):
-                i = pending.pop(reader)
-                try:
-                    result, error = reader.recv()
-                except EOFError:
-                    children[i].join()
-                    failures[i] = NumericalError(
-                        f"component {i}: the search process ended with exit "
-                        f"code {children[i].exitcode} and sent no result")
-                    continue
-                finally:
-                    reader.close()
-                if error is not None:
-                    failures[i] = _rebuild_exception(*error)
-                results[i] = result
-        if failures:
-            raise failures[min(failures)]
+            readers.append(reader)
+        results = []
+        for i, (child, reader) in enumerate(zip(children, readers)):
+            try:
+                result, error = reader.recv()
+            except EOFError:
+                child.join()
+                raise NumericalError(
+                    f"component {i}: the search process ended with exit "
+                    f"code {child.exitcode} and sent no result") from None
+            if error is not None:
+                raise _rebuild_exception(*error)
+            results.append(result)
         for child in children:
             child.join()
         return results
@@ -123,7 +114,7 @@ def _in_forked_children(search, n, ctx):
             if child.is_alive():
                 child.terminate()
             child.join()
-        for reader in pending:
+        for reader in readers:
             reader.close()
 
 

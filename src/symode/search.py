@@ -134,15 +134,6 @@ class CandidatePool:
             del self._entries[evict]
         return key in self._entries
 
-    def replace(self, record):
-        """Swap in an improved record for an existing sequence, keeping its
-        original arrival order."""
-        key = record.sequence
-        if key not in self._entries:
-            raise KeyError(f"sequence {key} not in pool")
-        _, arrival = self._entries[key]
-        self._entries[key] = (record, arrival)
-
     def records(self):
         """Entries ordered best-first."""
         ranked = sorted(self._entries.values(),
@@ -154,6 +145,7 @@ class CandidatePool:
         return recs[0] if recs else None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def feature_factor(data, component):
     """R of the QR factorization of [Phi | y] for one component, or None
     when a feature is not finite.
@@ -161,21 +153,16 @@ def feature_factor(data, component):
     Phi holds every tag of ``FEATURE_TAGS`` applied to each state coordinate
     of the pooled sample pairs (tag-major columns) and then a ones column;
     y is the Euler difference quotient of the component. R is built by
-    :func:`~symode.losses.tsqr`, so no M-row matrix is factored whole. For
+    :func:`~symode.losses.tsqr`, so no QR sees all M rows at once. For
     any column set S, |Phi_S w - y| = |R_S w - R_y|, which is what lets
     every linear sequence of a component search be solved from this one
     small matrix.
     """
     X, X_next = data.stacked_pairs()
     y = (X_next[:, component] - X[:, component]) / data.dt
-
-    def chunk(rows):
-        x = X[rows]
-        return np.column_stack(
-            [ex.UNARY_RULES[tag][0](x) for tag in FEATURE_TAGS]
-            + [np.ones(x.shape[0]), y[rows]])
-
-    return tsqr(X.shape[0], len(FEATURE_TAGS) * data.dim + 2, chunk)
+    return tsqr(np.column_stack([ex.UNARY_RULES[tag][0](X)
+                                 for tag in FEATURE_TAGS]
+                                + [np.ones(X.shape[0]), y]))
 
 
 def _is_constant(template, sequence, i):
@@ -215,6 +202,13 @@ def linear_form(template, sequence):
         return walk(l, sign) and walk(r, -sign if sequence[i] == "sub" else sign)
 
     return (terms, units) if walk(template.n_slots - 1, 1.0) else None
+
+
+def _closed_form_route(factor, template, sequence):
+    """The :func:`linear_form` of a sequence that a search holding the
+    feature ``factor`` solves in closed form; None for a sequence it fits
+    in two stages."""
+    return None if factor is None else linear_form(template, sequence)
 
 
 def _set_one(template, sequence, theta, i):
@@ -271,14 +265,14 @@ def score_sequence(sequence, template, data, component, optim, rng,
 
     Parameters start uniform on [-1, 1]; a non-finite starting loss is
     retried up to three times before the sequence is written off with a
-    score-0 sentinel. Given the component's :func:`feature_factor`, a
-    sequence whose :func:`linear_form` exists takes its least-squares
-    minimum in closed form, and every other sequence runs
-    :func:`two_stage_minimize` on its :func:`_factored` objective where
-    there is one. Otherwise, and when a closed form's loss is not finite,
-    it runs on the direct objective. Every recorded loss is the direct
-    objective's at the recorded parameters. Numerical failures never
-    propagate out of here.
+    score-0 sentinel. The route follows from the sequence alone: given the
+    component's :func:`feature_factor`, a sequence whose
+    :func:`linear_form` exists takes its least-squares minimum in closed
+    form. Every other sequence, and a closed form whose loss is not
+    finite, runs :func:`two_stage_minimize` on its :func:`_factored`
+    objective where there is one, and on the direct objective otherwise.
+    Every recorded loss is the direct objective's at the recorded
+    parameters. Numerical failures never propagate out of here.
     """
     sequence = tuple(sequence)
     objective = EulerResidualObjective(template, sequence, data, component)
@@ -291,16 +285,14 @@ def score_sequence(sequence, template, data, component, optim, rng,
     if theta0 is None:
         return ScoreRecord(sequence, 0.0, float("inf"),
                            np.zeros(objective.n_params), component, template)
-    form = None if factor is None else linear_form(template, sequence)
+    form = _closed_form_route(factor, template, sequence)
     if form is not None:
         theta = _closed_form(factor, template, sequence, form)
         loss = objective.loss(theta)
         if np.isfinite(loss):
             return ScoreRecord(sequence, score_from_loss(loss), loss, theta,
                                component, template)
-    fit = objective
-    if factor is not None and form is None:
-        fit = _factored(template, sequence, data, component, theta0) or fit
+    fit = _factored(template, sequence, data, component, theta0) or objective
     result = two_stage_minimize(fit.loss_and_grad, theta0, optim)
     loss = objective.loss(result.final_params)
     return ScoreRecord(sequence, score_from_loss(loss), loss,
@@ -342,11 +334,11 @@ def search_component(data, component, cfg: SearchConfig, rng):
 
     Every epoch: sample a batch, score each distinct sequence once, insert
     the records into the pool, then update the controller on the batch
-    scores. After the last epoch each pool entry gets a slow first-order
-    fine-tuning pass, which can only improve its recorded loss. A type2
-    search factors the component's features once, for the closed-form fits
-    of its linear sequences; its other sequences are fitted on their
-    factored objectives.
+    scores. After the last epoch each pool entry fitted in two stages gets
+    a slow first-order fine-tuning pass, which can only improve its
+    recorded loss. A type2 search factors the component's features once,
+    for the closed-form fits of its linear sequences; :func:`score_sequence`
+    and the fine-tune route every sequence by that one factor.
     """
     template = ex.build_template(cfg.template_for(component), data.dim)
     factor = (feature_factor(data, component) if template.kind == ex.TYPE2
@@ -368,7 +360,7 @@ def search_component(data, component, cfg: SearchConfig, rng):
         batch.scores = scores
         policy_update(policy, batch, cfg.nu)
         history.append(float(scores.max()))
-    _finetune_pool(pool, data, component, cfg.optim)
+    _finetune_pool(pool, data, component, cfg.optim, factor)
     best = pool.best()
     if best is None:
         raise NumericalError(
@@ -376,12 +368,17 @@ def search_component(data, component, cfg: SearchConfig, rng):
     return SearchOutcome(best, pool, history)
 
 
-def _finetune_pool(pool, data, component, optim):
-    """Slow first-order pass over every pool entry, on its
-    :func:`_factored` objective where there is one. The entry takes the
-    result only when the direct loss there is no worse than its recorded
+def _finetune_pool(pool, data, component, optim, factor):
+    """Slow first-order pass over the pool entries that
+    :func:`score_sequence` fits in two stages, on the same objective; an
+    entry with a closed form under the search's feature ``factor`` already
+    sits at its least-squares minimum and is skipped. Each result is
+    offered back to the pool, which keeps the record with the lower direct
     loss, so the recorded loss never worsens."""
     for record in pool.records():
+        if _closed_form_route(factor, record.template,
+                              record.sequence) is not None:
+            continue
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)
         fit = _factored(record.template, record.sequence, data, component,
@@ -389,9 +386,8 @@ def _finetune_pool(pool, data, component, optim):
         result = minimize_first_order(fit.loss_and_grad, record.params,
                                       optim.t3_iters, LR_FINETUNE)
         loss = objective.loss(result.final_params)
-        if loss <= record.loss:
-            pool.replace(replace(record, params=result.final_params,
-                                 loss=loss, score=score_from_loss(loss)))
+        pool.insert(replace(record, params=result.final_params, loss=loss,
+                            score=score_from_loss(loss)))
 
 
 class SystemModel:

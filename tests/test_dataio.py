@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symode import dataio
 from symode.dataio import (ScaleRecord, load_csv, load_series_csv,
                            load_trajectories_csv, normalize_series,
                            save_trajectories_csv)
@@ -127,6 +128,23 @@ class TestTrajectoryRoundTrip:
         save_trajectories_csv(path, sir_dataset)
         direct = load_trajectories_csv(path, sir_dataset.dt)
         assert direct.var_names == sir_dataset.var_names
+
+    @pytest.mark.parametrize("layout", ["trajectories", "series"])
+    def test_file_is_read_once(self, tmp_path, sir_dataset, monkeypatch,
+                               layout):
+        if layout == "series":
+            path = write(tmp_path, "series.csv", SERIES_CSV)
+        else:
+            path = save_trajectories_csv(tmp_path / "traj.csv", sir_dataset)
+        reads, read_rows = [], dataio._read_rows
+
+        def counting(path):
+            reads.append(path)
+            return read_rows(path)
+
+        monkeypatch.setattr(dataio, "_read_rows", counting)
+        load_csv(path)
+        assert reads == [path]
 
     def test_unknown_header_rejected(self, tmp_path):
         path = write(tmp_path, "odd.csv", "foo,bar\n1,2\n")

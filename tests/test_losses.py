@@ -7,7 +7,7 @@ import symode as sm
 from symode import expressions as ex
 from symode.datasets import TrajectoryDataset
 from symode.losses import (QR_BUDGET, EulerResidualObjective,
-                           FactoredResidualObjective, product_width)
+                           FactoredResidualObjective, product_width, tsqr)
 
 from conftest import random_sequence
 
@@ -264,6 +264,17 @@ class TestFactoredResidualObjective:
         theta = np.linspace(-1, 1, template.n_params)
         loss, _ = factored.loss_and_grad(theta)
         assert np.isfinite(loss)
+
+
+def test_tsqr_gives_the_gram_matrix_and_rejects_non_finite():
+    A = np.random.default_rng(3).standard_normal((1000, 20))
+    R = tsqr(A)
+    assert R.shape == (20, 20)
+    gram = A.T @ A
+    # relative to the whole matrix: entries near 0 carry its rounding too
+    assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
+    A[517, 4] = np.nan
+    assert tsqr(A) is None
 
 
 def test_every_factor_qr_stays_within_the_budget(monkeypatch):

@@ -203,3 +203,19 @@ def test_failure_waits_for_lower_components_only(monkeypatch, deadline):
         pipeline._search_all_components(SimpleNamespace(dim=3), fake_cfg())
     assert 0.5 <= time.monotonic() - start < 20
     assert multiprocessing.active_children() == []
+
+
+def test_results_larger_than_a_pipe_come_back_in_order(monkeypatch, deadline):
+    # each result overfills its pipe, so a child blocks in send until the
+    # parent reads it; component 2 finishes first and waits the longest
+    def search(data, i, cfg, rng):
+        time.sleep(0.3 * (2 - i))
+        return np.full(200_000, float(i))      # 1.6 MB
+
+    monkeypatch.setattr(pipeline, "search_component", search)
+    results = pipeline._search_all_components(SimpleNamespace(dim=3),
+                                              fake_cfg())
+    assert [r.nbytes for r in results] == [1_600_000] * 3
+    for i, result in enumerate(results):
+        assert np.array_equal(result, np.full(200_000, float(i)))
+    assert multiprocessing.active_children() == []

@@ -642,3 +642,25 @@ class TestCli:
                      "--out", str(tmp_path / "fc")]) == 2
         assert capsys.readouterr().err == "config error: --steps: must be >= 1\n"
         assert not (tmp_path / "fc").exists()
+
+    # 1e13 steps, so no overcommit grants the allocation
+    @pytest.mark.parametrize("command", ["generate", "search", "forecast"])
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, sample_csv,
+                                     command):
+        steps = 10_000_000_000_000
+        if command == "forecast":
+            path = self._results_file(tmp_path, lambda doc: None)
+            argv = ["forecast", "--results", str(path), "--data",
+                    str(sample_csv), "--steps", str(steps)]
+        else:
+            doc = tiny_synthetic_doc()
+            doc["data"]["steps"] = steps
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = [command, "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: out of memory: Unable to "
+                              "allocate ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()

@@ -264,7 +264,8 @@ class TestClosedForm:
 
     def test_non_finite_feature_leaves_linear_sequence_two_stage(self):
         # the quartic feature of values near 1e80 is not finite, so there is
-        # no factor, and a linear sequence is fitted like any other
+        # no factor, and a linear sequence is fitted like any other: in two
+        # stages on its own factored objective
         data = TrajectoryDataset([np.linspace(1e80, 2e80, 6)[:, None]], 1.0,
                                  ("x",))
         template = sm.build_template("type2", 1)
@@ -276,17 +277,40 @@ class TestClosedForm:
         record = sm.score_sequence(seq, template, data, 0, optim,
                                    np.random.default_rng(5), factor)
         objective = EulerResidualObjective(template, seq, data, 0)
+        factored = FactoredResidualObjective(template, seq, data, 0)
+        assert factored.factor is not None
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
-        result = sm.two_stage_minimize(objective.loss_and_grad, theta0, optim)
+        result = sm.two_stage_minimize(factored.loss_and_grad, theta0, optim)
         assert np.isfinite(record.loss)
-        assert record.loss == result.final_loss
+        assert record.loss == objective.loss(result.final_params)
         assert np.array_equal(record.params, result.final_params)
+
+    def test_nonlinear_sequence_without_factor_fits_factored(
+            self, sir_dataset, monkeypatch):
+        # the route follows from the sequence: no feature factor leaves a
+        # nonlinear sequence on its factored objective all the same
+        fitted = []
+        two_stage = search_mod.two_stage_minimize
+
+        def spy(fn, *args):
+            fitted.append(type(fn.__self__))
+            return two_stage(fn, *args)
+
+        monkeypatch.setattr(search_mod, "two_stage_minimize", spy)
+        template = sm.build_template("type2", 3)
+        seq = ("sin", "id", "mul", "exp", "add")
+        optim = sm.OptimConfig(t1_iters=30, t2_iters=20)
+        record = sm.score_sequence(seq, template, sir_dataset, 1, optim,
+                                   np.random.default_rng(5), None)
+        assert fitted == [FactoredResidualObjective]
+        objective = EulerResidualObjective(template, seq, sir_dataset, 1)
+        assert record.loss == objective.loss(record.params)
 
 
 class TestFactoredFits:
-    """Nonlinear type2 sequences are fitted, and every type2 pool entry is
-    fine-tuned, on the factored objective; every recorded loss is the
-    direct objective's."""
+    """Nonlinear type2 sequences are fitted, and fine-tuned in the pool, on
+    the factored objective; entries with a closed form are not fine-tuned;
+    every recorded loss is the direct objective's."""
 
     SEQUENCES = [("id", "0", "add", "0", "add"),        # linear
                  ("id", "sin", "sub", "id", "mul"),     # ab
@@ -321,12 +345,12 @@ class TestFactoredFits:
         for k, seq in enumerate(self.SEQUENCES):
             pool.insert(sm.score_sequence(seq, template, data, 2, optim,
                                           np.random.default_rng(k), factor))
-        return pool
+        return pool, factor
 
     def test_finetune_runs_on_factored_objectives(self, sir_dataset,
                                                   monkeypatch):
         optim = sm.OptimConfig(t1_iters=20, t2_iters=10, t3_iters=20)
-        pool = self.pool(sir_dataset, optim)
+        pool, factor = self.pool(sir_dataset, optim)
         before = {r.sequence: r.loss for r in pool.records()}
         objectives = []
         first_order = search_mod.minimize_first_order
@@ -336,8 +360,9 @@ class TestFactoredFits:
             return first_order(fn, *args)
 
         monkeypatch.setattr(search_mod, "minimize_first_order", spy)
-        search_mod._finetune_pool(pool, sir_dataset, 2, optim)
-        assert objectives == [FactoredResidualObjective] * 3
+        search_mod._finetune_pool(pool, sir_dataset, 2, optim, factor)
+        # the linear sequence has a closed form and is not fine-tuned
+        assert objectives == [FactoredResidualObjective] * 2
         for record in pool.records():
             assert record.loss <= before[record.sequence]
             assert self.direct_loss(record, sir_dataset) == record.loss
@@ -345,14 +370,14 @@ class TestFactoredFits:
     def test_finetune_keeps_entries_whose_direct_loss_would_worsen(
             self, sir_dataset, monkeypatch):
         optim = sm.OptimConfig(t1_iters=20, t2_iters=10, t3_iters=20)
-        pool = self.pool(sir_dataset, optim)
+        pool, factor = self.pool(sir_dataset, optim)
         before = [(r.loss, r.params.copy()) for r in pool.records()]
 
         def claims_zero(fn, init, iters, lr):
             return OptimResult(init + 0.5, 0.0, iters, converged=False)
 
         monkeypatch.setattr(search_mod, "minimize_first_order", claims_zero)
-        search_mod._finetune_pool(pool, sir_dataset, 2, optim)
+        search_mod._finetune_pool(pool, sir_dataset, 2, optim, factor)
         after = [(r.loss, r.params) for r in pool.records()]
         for (loss, params), (new_loss, new_params) in zip(before, after):
             assert new_loss == loss
@@ -373,6 +398,52 @@ class TestFactoredFits:
         result = sm.two_stage_minimize(objective.loss_and_grad, theta0, optim)
         assert record.loss == result.final_loss
         assert np.array_equal(record.params, result.final_params)
+
+
+class TestFinetuneRoute:
+    @pytest.mark.parametrize("dataset", ["desk_sir_train", "qdr_train"])
+    def test_only_two_stage_entries_are_fine_tuned(self, request, dataset,
+                                                   monkeypatch):
+        data = request.getfixturevalue(dataset)
+        cfg = sm.SearchConfig(epochs=3, batch_size=10, pool_capacity=30,
+                              optim=sm.OptimConfig(t1_iters=20, t2_iters=10,
+                                                   t3_iters=5))
+        starts, before = [], {}
+        first_order = search_mod.minimize_first_order
+        finetune = search_mod._finetune_pool
+
+        def spy(fn, init, *args):
+            starts.append(init.tobytes())
+            return first_order(fn, init, *args)
+
+        def snapshot(pool, *args):
+            before.update({r.sequence: (r.params.tobytes(), r.loss)
+                           for r in pool.records()})
+            return finetune(pool, *args)
+
+        monkeypatch.setattr(search_mod, "minimize_first_order", spy)
+        monkeypatch.setattr(search_mod, "_finetune_pool", snapshot)
+        template = sm.build_template("type2", 3)
+        n_closed = n_two_stage = 0
+        for component in range(3):
+            starts.clear()
+            before.clear()
+            assert search_mod.feature_factor(data, component) is not None
+            out = sm.search_component(data, component, cfg,
+                                      component_rng(1, component))
+            closed = {seq for seq in before
+                      if search_mod.linear_form(template, seq) is not None}
+            two_stage = [params for seq, (params, _) in before.items()
+                         if seq not in closed]
+            assert sorted(starts) == sorted(two_stage)
+            after = {r.sequence: r for r in out.pool.records()}
+            for seq in closed:
+                params, loss = before[seq]
+                assert after[seq].params.tobytes() == params
+                assert after[seq].loss == loss
+            n_closed += len(closed)
+            n_two_stage += len(two_stage)
+        assert n_closed > 0 and n_two_stage > 0
 
 
 class TestSearchComponent:
@@ -422,7 +493,7 @@ class TestSearchComponent:
             batch.scores = scores
             sm.policy_update(policy, batch, cfg.nu)
         before = {r.sequence: r.loss for r in pool.records()}
-        search_mod._finetune_pool(pool, sir_dataset, 2, cfg.optim)
+        search_mod._finetune_pool(pool, sir_dataset, 2, cfg.optim, None)
         for rec in pool.records():
             assert rec.loss <= before[rec.sequence] + 1e-18
 
