@@ -82,8 +82,14 @@ class EulerResidualObjective:
 # with one thread, and four times the CPU. Every QR of a chunked factor
 # stays within it, so its bits do not depend on the thread count either.
 QR_BUDGET = 8192
-# The widest factored objective: past it a chunk within QR_BUDGET holds
-# fewer rows than half the columns, and re-factoring R dominates the work.
+# The widest factored objective, the target's column included: past it a
+# chunk within QR_BUDGET holds fewer rows than half the columns, and a
+# factor, which costs about the cube of its columns, takes longer to build
+# than the direct calls of a fit save. On 2 cores, for 300 calls: ``abc``
+# at d = 3 (65 columns, M = 5,000) built in 21 ms and saved 37 ms; ``ab``
+# at d = 5 (73 columns, M = 25,000) built in 157 ms and saved 278 ms;
+# ``abc`` at d = 5 (217 columns) took 1.1 s, against 0.30 s for the direct
+# calls.
 MAX_FACTOR_COLUMNS = 73
 
 
@@ -126,48 +132,50 @@ def product_width(template, sequence):
 
 
 class FactoredResidualObjective:
-    """The loss and gradient of :class:`EulerResidualObjective`, for a
-    sequence with a :func:`product_width`, evaluated from the R factor of
-    [K | dy] built once (``factor`` is None when an entry is not finite).
+    """The loss and gradient of an :class:`EulerResidualObjective`,
+    evaluated from the R factor of [K | dy], which is built once from that
+    objective's leaf operator values and ``dy``.
 
-    A call forms z(theta) leaf by leaf, takes R [dt z; -1], and sweeps the
-    nodes in reverse for the gradient, on vectors of at most the product
-    width; its cost does not depend on the number of samples. A value that
-    is not finite gives the +inf sentinel; callers silence the overflow
-    warning with ``np.errstate``, as the minimizers do.
+    ``factor`` is None when the sequence has no :func:`product_width`, when
+    that width and the ``dy`` column exceed MAX_FACTOR_COLUMNS, or when an
+    entry is not finite. A call forms z(theta) leaf by leaf, takes
+    R [dt z; -1], and sweeps the nodes in reverse for the gradient, on
+    vectors of at most the product width; its cost does not depend on the
+    number of samples. A value that is not finite gives the +inf sentinel;
+    callers silence the overflow warning with ``np.errstate``, as the
+    minimizers do.
     """
 
-    def __init__(self, template, sequence, data, component):
-        if product_width(template, sequence) is None:
-            raise ValueError("sequence has an interior unary node")
-        ex.validate_sequence(template, sequence)
-        self.dt = data.dt
-        X, X_next = data.stacked_pairs()
-        dy = X_next[:, component] - X[:, component]
-        self.m = X.shape[0]
-        self.n_params = template.n_params
+    def __init__(self, objective):
+        template, sequence = objective.template, objective.sequence
+        self.dt, self.m = objective.dt, objective.m
+        self.n_params = objective.n_params
+        self.factor = None
+        width = product_width(template, sequence)
+        if width is None or width + 1 > MAX_FACTOR_COLUMNS:
+            return
         # per node: (leaf parameter slice or None, tag, left, right)
         self._plan = [
             (template.slices[i] if node.is_leaf else None, sequence[i],
              *(node.children or (None, None)))
             for i, node in enumerate(template.nodes)]
         with np.errstate(over="ignore", invalid="ignore"):
-            self.factor = tsqr(np.column_stack([self._features(X), dy]))
+            self.factor = tsqr(np.column_stack(
+                [self._features(objective._leaves), objective.dy]))
         if self.factor is not None:
             self._rk = np.ascontiguousarray(self.factor[:, :-1])
             self._ry = self.factor[:, -1]
 
-    def _features(self, x):
-        """The product features K of the rows ``x``, in the column order of
-        the z of :meth:`_forward`."""
+    def _features(self, leaves):
+        """The product features K of the leaf operator values ``leaves``,
+        in the column order of the z of :meth:`_forward`."""
         blocks = []
-        for leaf, tag, l, r in self._plan:
+        for i, (leaf, tag, l, r) in enumerate(self._plan):
             if leaf is not None:
-                blocks.append(np.column_stack([ex.UNARY_RULES[tag][0](x),
-                                               np.ones(len(x))]))
+                blocks.append(np.column_stack([leaves[i], np.ones(self.m)]))
             elif tag == "mul":
                 blocks.append((blocks[l][:, :, None] * blocks[r][:, None, :])
-                              .reshape(len(x), -1))
+                              .reshape(self.m, -1))
             else:
                 blocks.append(np.hstack([blocks[l], blocks[r]]))
         return blocks[-1]

@@ -357,6 +357,15 @@ def _check_values(doc):
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
             and len(names) == len(set(names)) == d):
         raise ValueError(f"var_names: expected a list of {d} distinct strings")
+    for k, comp in enumerate(doc["components"]):
+        for key in ("name", "symbolic"):
+            if not isinstance(comp[key], str):
+                raise ValueError(f"components[{k}].{key}: expected a string")
+        coefficients = comp["coefficients"]
+        if not (isinstance(coefficients, list)
+                and all(map(_is_number, coefficients))):
+            raise ValueError(f"components[{k}].coefficients: expected a "
+                             "list of numbers")
     mse = doc["metrics"]["per_step_mse"]
     if not isinstance(mse, list) or not all(map(_is_number, mse)):
         raise ValueError("metrics.per_step_mse: expected a list of numbers")
@@ -407,6 +416,8 @@ def load_results(path):
         for section, keys in _RESULTS_FIELDS.items():
             if section in doc:
                 _check_keys(doc[section], keys, f"{section}: ")
+        if not (isinstance(doc["components"], list) and doc["components"]):
+            raise ValueError("components: expected a non-empty list")
         for k, comp in enumerate(doc["components"]):
             _check_keys(comp, _COMPONENT_FIELDS, f"components[{k}]: ")
             if not (_is_int(comp["component"]) and comp["component"] == k):

@@ -11,8 +11,8 @@ import numpy as np
 from . import expressions as ex
 from .controller import ControllerPolicy, policy_update, sample_sequences
 from .errors import NumericalError
-from .losses import (MAX_FACTOR_COLUMNS, EulerResidualObjective,
-                     FactoredResidualObjective, product_width, tsqr)
+from .losses import (EulerResidualObjective, FactoredResidualObjective,
+                     tsqr)
 from .optimize import (LR_FINETUNE, OptimConfig, minimize_first_order,
                        two_stage_minimize, uniform_init)
 
@@ -81,15 +81,18 @@ class SearchConfig:
 
 @dataclass
 class ScoreRecord:
-    """One scored sequence: minimized loss, its score, and the best
-    parameters found."""
+    """One scored sequence: minimized loss and the best parameters found;
+    its score follows from the loss."""
 
     sequence: tuple
-    score: float
     loss: float
     params: np.ndarray
     component: int
     template: ex.TreeTemplate
+
+    @property
+    def score(self):
+        return score_from_loss(self.loss)
 
 
 class CandidatePool:
@@ -99,46 +102,37 @@ class CandidatePool:
     losses are admitted, and S = 1 / (1 + L) is monotone in L even after
     rounding, so this is the score order; it also orders the entries whose
     scores saturate at 1.0 in float64. Re-inserting a known sequence keeps
-    the better record.
+    the better record, in the place of its first arrival.
     """
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries = {}     # sequence -> (record, arrival index)
-        self._arrivals = 0
+        self._entries = {}     # sequence -> record, in order of arrival
 
     def __len__(self):
         return len(self._entries)
 
-    @staticmethod
-    def _rank(record, arrival):
-        return (record.loss, arrival)
-
     def insert(self, record):
         """Offer a record; returns True if the pool now contains it."""
-        if record.score <= 0.0 or not np.isfinite(record.loss):
+        if not np.isfinite(record.loss):
             return False
-        self._arrivals += 1
         key = record.sequence
         if key in self._entries:
-            old, arrival = self._entries[key]
-            if self._rank(record, arrival) < self._rank(old, arrival):
-                self._entries[key] = (record, arrival)
+            if record.loss < self._entries[key].loss:
+                self._entries[key] = record
             return True
-        self._entries[key] = (record, self._arrivals)
+        self._entries[key] = record
         if len(self._entries) > self.capacity:
-            evict = max(self._entries,
-                        key=lambda k: self._rank(*self._entries[k]))
-            del self._entries[evict]
+            # the worst loss, the latest arrival among equals
+            del self._entries[max(reversed(self._entries),
+                                  key=lambda k: self._entries[k].loss)]
         return key in self._entries
 
     def records(self):
         """Entries ordered best-first."""
-        ranked = sorted(self._entries.values(),
-                        key=lambda ra: self._rank(ra[0], ra[1]))
-        return [r for r, _ in ranked]
+        return sorted(self._entries.values(), key=lambda r: r.loss)
 
     def best(self):
         recs = self.records()
@@ -283,43 +277,29 @@ def score_sequence(sequence, template, data, component, optim, rng,
             theta0 = candidate
             break
     if theta0 is None:
-        return ScoreRecord(sequence, 0.0, float("inf"),
+        return ScoreRecord(sequence, float("inf"),
                            np.zeros(objective.n_params), component, template)
     form = _closed_form_route(factor, template, sequence)
     if form is not None:
         theta = _closed_form(factor, template, sequence, form)
         loss = objective.loss(theta)
         if np.isfinite(loss):
-            return ScoreRecord(sequence, score_from_loss(loss), loss, theta,
-                               component, template)
-    fit = _factored(template, sequence, data, component, theta0) or objective
+            return ScoreRecord(sequence, loss, theta, component, template)
+    fit = _factored(objective, theta0) or objective
     result = two_stage_minimize(fit.loss_and_grad, theta0, optim)
-    loss = objective.loss(result.final_params)
-    return ScoreRecord(sequence, score_from_loss(loss), loss,
+    return ScoreRecord(sequence, objective.loss(result.final_params),
                        result.final_params, component, template)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _factored(template, sequence, data, component, start):
-    """The :class:`~symode.losses.FactoredResidualObjective` of a sequence,
-    or None when its product features are many or not finite, or its loss
-    at ``start`` is not finite.
-
-    Many is more than MAX_FACTOR_COLUMNS columns, the target's included: a
-    factor costs about the cube of its columns, and a wider one takes
-    longer to build than the direct calls of a fit save. On 2 cores, for
-    300 calls: ``abc`` at d = 3 (65 columns, M = 5,000) built in 21 ms and
-    saved 37 ms; ``ab`` at d = 5 (73 columns, M = 25,000) built in 157 ms
-    and saved 278 ms; ``abc`` at d = 5 (217 columns) took 1.1 s, against
-    0.30 s for the direct calls.
-    """
-    width = product_width(template, sequence)
-    if width is None or width + 1 > MAX_FACTOR_COLUMNS:
+def _factored(objective, start):
+    """The :class:`~symode.losses.FactoredResidualObjective` view of a
+    direct ``objective``, or None when it has no factor or its loss at
+    ``start`` is not finite."""
+    factored = FactoredResidualObjective(objective)
+    if factored.factor is None or not np.isfinite(factored.loss(start)):
         return None
-    objective = FactoredResidualObjective(template, sequence, data, component)
-    if objective.factor is None or not np.isfinite(objective.loss(start)):
-        return None
-    return objective
+    return factored
 
 
 @dataclass
@@ -381,13 +361,11 @@ def _finetune_pool(pool, data, component, optim, factor):
             continue
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)
-        fit = _factored(record.template, record.sequence, data, component,
-                        record.params) or objective
+        fit = _factored(objective, record.params) or objective
         result = minimize_first_order(fit.loss_and_grad, record.params,
                                       optim.t3_iters, LR_FINETUNE)
-        loss = objective.loss(result.final_params)
-        pool.insert(replace(record, params=result.final_params, loss=loss,
-                            score=score_from_loss(loss)))
+        pool.insert(replace(record, params=result.final_params,
+                            loss=objective.loss(result.final_params)))
 
 
 class SystemModel:

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 import symode as sm
 from symode import expressions as ex
+from symode import losses as losses_mod
 from symode.datasets import TrajectoryDataset
-from symode.losses import (QR_BUDGET, EulerResidualObjective,
-                           FactoredResidualObjective, product_width, tsqr)
+from symode.losses import (MAX_FACTOR_COLUMNS, QR_BUDGET,
+                           EulerResidualObjective, FactoredResidualObjective,
+                           product_width, tsqr)
 
 from conftest import random_sequence
 
@@ -186,6 +188,7 @@ AB_PLUS_C = [("sin", "id", "mul", "exp", "add"),
              ("id", "square", "mul", "quartic", "sub"),
              ("cos", "cos", "mul", "1", "add"),
              ("exp", "id", "mul", "0", "sub")]
+ABC = ("id", "sin", "mul", "cube", "mul")
 
 
 class TestFactoredResidualObjective:
@@ -199,8 +202,7 @@ class TestFactoredResidualObjective:
         h = 1e-6
         for component in range(3):
             direct = EulerResidualObjective(template, seq, data, component)
-            factored = FactoredResidualObjective(template, seq, data,
-                                                 component)
+            factored = FactoredResidualObjective(direct)
             theta = rng.uniform(-1, 1, template.n_params)
             loss, grad = factored.loss_and_grad(theta)
             direct_loss, direct_grad = direct.loss_and_grad(theta)
@@ -226,24 +228,61 @@ class TestFactoredResidualObjective:
             assert product_width(template, ("id",) * 2 + ("add", "id",
                                                           "sub")) == 3 * (d + 1)
 
-    def test_interior_unary_node_is_refused(self, sir_dataset):
-        template = sm.build_template("type1", 3)
+    @pytest.mark.parametrize("dataset", ["desk_sir_train", "qdr_train"])
+    @pytest.mark.parametrize("seq", [AB[0], AB_PLUS_C[0], ABC])
+    def test_factor_is_that_of_the_stacked_pairs(self, request, dataset,
+                                                 seq):
+        # the view reads the direct objective's leaf values and dy; the
+        # reference builds K from the pairs, one leaf rule at a time
+        data = request.getfixturevalue(dataset)
+        template = sm.build_template("type2", 3)
+        X, X_next = data.stacked_pairs()
+        blocks = []
+        for i, node in enumerate(template.nodes):
+            if node.is_leaf:
+                blocks.append(np.column_stack(
+                    [ex.UNARY_RULES[seq[i]][0](X), np.ones(len(X))]))
+            elif seq[i] == "mul":
+                l, r = node.children
+                blocks.append((blocks[l][:, :, None] * blocks[r][:, None, :])
+                              .reshape(len(X), -1))
+            else:
+                blocks.append(np.hstack([blocks[c] for c in node.children]))
+        for component in range(3):
+            dy = X_next[:, component] - X[:, component]
+            expected = tsqr(np.column_stack([blocks[-1], dy]))
+            factored = FactoredResidualObjective(
+                EulerResidualObjective(template, seq, data, component))
+            assert factored.factor.tobytes() == expected.tobytes()
+
+    def test_interior_unary_node_is_refused(self, sir_dataset, monkeypatch):
+        # no factor past the width rule, and none is built: a type1
+        # sequence has no product width, abc at d = 5 has 217 columns
+        monkeypatch.setattr(losses_mod, "tsqr", None)
+        type1 = sm.build_template("type1", 3)
         seq = ("id", "sin", "mul", "exp")
-        assert product_width(template, seq) is None
-        with pytest.raises(ValueError, match="interior unary node"):
-            FactoredResidualObjective(template, seq, sir_dataset, 0)
+        assert product_width(type1, seq) is None
+        assert FactoredResidualObjective(EulerResidualObjective(
+            type1, seq, sir_dataset, 0)).factor is None
+        data = sm.generate_trajectories("seird", sm.benchmark_params("seird"),
+                                        2, 10, 0.2, np.random.default_rng(1))
+        template = sm.build_template("type2", 5)
+        assert product_width(template, ABC) + 1 == 217 > MAX_FACTOR_COLUMNS
+        assert FactoredResidualObjective(EulerResidualObjective(
+            template, ABC, data, 0)).factor is None
 
     def test_non_finite_feature_has_no_factor(self):
         data = TrajectoryDataset([np.linspace(1e80, 2e80, 6)[:, None]], 1.0,
                                  ("x",))
         template = sm.build_template("type2", 1)
-        factored = FactoredResidualObjective(
-            template, ("quartic", "id", "mul", "id", "add"), data, 0)
+        factored = FactoredResidualObjective(EulerResidualObjective(
+            template, ("quartic", "id", "mul", "id", "add"), data, 0))
         assert factored.factor is None
 
     def test_non_finite_value_is_inf_sentinel(self, sir_dataset):
         template = sm.build_template("type2", 3)
-        factored = FactoredResidualObjective(template, AB[0], sir_dataset, 0)
+        factored = FactoredResidualObjective(
+            EulerResidualObjective(template, AB[0], sir_dataset, 0))
         theta = np.full(template.n_params, 1e200)
         # as inside a fit, where the minimizers silence the overflow
         with np.errstate(over="ignore", invalid="ignore"):
@@ -256,8 +295,8 @@ class TestFactoredResidualObjective:
                                                      desk_sir_train):
         # after the factor, no call reads an array with a row per sample
         template = sm.build_template("type2", 3)
-        factored = FactoredResidualObjective(template, AB[0], desk_sir_train,
-                                             1)
+        factored = FactoredResidualObjective(
+            EulerResidualObjective(template, AB[0], desk_sir_train, 1))
         assert factored.factor.shape == (33, 33)
         monkeypatch.setattr(ex, "forward_pass", None)
         monkeypatch.setattr(ex, "UNARY_RULES", None)
@@ -297,7 +336,7 @@ def test_every_factor_qr_stays_within_the_budget(monkeypatch):
                                         300, 0.2, np.random.default_rng(1))
         template = sm.build_template("type2", d)
         factor = search_mod.feature_factor(data, 0)
-        for seq in (AB[0], AB_PLUS_C[0], ("id", "sin", "mul", "cube", "mul")):
+        for seq in (AB[0], AB_PLUS_C[0], ABC):
             sm.score_sequence(seq, template, data, 0, optim,
                               np.random.default_rng(0), factor)
     assert max(rows * cols for rows, cols in shapes) <= QR_BUDGET

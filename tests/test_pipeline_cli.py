@@ -277,6 +277,24 @@ BAD_RESULTS = {
     "values_not_rows": (
         lambda doc: doc.update(forecast={"anchor_step": 0, "values": [1.0]}),
         "forecast.values: expected a list of rows of 3 numbers"),
+    "coefficient_string": (
+        lambda doc: doc["components"][1]["coefficients"].__setitem__(0, "0.5"),
+        "components[1].coefficients: expected a list of numbers"),
+    "coefficient_bool": (
+        lambda doc: doc["components"][2]["coefficients"].__setitem__(3, True),
+        "components[2].coefficients: expected a list of numbers"),
+    "empty_components": (
+        lambda doc: doc.update(components=[], var_names=[]),
+        "components: expected a non-empty list"),
+    "components_object": (
+        lambda doc: doc.update(components={}, var_names=[]),
+        "components: expected a non-empty list"),
+    "symbolic_number": (
+        lambda doc: doc["components"][0].update(symbolic=5),
+        "components[0].symbolic: expected a string"),
+    "name_list": (
+        lambda doc: doc["components"][1].update(name=["D"]),
+        "components[1].name: expected a string"),
 }
 
 

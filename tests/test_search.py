@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symode as sm
+import symode.losses as losses_mod
 import symode.search as search_mod
 from symode.datasets import TrajectoryDataset
 from symode.errors import NumericalError
@@ -22,20 +23,31 @@ def component_rng(seed, component):
     return np.random.default_rng(np.random.SeedSequence([seed, component]))
 
 
-def make_record(sequence, score, loss=None, component=0):
+def make_record(sequence, loss, component=0):
     template = sm.build_template("type2", 2)
-    if loss is None:
-        loss = 1.0 / score - 1.0 if score > 0 else float("inf")
-    return ScoreRecord(tuple(sequence), score, loss,
-                       np.zeros(9), component, template)
+    return ScoreRecord(tuple(sequence), loss, np.zeros(9), component,
+                       template)
 
 
 def random_record(rng, component=0):
     template = sm.build_template("type2", 2)
     seq = random_sequence(template, rng)
     loss = float(rng.uniform(0, 10))
-    return ScoreRecord(seq, sm.score_from_loss(loss), loss, np.zeros(9),
-                       component, template)
+    return ScoreRecord(seq, loss, np.zeros(9), component, template)
+
+
+# few sequences and few losses, so that a stream repeats both
+TIED_SEQUENCES = [("id", "id", "add", "id", "add"),
+                  ("sin", "id", "mul", "id", "add"),
+                  ("0", "1", "sub", "cos", "mul"),
+                  ("exp", "square", "mul", "id", "sub"),
+                  ("cube", "1", "add", "sin", "mul"),
+                  ("id", "cos", "sub", "exp", "mul")]
+
+
+def tied_record(rng):
+    return make_record(TIED_SEQUENCES[rng.integers(len(TIED_SEQUENCES))],
+                       float(rng.integers(3)))
 
 
 class TestScoreFormula:
@@ -66,24 +78,27 @@ class TestScoreFormula:
 
 
 def brute_force_top_k(stream, k):
-    """Oracle: distinct sequences ranked by (loss asc, first-arrival asc),
-    keeping each sequence's best record."""
-    best = {}
+    """Oracle: replay the stream on [loss, arrival, sequence] rows. A known
+    sequence keeps its arrival and the lower loss; a new one gets the next
+    arrival, and past k rows the last by (loss, arrival) goes. Returns the
+    sequences ranked by (loss asc, arrival asc)."""
+    rows = []
     for arrival, rec in enumerate(stream):
-        if rec.score <= 0.0 or not np.isfinite(rec.loss):
+        if not np.isfinite(rec.loss):
             continue
-        key = rec.sequence
-        if key not in best or rec.loss < best[key][0].loss:
-            old_arrival = best[key][1] if key in best else arrival
-            best[key] = (rec, old_arrival)
-    ranked = sorted(best.values(), key=lambda ra: (ra[0].loss, ra[1]))
-    return [r.sequence for r, _ in ranked[:k]]
+        known = [row for row in rows if row[2] == rec.sequence]
+        if known:
+            known[0][0] = min(known[0][0], rec.loss)
+            continue
+        rows.append([rec.loss, arrival, rec.sequence])
+        rows = sorted(rows)[:k]
+    return [seq for _, _, seq in sorted(rows)]
 
 
 class TestCandidatePool:
     def test_insert_into_empty(self):
         pool = CandidatePool(5)
-        pool.insert(make_record(("id", "id", "add", "id", "add"), 0.5))
+        pool.insert(make_record(("id", "id", "add", "id", "add"), 1.0))
         assert len(pool) == 1
 
     def test_worse_than_min_leaves_full_pool(self):
@@ -92,8 +107,8 @@ class TestCandidatePool:
         records = [random_record(rng) for _ in range(10)]
         for rec in records:
             pool.insert(rec)
-        floor = min(r.score for r in pool.records())
-        worse = make_record(("0", "1", "sub", "cos", "mul"), floor / 2)
+        worse = make_record(("0", "1", "sub", "cos", "mul"),
+                            2 * max(r.loss for r in pool.records()))
         before = [r.sequence for r in pool.records()]
         if worse.sequence not in before:
             pool.insert(worse)
@@ -102,24 +117,44 @@ class TestCandidatePool:
     def test_sentinels_rejected(self):
         pool = CandidatePool(2)
         assert not pool.insert(make_record(("id",) * 2 + ("add", "id", "add"),
-                                           0.0, loss=float("inf")))
+                                           float("inf")))
         assert len(pool) == 0
 
     def test_duplicate_keeps_better(self):
         pool = CandidatePool(4)
         seq = ("sin", "id", "mul", "id", "add")
-        pool.insert(make_record(seq, 0.4))
-        pool.insert(make_record(seq, 0.9))
+        pool.insert(make_record(seq, 1.5))
+        pool.insert(make_record(seq, 0.25))
         assert len(pool) == 1
-        assert pool.best().score == 0.9
-        pool.insert(make_record(seq, 0.2))
-        assert pool.best().score == 0.9
+        assert pool.best().loss == 0.25
+        pool.insert(make_record(seq, 4.0))
+        assert pool.best().loss == 0.25
 
-    @given(st.integers(0, 10_000), st.integers(1, 15), st.integers(1, 120))
+    def test_equal_losses_keep_arrival_order(self):
+        a, b, c, d = TIED_SEQUENCES[:4]
+        pool = CandidatePool(3)
+        for seq in (a, b, c):
+            pool.insert(make_record(seq, 1.0))
+        assert [r.sequence for r in pool.records()] == [a, b, c]
+        # a re-inserted sequence keeps the place of its first arrival, so a
+        # ties b ahead of it although b improved first
+        pool.insert(make_record(b, 0.5))
+        pool.insert(make_record(a, 0.5))
+        pool.insert(make_record(c, 1.0))
+        assert [r.sequence for r in pool.records()] == [a, b, c]
+        # full: of the equal worst losses the latest arrival goes, first the
+        # newcomer itself, then c once d arrives better
+        assert not pool.insert(make_record(d, 1.0))
+        assert pool.insert(make_record(d, 0.75))
+        assert [r.sequence for r in pool.records()] == [a, b, d]
+
+    @given(st.integers(0, 10_000), st.integers(1, 15), st.integers(1, 120),
+           st.booleans())
     @settings(max_examples=100)
-    def test_matches_brute_force(self, seed, capacity, n_records):
+    def test_matches_brute_force(self, seed, capacity, n_records, tied):
         rng = np.random.default_rng(seed)
-        stream = [random_record(rng) for _ in range(n_records)]
+        draw = tied_record if tied else random_record
+        stream = [draw(rng) for _ in range(n_records)]
         pool = CandidatePool(capacity)
         for rec in stream:
             pool.insert(rec)
@@ -133,6 +168,12 @@ class TestCandidatePool:
             pool.insert(random_record(rng))
         for rec in pool.records():
             assert abs(rec.score * (1.0 + rec.loss) - 1.0) <= 1e-12
+
+    def test_score_follows_a_replaced_loss(self):
+        record = make_record(TIED_SEQUENCES[0], 1.0)
+        assert record.score == 0.5
+        assert dataclasses.replace(record, loss=3.0).score == 0.25
+        assert dataclasses.replace(record, loss=float("inf")).score == 0.0
 
 
 class TestScoreSequence:
@@ -236,7 +277,8 @@ class TestClosedForm:
                                                    t3_iters=2))
         monkeypatch.setattr(search_mod, "feature_factor", refuse)
         monkeypatch.setattr(search_mod, "_closed_form", refuse)
-        monkeypatch.setattr(search_mod, "FactoredResidualObjective", refuse)
+        # the factored view of a type1 sequence has no factor to build
+        monkeypatch.setattr(losses_mod, "tsqr", refuse)
         sm.search_component(sir_dataset, 2,
                             dataclasses.replace(cfg, templates="type1"),
                             component_rng(3, 2))
@@ -254,7 +296,7 @@ class TestClosedForm:
         # what the two-stage path gives on the factored objective from the
         # first uniform draw, its loss recomputed on the direct objective
         objective = EulerResidualObjective(template, seq, sir_dataset, 1)
-        factored = FactoredResidualObjective(template, seq, sir_dataset, 1)
+        factored = FactoredResidualObjective(objective)
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
         result = sm.two_stage_minimize(factored.loss_and_grad, theta0, optim)
         assert np.array_equal(record.params, result.final_params)
@@ -277,7 +319,7 @@ class TestClosedForm:
         record = sm.score_sequence(seq, template, data, 0, optim,
                                    np.random.default_rng(5), factor)
         objective = EulerResidualObjective(template, seq, data, 0)
-        factored = FactoredResidualObjective(template, seq, data, 0)
+        factored = FactoredResidualObjective(objective)
         assert factored.factor is not None
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
         result = sm.two_stage_minimize(factored.loss_and_grad, theta0, optim)
