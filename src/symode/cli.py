@@ -10,18 +10,17 @@ numerical failure, running out of memory included.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import load_run_config, run_config_from_dict
-from .dataio import load_csv, save_trajectories_csv
+from .dataio import load_csv, save_trajectories_csv, write_csv
 from .errors import ConfigError, DataError, NumericalError
 from .forecast import RolloutResult, cut_forecast, replay, rollout
-from .pipeline import (dt_from_document, generate_synthetic, load_results,
-                       run_pipeline, scale_from_document,
+from .pipeline import (dt_from_document, equations, generate_synthetic,
+                       load_results, run_pipeline, scale_from_document,
                        system_from_document, write_report)
 
 
@@ -76,9 +75,8 @@ def _cmd_generate(args):
     if cfg.mode != "synthetic":
         raise ConfigError("generate requires a synthetic-mode config")
     data = generate_synthetic(cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = save_trajectories_csv(out / "trajectories.csv", data)
+    path = save_trajectories_csv(Path(cfg.output_dir) / "trajectories.csv",
+                                 data)
     print(f"wrote {data.n_trajectories} trajectories to {path}")
 
 
@@ -86,8 +84,7 @@ def _cmd_search(args):
     cfg = _load_config(args)
     doc = run_pipeline(cfg)
     print(f"wrote results to {Path(cfg.output_dir) / 'results.json'}")
-    for comp in doc["components"]:
-        print(f"d{comp['name']}/dt = {comp['symbolic']}")
+    print(equations(doc), end="")
 
 
 def _cmd_forecast(args):
@@ -116,14 +113,9 @@ def _cmd_forecast(args):
     result = cut_forecast(result, restored)
     if not result.completed:
         raise NumericalError(f"rollout diverged at step {result.failure_step}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "predictions.csv"
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", *doc["var_names"]])
-        for k, row in enumerate(restored):
-            writer.writerow([anchor + k, *[repr(float(v)) for v in row]])
+    path = write_csv(Path(args.out) / "predictions.csv",
+                     ["step", *doc["var_names"]],
+                     enumerate(restored, start=anchor))
     print(f"wrote {path}")
 
 

@@ -85,14 +85,6 @@ def load_csv(path, dt=1.0, expected_columns=None):
     raise MissingColumnError(path, "trajectory_id or date")
 
 
-def load_trajectories_csv(path, dt, expected_columns=None):
-    return _trajectories(path, _read_rows(path), dt, expected_columns)
-
-
-def load_series_csv(path, dt=1.0, expected_columns=None):
-    return _series(path, _read_rows(path), dt, expected_columns)
-
-
 def _trajectories(path, rows, dt, expected_columns):
     header = [h.strip() for h in rows[0]]
     if len(header) < 3 or header[0] != "trajectory_id" or header[1] != "step":
@@ -165,17 +157,26 @@ def _series(path, rows, dt, expected_columns):
     return _dataset([np.array(values, dtype=float)], dt, var_names, order)
 
 
-def save_trajectories_csv(path, data):
-    """Write a trajectory file; float cells use repr so a round trip
-    reproduces the values exactly."""
+def write_csv(path, header, rows):
+    """Write the one CSV layout symode writes, making its directory: UTF-8,
+    LF line ends, and per row ``(*keys, values)`` its int keys, then its
+    values with repr, so that reading the file back reproduces them."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trajectory_id", "step", *data.var_names])
-        for tid, traj in enumerate(data.trajectories):
-            for step, row in enumerate(traj):
-                writer.writerow([tid, step, *[repr(float(v)) for v in row]])
+        writer.writerow(header)
+        for *keys, values in rows:
+            writer.writerow([*keys, *(repr(float(v)) for v in values)])
     return path
+
+
+def save_trajectories_csv(path, data):
+    """Write a dataset as a trajectory file; a round trip is exact."""
+    return write_csv(path, ["trajectory_id", "step", *data.var_names],
+                     ((tid, step, row)
+                      for tid, traj in enumerate(data.trajectories)
+                      for step, row in enumerate(traj)))
 
 
 # ---------------------------------------------------------------------------

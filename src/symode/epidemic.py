@@ -65,12 +65,11 @@ class EpiParams:
 
 
 def benchmark_params(kind):
-    """Rate constants used throughout the synthetic experiments; sigma is
-    model dependent (0.6 for SEIR, 0.5 for SEIRD)."""
-    kind = ModelKind(kind)
-    sigma = 0.5 if kind is ModelKind.SEIRD else 0.6
-    return EpiParams(beta=0.9, gamma=0.2, mu=0.3, sigma=sigma, nu_rate=0.2,
-                     delta=0.05, n_pop=1.0)
+    """Rate constants used throughout the synthetic experiments: the
+    defaults of EpiParams, except sigma 0.5 for SEIRD."""
+    if ModelKind(kind) is ModelKind.SEIRD:
+        return EpiParams(sigma=0.5)
+    return EpiParams()
 
 
 def vector_field(kind, params, x):

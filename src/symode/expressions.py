@@ -341,7 +341,7 @@ def _unary_term(tag, operand):
     return f"{tag}({operand})"
 
 
-def leaf_string(tag, alpha, beta, var_names, precision=4):
+def leaf_string(tag, alpha, beta, var_names, precision):
     """Render one unary leaf in the printed-equation style, e.g.
     ``0.1919*sin(R) + 0.1812*sin(D) + 0.7006*sin(Q) - 0.7283``."""
     alpha = np.asarray(alpha, dtype=float)

@@ -10,7 +10,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -18,15 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import expressions as ex
-from .dataio import ScaleRecord, load_csv, normalize_series
+from .dataio import ScaleRecord, load_csv, normalize_series, write_csv
 from .datasets import TrajectoryDataset
 from .epidemic import generate_trajectories, train_test_split
 from .errors import ConfigError, DataError, NumericalError
 from .forecast import (cut_forecast, per_step_component_mse, per_step_mse,
                        persistence_baseline, replay, rollout)
 from .search import SystemModel, search_component
-
-SYMBOLIC_PRECISION = 4
 
 
 def _data_rng(cfg):
@@ -139,38 +136,28 @@ def _rebuild_exception(cls, args, state, child_traceback):
     return exc
 
 
-def _component_entry(record, name, var_names):
+def _record_entry(record):
+    """A scored sequence as a pool entry, and inside a component entry."""
+    return {"sequence": list(record.sequence),
+            "coefficients": [float(v) for v in record.params],
+            "score": float(record.score), "loss": float(record.loss)}
+
+
+def _component_entry(record, var_names):
     expr = ex.CompiledExpression(record.template, record.sequence, record.params)
-    return {
-        "component": record.component,
-        "name": name,
-        "template": record.template.kind,
-        "sequence": list(record.sequence),
-        "coefficients": [float(v) for v in record.params],
-        "score": float(record.score),
-        "loss": float(record.loss),
-        "symbolic": ex.to_symbolic_string(expr, SYMBOLIC_PRECISION, var_names),
-    }
-
-
-def _pool_entries(outcome):
-    return [{
-        "sequence": list(r.sequence),
-        "coefficients": [float(v) for v in r.params],
-        "score": float(r.score),
-        "loss": float(r.loss),
-    } for r in outcome.pool.records()]
+    return {"component": record.component,
+            "name": var_names[record.component],
+            "template": record.template.kind, **_record_entry(record),
+            "symbolic": ex.to_symbolic_string(expr, var_names=var_names)}
 
 
 def _base_document(cfg, var_names, outcomes):
     return {
         "config_echo": cfg.to_dict(),
         "var_names": list(var_names),
-        "components": [
-            _component_entry(o.best, var_names[i], var_names)
-            for i, o in enumerate(outcomes)
-        ],
-        "pool": [{"component": i, "entries": _pool_entries(o)}
+        "components": [_component_entry(o.best, var_names) for o in outcomes],
+        "pool": [{"component": i,
+                  "entries": [_record_entry(r) for r in o.pool.records()]}
                  for i, o in enumerate(outcomes)],
         "history": [{"component": i, "best_scores": [float(s) for s in o.history]}
                     for i, o in enumerate(outcomes)],
@@ -295,34 +282,32 @@ def run_pipeline(cfg, out_dir=None):
 
 
 def write_results(doc, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "results.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    write_report(doc, out)
-    return out / "results.json"
+    path = Path(out_dir) / "results.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8")
+    write_report(doc, path.parent)
+    return path
+
+
+def equations(doc):
+    """The text of one ``d<name>/dt = <symbolic>`` line per component."""
+    return "".join(f"d{comp['name']}/dt = {comp['symbolic']}\n"
+                   for comp in doc["components"])
 
 
 def write_report(doc, out_dir):
     """Emit the symbolic equations and per-step MSE CSV for a document."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "equations.txt", "w", encoding="utf-8") as fh:
-        for comp in doc["components"]:
-            fh.write(f"d{comp['name']}/dt = {comp['symbolic']}\n")
-    with open(out / "mse_per_step.csv", "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step_index", "mse"])
-        for k, v in enumerate(doc["metrics"]["per_step_mse"], start=1):
-            writer.writerow([k, repr(float(v))])
+    (out / "equations.txt").write_text(equations(doc), encoding="utf-8")
+    write_csv(out / "mse_per_step.csv", ["step_index", "mse"],
+              enumerate(([v] for v in doc["metrics"]["per_step_mse"]),
+                        start=1))
     if "forecast" in doc:
-        with open(out / "forecast.csv", "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["step", *doc["var_names"]])
-            anchor = doc["forecast"]["anchor_step"]
-            for k, row in enumerate(doc["forecast"]["values"], start=1):
-                writer.writerow([anchor + k, *[repr(float(v)) for v in row]])
+        write_csv(out / "forecast.csv", ["step", *doc["var_names"]],
+                  enumerate(doc["forecast"]["values"],
+                            start=doc["forecast"]["anchor_step"] + 1))
 
 
 # The keys that ``forecast`` and ``report`` read in each section of a
@@ -338,6 +323,8 @@ _COMPONENT_FIELDS = ("component", "name", "template", "sequence",
 
 
 def _check_keys(obj, keys, where):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}expected an object")
     for key in keys:
         if key not in obj:
             raise ValueError(f"{where}missing field {key!r}")

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from symode import dataio
-from symode.dataio import (ScaleRecord, load_csv, load_series_csv,
-                           load_trajectories_csv, normalize_series,
+from symode.dataio import (ScaleRecord, load_csv, normalize_series,
                            save_trajectories_csv)
 from symode.datasets import TrajectoryDataset
 from symode.errors import (DataError, EmptyFileError, MissingColumnError,
@@ -35,7 +34,7 @@ class TestLoadSeries:
     def test_expected_columns_enforced(self, tmp_path):
         path = write(tmp_path, "series.csv", SERIES_CSV)
         with pytest.raises(MissingColumnError) as err:
-            load_series_csv(path, expected_columns=("Q", "D", "R", "X"))
+            load_csv(path, expected_columns=("Q", "D", "R", "X"))
         assert err.value.column == "X"
 
     @pytest.mark.parametrize("text", [
@@ -52,7 +51,7 @@ class TestLoadSeries:
         bad = SERIES_CSV.replace("900", "n/a")
         path = write(tmp_path, "series.csv", bad)
         with pytest.raises(NonNumericCellError) as err:
-            load_series_csv(path)
+            load_csv(path)
         assert err.value.row == 3
         assert err.value.column == "Q"
         assert err.value.value == "n/a"
@@ -61,7 +60,7 @@ class TestLoadSeries:
         bad = SERIES_CSV.replace("2020-01-23", "23/01/2020")
         path = write(tmp_path, "series.csv", bad)
         with pytest.raises(DataError):
-            load_series_csv(path)
+            load_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "empty.csv", "")
@@ -72,7 +71,7 @@ class TestLoadSeries:
         path = write(tmp_path, "short.csv",
                      "date,Q\n2020-01-22,500\n")
         with pytest.raises(DataError):
-            load_series_csv(path)
+            load_csv(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -82,20 +81,20 @@ class TestLoadSeries:
     def test_non_finite_cell_rejected(self, tmp_path, cell):
         path = write(tmp_path, "series.csv", SERIES_CSV.replace("26", cell))
         with pytest.raises(DataError, match=r"row 3, column 'D': .* not finite"):
-            load_series_csv(path)
+            load_csv(path)
 
     @pytest.mark.parametrize("date", ["2020-01-22", "2020-01-21"])
     def test_dates_must_increase(self, tmp_path, date):
         path = write(tmp_path, "series.csv",
                      SERIES_CSV.replace("2020-01-24", date))
         with pytest.raises(DataError, match="row 3: date .* not after"):
-            load_series_csv(path)
+            load_csv(path)
 
     def test_skipped_date_rejected(self, tmp_path):
         path = write(tmp_path, "series.csv",
                      SERIES_CSV.replace("2020-01-24", "2020-01-25"))
         with pytest.raises(DataError) as err:
-            load_series_csv(path)
+            load_csv(path)
         assert str(err.value) == (f"{path}: row 3: date 2020-01-25 is 2 days "
                                   f"after 2020-01-23, not 1 as between the "
                                   f"first two dates")
@@ -103,7 +102,7 @@ class TestLoadSeries:
     def test_evenly_spaced_weekly_dates_load(self, tmp_path):
         weekly = (SERIES_CSV.replace("2020-01-23", "2020-01-29")
                   .replace("2020-01-24", "2020-02-05"))
-        data = load_series_csv(write(tmp_path, "series.csv", weekly))
+        data = load_csv(write(tmp_path, "series.csv", weekly))
         assert data.trajectories[0].shape == (3, 3)
 
     def test_bundled_sample_loads(self, data_dir):
@@ -122,12 +121,6 @@ class TestTrajectoryRoundTrip:
         assert loaded.n_trajectories == sir_dataset.n_trajectories
         for a, b in zip(loaded.trajectories, sir_dataset.trajectories):
             assert np.array_equal(a, b)
-
-    def test_header_dispatch(self, tmp_path, sir_dataset):
-        path = tmp_path / "traj.csv"
-        save_trajectories_csv(path, sir_dataset)
-        direct = load_trajectories_csv(path, sir_dataset.dt)
-        assert direct.var_names == sir_dataset.var_names
 
     @pytest.mark.parametrize("layout", ["trajectories", "series"])
     def test_file_is_read_once(self, tmp_path, sir_dataset, monkeypatch,

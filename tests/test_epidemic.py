@@ -81,6 +81,11 @@ class TestVectorField:
     def test_model_dependent_sigma(self):
         assert benchmark_params("seir").sigma == 0.6
         assert benchmark_params("seird").sigma == 0.5
+        # the defaults of EpiParams, which SEIRD changes only in sigma
+        assert benchmark_params("sir") == benchmark_params("seir") == sm.EpiParams()
+        assert benchmark_params("seird") == sm.EpiParams(
+            beta=0.9, gamma=0.2, mu=0.3, sigma=0.5, nu_rate=0.2, delta=0.05,
+            n_pop=1.0)
 
 
 class TestGenerator:

@@ -238,7 +238,8 @@ class TestSymbolicString:
         assert out == "0.1919*sin(R) + 0.1812*sin(D) + 0.7006*sin(Q) - 0.7283"
 
     def test_zero_operator_leaf_prints_zero(self):
-        assert leaf_string("0", [1.0, 2.0], 0.0, ("x", "y")) == "0"
+        assert leaf_string("0", [1.0, 2.0], 0.0, ("x", "y"),
+                           precision=4) == "0"
 
     def test_leaf_powers_use_caret(self):
         out = leaf_string("cube", [-0.9030, 2.4025], 0.0311, ("R", "D"),

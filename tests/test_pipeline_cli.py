@@ -9,8 +9,9 @@ from symode.cli import main
 from symode.config import run_config_from_dict
 from symode.dataio import load_csv
 from symode.errors import NumericalError
-from symode.pipeline import (generate_synthetic, load_results, run_pipeline,
-                             run_synthetic, system_from_document)
+from symode.pipeline import (dt_from_document, generate_synthetic,
+                             load_results, run_pipeline, run_synthetic,
+                             scale_from_document, system_from_document)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SERIES = Path(__file__).resolve().parents[1] / "data" / "covid_qdr_sample.csv"
@@ -289,6 +290,31 @@ BAD_RESULTS = {
     "components_object": (
         lambda doc: doc.update(components={}, var_names=[]),
         "components: expected a non-empty list"),
+    # a string or list holding every key name passes a membership test
+    "component_string": (
+        lambda doc: doc["components"].__setitem__(
+            1, "component name template sequence coefficients symbolic"),
+        "components[1]: expected an object"),
+    "component_list": (
+        lambda doc: doc["components"].__setitem__(
+            1, ["component", "name", "template", "sequence", "coefficients",
+                "symbolic"]),
+        "components[1]: expected an object"),
+    "metrics_string": (lambda doc: doc.update(metrics="per_step_mse"),
+                       "metrics: expected an object"),
+    "metrics_list": (lambda doc: doc.update(metrics=["per_step_mse"]),
+                     "metrics: expected an object"),
+    "scale_record_string": (lambda doc: doc.update(scale_record="mode scale"),
+                            "scale_record: expected an object"),
+    "scale_record_list": (
+        lambda doc: doc.update(scale_record=["mode", "scale"]),
+        "scale_record: expected an object"),
+    "forecast_string": (
+        lambda doc: doc.update(forecast="anchor_step values"),
+        "forecast: expected an object"),
+    "forecast_list": (
+        lambda doc: doc.update(forecast=["anchor_step", "values"]),
+        "forecast: expected an object"),
     "symbolic_number": (
         lambda doc: doc["components"][0].update(symbolic=5),
         "components[0].symbolic: expected a string"),
@@ -338,6 +364,66 @@ class TestCli:
                      "--out", str(tmp_path / "rep")]) == 0
         assert (tmp_path / "rep" / "equations.txt").exists()
         assert (tmp_path / "rep" / "mse_per_step.csv").exists()
+
+    def test_every_written_csv_reads_back(self, tmp_path, sample_csv):
+        """Each CSV that search, forecast and generate write has LF line
+        ends, its step column, and bit for bit the values it came from."""
+        def read(path, header, n_keys):
+            text = path.read_bytes()
+            assert b"\r" not in text and text.endswith(b"\n")
+            lines = [line.split(",")
+                     for line in text.decode("utf-8").split("\n")[:-1]]
+            assert lines[0] == header
+            return ([[int(c) for c in line[:n_keys]] for line in lines[1:]],
+                    np.array([[float(c) for c in line[n_keys:]]
+                              for line in lines[1:]]))
+
+        def assert_same_bits(values, expected):
+            expected = np.asarray(expected, dtype=float)
+            assert values.shape == expected.shape
+            assert values.tobytes() == expected.tobytes()
+
+        run, columns = tmp_path / "run", ["Q", "D", "R"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_real_doc(sample_csv,
+                                                     out=str(run))),
+                            encoding="utf-8")
+        assert main(["search", "--config", str(cfg_path)]) == 0
+        doc = load_results(run / "results.json")
+        mse = doc["metrics"]["per_step_mse"]
+        steps, values = read(run / "mse_per_step.csv", ["step_index", "mse"],
+                             1)
+        assert steps == [[k] for k in range(1, len(mse) + 1)]
+        assert_same_bits(values, [[v] for v in mse])
+        anchor, rows = doc["forecast"]["anchor_step"], doc["forecast"]["values"]
+        steps, values = read(run / "forecast.csv", ["step", *columns], 1)
+        assert steps == [[anchor + k] for k in range(1, len(rows) + 1)]
+        assert_same_bits(values, rows)
+
+        assert main(["forecast", "--results", str(run / "results.json"),
+                     "--data", str(sample_csv), "--steps", "5",
+                     "--out", str(tmp_path / "fc")]) == 0
+        data = load_csv(sample_csv, dt_from_document(doc))
+        scale = scale_from_document(doc).scale
+        observed = data.trajectories[0] / scale
+        restored = sm.rollout(system_from_document(doc), observed[-1], 5,
+                              data.dt).states * scale
+        steps, values = read(tmp_path / "fc" / "predictions.csv",
+                             ["step", *columns], 1)
+        anchor = observed.shape[0] - 1
+        assert steps == [[anchor + k] for k in range(6)]
+        assert_same_bits(values, restored)
+
+        gen_doc = tiny_synthetic_doc(out=str(tmp_path / "gen"))
+        cfg_path.write_text(json.dumps(gen_doc), encoding="utf-8")
+        assert main(["generate", "--config", str(cfg_path)]) == 0
+        truth = generate_synthetic(run_config_from_dict(gen_doc))
+        steps, values = read(tmp_path / "gen" / "trajectories.csv",
+                             ["trajectory_id", "step", "S", "I", "R"], 2)
+        assert steps == [[tid, step]
+                         for tid, traj in enumerate(truth.trajectories)
+                         for step in range(traj.shape[0])]
+        assert_same_bits(values, np.concatenate(truth.trajectories))
 
     def test_diverged_search_still_writes_results(self, tmp_path, capsys):
         # this seed's type1 winners overflow the test forecast at step 27
