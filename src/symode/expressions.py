@@ -40,14 +40,16 @@ def _exp_clamped_deriv(z):
     return np.where(z < EXP_CLAMP, _exp_clamped(z), 0.0)
 
 
-# tag -> (value rule, derivative rule); rules accept arrays of any shape
+# tag -> (value rule, derivative rule); rules accept arrays of any shape.
+# Powers are products: NumPy sends z**3 and z**4 to libm pow, which is tens
+# of times slower than multiplying; the products stay within 2 ulp of pow.
 UNARY_RULES = {
     "0": (lambda z: np.zeros_like(z), lambda z: np.zeros_like(z)),
     "1": (lambda z: np.ones_like(z), lambda z: np.zeros_like(z)),
     "id": (lambda z: np.asarray(z, dtype=float), lambda z: np.ones_like(z)),
     "square": (lambda z: z * z, lambda z: 2.0 * z),
-    "cube": (lambda z: z**3, lambda z: 3.0 * z * z),
-    "quartic": (lambda z: z**4, lambda z: 4.0 * z**3),
+    "cube": (lambda z: z * z * z, lambda z: 3.0 * z * z),
+    "quartic": (lambda z: np.square(z * z), lambda z: 4.0 * z * z * z),
     "sin": (np.sin, np.cos),
     "cos": (np.cos, lambda z: -np.sin(z)),
     "exp": (_exp_clamped, _exp_clamped_deriv),

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import symode as sm
 from symode.errors import EvaluationError
-from symode.expressions import (EXP_CLAMP, forward_pass, leaf_string,
-                                leaf_values, to_symbolic_string,
+from symode.expressions import (EXP_CLAMP, UNARY_RULES, forward_pass,
+                                leaf_string, leaf_values, to_symbolic_string,
                                 weighted_param_gradient)
 
 from conftest import random_sequence
@@ -207,6 +207,58 @@ class TestGradient:
             g = weighted_param_gradient(t, seq, theta, values, caches, w)
             rows = sum(w[i] * sm.param_gradient(expr, X[i]) for i in range(20))
             assert g == pytest.approx(rows, rel=1e-12, abs=1e-12)
+
+
+class TestPowerRules:
+    """cube and quartic are products, which NumPy does not send to libm
+    pow; they stay within 2 ulp of it and agree on every special value."""
+
+    # tag -> (pow-based value, pow-based derivative)
+    POW = {"cube": (lambda z: np.power(z, 3), lambda z: 3.0 * np.power(z, 2)),
+           "quartic": (lambda z: np.power(z, 4),
+                       lambda z: 4.0 * np.power(z, 3))}
+
+    def assert_matches_pow(self, tag, z):
+        """Within 2 ulp of pow; bit for bit (sign included) wherever pow
+        gives a zero, an infinity or NaN."""
+        with np.errstate(all="ignore"):
+            for rule, reference in zip(UNARY_RULES[tag], self.POW[tag]):
+                got, want = rule(z), reference(z)
+                exact = (want == 0.0) | ~np.isfinite(want)
+                np.testing.assert_array_equal(got[exact], want[exact])
+                signed = exact & ~np.isnan(want)
+                assert np.array_equal(np.signbit(got[signed]),
+                                      np.signbit(want[signed]))
+                assert np.all(np.abs(got - want)[~exact]
+                              <= 2 * np.spacing(np.abs(want[~exact])))
+
+    @pytest.mark.parametrize("tag", ["cube", "quartic"])
+    def test_within_two_ulp_of_pow(self, tag):
+        rng = np.random.default_rng(14)
+        magnitude = 10.0 ** rng.uniform(-60, 60, 100_000)
+        self.assert_matches_pow(tag, rng.choice([-1.0, 1.0], 100_000)
+                                * magnitude)
+
+    @pytest.mark.parametrize("tag, overflow, underflow",
+                             [("cube", 1e103, 1e-110),
+                              ("quartic", 1e78, 1e-90)])
+    def test_special_values_match_pow(self, tag, overflow, underflow):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, overflow,
+                      -overflow, underflow, -underflow])
+        self.assert_matches_pow(tag, z)
+        with np.errstate(over="ignore", under="ignore"):
+            values = UNARY_RULES[tag][0](z)
+        # the inputs reach the cases they are named for
+        assert np.all(np.isinf(values[5:7])) and np.all(values[7:] == 0.0)
+
+    def test_bit_equal_to_the_products(self):
+        z = np.random.default_rng(15).uniform(-1e3, 1e3, (50, 3))
+        cube, cube_deriv = UNARY_RULES["cube"]
+        quartic, quartic_deriv = UNARY_RULES["quartic"]
+        assert cube(z).tobytes() == (z * z * z).tobytes()
+        assert cube_deriv(z).tobytes() == (3.0 * z * z).tobytes()
+        assert quartic(z).tobytes() == ((z * z) * (z * z)).tobytes()
+        assert quartic_deriv(z).tobytes() == (4.0 * z * z * z).tobytes()
 
 
 @given(scale=st.floats(-3, 3), data=st.data())

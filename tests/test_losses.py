@@ -19,6 +19,16 @@ def single_pair_dataset(x0, x1, dt):
                              tuple(f"x{j}" for j in range(len(x0))))
 
 
+def central_differences(objective, theta, h=1e-6):
+    fd = np.zeros_like(theta)
+    for k in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[k] += h
+        down[k] -= h
+        fd[k] = (objective.loss(up) - objective.loss(down)) / (2 * h)
+    return fd
+
+
 def zero_expr(d):
     template = sm.build_template("type2", d)
     return sm.CompiledExpression(template, ("0", "0", "add", "0", "add"),
@@ -127,7 +137,6 @@ class TestLossGradient:
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(23)
-        h = 1e-5
         for _ in range(60):
             kind = ("type1", "type2")[rng.integers(2)]
             d = int(rng.integers(1, 4))
@@ -140,12 +149,7 @@ class TestLossGradient:
             obj = EulerResidualObjective(template, seq, data, comp)
             theta = rng.uniform(-2, 2, obj.n_params)
             _, grad = obj.loss_and_grad(theta)
-            fd = np.zeros_like(theta)
-            for k in range(theta.size):
-                up, down = theta.copy(), theta.copy()
-                up[k] += h
-                down[k] -= h
-                fd[k] = (obj.loss(up) - obj.loss(down)) / (2 * h)
+            fd = central_differences(obj, theta, h=1e-5)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12)
             assert rel <= 1e-5
 
@@ -199,7 +203,6 @@ class TestFactoredResidualObjective:
         data = request.getfixturevalue(dataset)
         template = sm.build_template("type2", 3)
         rng = np.random.default_rng(7)
-        h = 1e-6
         for component in range(3):
             direct = EulerResidualObjective(template, seq, data, component)
             factored = FactoredResidualObjective(direct)
@@ -208,12 +211,7 @@ class TestFactoredResidualObjective:
             direct_loss, direct_grad = direct.loss_and_grad(theta)
             assert loss == pytest.approx(direct_loss, rel=1e-12)
             assert factored.loss(theta) == loss
-            fd = np.zeros_like(theta)
-            for k in range(theta.size):
-                up, down = theta.copy(), theta.copy()
-                up[k] += h
-                down[k] -= h
-                fd[k] = (factored.loss(up) - factored.loss(down)) / (2 * h)
+            fd = central_differences(factored, theta)
             scale = np.linalg.norm(direct_grad)
             assert np.linalg.norm(grad - fd) <= 1e-5 * scale
             assert np.linalg.norm(grad - direct_grad) <= 1e-10 * scale
@@ -303,6 +301,44 @@ class TestFactoredResidualObjective:
         theta = np.linspace(-1, 1, template.n_params)
         loss, _ = factored.loss_and_grad(theta)
         assert np.isfinite(loss)
+
+
+class TestPowerTagGradients:
+    """Gradient oracles for the power tags in every place a tree puts them;
+    the random oracles above draw cube and quartic only by chance."""
+
+    @pytest.mark.parametrize("tag", ["cube", "quartic"])
+    @pytest.mark.parametrize("children", [("id", "sin", "mul"),
+                                          ("square", "id", "add")])
+    def test_type1_root(self, sir_dataset, tag, children):
+        template = sm.build_template("type1", 3)
+        rng = np.random.default_rng(14)
+        for component in range(3):
+            objective = EulerResidualObjective(template, children + (tag,),
+                                               sir_dataset, component)
+            theta = rng.uniform(-1, 1, objective.n_params)
+            _, grad = objective.loss_and_grad(theta)
+            fd = central_differences(objective, theta)
+            assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("dataset", ["desk_sir_train", "qdr_train"])
+    @pytest.mark.parametrize("tag", ["cube", "quartic"])
+    @pytest.mark.parametrize("shape", [("mul", "add"), ("sub", "mul")])
+    def test_type2_leaves(self, request, dataset, tag, shape):
+        data = request.getfixturevalue(dataset)
+        template = sm.build_template("type2", 3)
+        seq = (tag, "id", shape[0], tag, shape[1])
+        rng = np.random.default_rng(14)
+        for component in range(3):
+            direct = EulerResidualObjective(template, seq, data, component)
+            factored = FactoredResidualObjective(direct)
+            assert factored.factor is not None
+            theta = rng.uniform(-1, 1, template.n_params)
+            for objective in (direct, factored):
+                _, grad = objective.loss_and_grad(theta)
+                fd = central_differences(objective, theta)
+                assert (np.linalg.norm(grad - fd)
+                        <= 1e-5 * np.linalg.norm(grad))
 
 
 def test_tsqr_gives_the_gram_matrix_and_rejects_non_finite():
