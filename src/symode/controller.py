@@ -85,11 +85,8 @@ def sample_sequences(policy, template, n, rng):
 def log_prob(policy, template, sequence):
     """Log probability of ``sequence`` under the pure softmax policy."""
     vocabs = slot_vocabularies(template)
-    total = 0.0
-    for j, (vocab, tag) in enumerate(zip(vocabs, sequence)):
-        p = _softmax(policy.logits[j])
-        total += math.log(p[vocab.index(tag)])
-    return total
+    return sum(math.log(p[vocab.index(tag)]) for p, vocab, tag
+               in zip(policy.probabilities(), vocabs, sequence))
 
 
 def quantile_threshold(scores, nu):
@@ -110,26 +107,21 @@ def apply_policy_gradient(policy, batch, threshold):
     """One gradient-ascent step using sequences at or above ``threshold``.
 
     grad = (1/|top|) * sum_top (score - threshold) * d log p / d logits.
+    For slot j that is (1/|top|) * (sum of the margins of the top
+    sequences that chose each operator - p_j * sum of all top margins).
     Sequences below the threshold contribute exactly zero. Logits are
     updated in place.
     """
     scores = np.asarray(batch.scores, dtype=float)
-    top = np.nonzero(scores >= threshold)[0]
-    if top.size == 0:
+    top = scores >= threshold
+    w = scores[top] - threshold
+    if w.size == 0:
         return policy
-    probs = policy.probabilities()
-    grads = [np.zeros_like(l) for l in policy.logits]
-    for i in top:
-        w = scores[i] - threshold
-        if w == 0.0:
-            continue
-        for j in range(len(policy.logits)):
-            g = -probs[j] * w
-            g[batch.choices[i, j]] += w
-            grads[j] += g
-    scale = policy.lr / top.size
-    for j in range(len(policy.logits)):
-        policy.logits[j] += scale * grads[j]
+    choices = batch.choices[top]
+    scale = policy.lr / w.size
+    for j, p in enumerate(policy.probabilities()):
+        counts = np.bincount(choices[:, j], weights=w, minlength=p.size)
+        policy.logits[j] += scale * (counts - p * w.sum())
     return policy
 
 

@@ -96,7 +96,11 @@ def minimize_first_order(fn, init, iters, lr):
         v = BETA2 * v + (1.0 - BETA2) * grad * grad
         m_hat = m / (1.0 - BETA1**t)
         v_hat = v / (1.0 - BETA2**t)
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # a gradient above ~1.3e154 squares to inf, which would freeze its
+        # coordinate for good; there the step is lr times the sign of m_hat
+        denom = np.sqrt(v_hat) + ADAM_EPS
+        theta = theta - np.where(np.isinf(denom), lr * np.sign(m_hat),
+                                 lr * m_hat / denom)
         loss, grad = fn(theta)
         used = t
         if not np.isfinite(loss):

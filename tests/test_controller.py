@@ -131,6 +131,25 @@ def constructed_batch(template, sequences, scores):
                           scores=np.asarray(scores, float))
 
 
+def reference_policy_gradient(policy, batch, threshold):
+    """The update as a loop over the top sequences and their slots."""
+    scores = np.asarray(batch.scores, dtype=float)
+    top = np.nonzero(scores >= threshold)[0]
+    probs = policy.probabilities()
+    grads = [np.zeros_like(l) for l in policy.logits]
+    for i in top:
+        w = scores[i] - threshold
+        if w == 0.0:
+            continue
+        for j in range(len(policy.logits)):
+            g = -probs[j] * w
+            g[batch.choices[i, j]] += w
+            grads[j] += g
+    scale = policy.lr / top.size
+    for j in range(len(policy.logits)):
+        policy.logits[j] += scale * grads[j]
+
+
 class TestPolicyUpdate:
     def test_equal_scores_leave_logits(self, type2_template):
         policy = fresh_policy(type2_template)
@@ -178,6 +197,29 @@ class TestPolicyUpdate:
                                                        scores[:3]), threshold)
         for a, b in zip(pol_a.logits, pol_b.logits):
             assert a == pytest.approx(b, abs=1e-15)
+
+    @pytest.mark.parametrize("n,nu", [(10, 0.2), (20, 0.5)])
+    def test_matches_reference_loop(self, type2_template, n, nu):
+        # at batch 10 and nu = 0.2 at most one margin is nonzero and the two
+        # forms add the same numbers; with several margins the sums differ
+        # only in their order
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            policy = fresh_policy(type2_template, lr=0.3)
+            for logits in policy.logits:
+                logits[:] = rng.normal(size=logits.size)
+            batch = sm.sample_sequences(policy, type2_template, n, rng)
+            batch.scores = rng.uniform(0, 1, n)
+            reference = fresh_policy(type2_template, lr=0.3)
+            reference.logits = [l.copy() for l in policy.logits]
+            threshold = sm.quantile_threshold(batch.scores, nu)
+            apply_policy_gradient(policy, batch, threshold)
+            reference_policy_gradient(reference, batch, threshold)
+            for a, b in zip(policy.logits, reference.logits):
+                if n == 10:
+                    assert np.array_equal(a, b)
+                else:
+                    np.testing.assert_allclose(a, b, rtol=1e-14)
 
     def test_bandit_concentration(self, type2_template):
         """A fixed batch with one clear winner concentrates the policy on

@@ -4,7 +4,8 @@ import pytest
 import symode as sm
 from symode.errors import NonFiniteLossError
 from symode.losses import EulerResidualObjective
-from symode.optimize import ARMIJO_C, LR_FIRST, MAX_BACKTRACKS
+from symode.optimize import (ARMIJO_C, LR_FIRST, MAX_BACKTRACKS,
+                             uniform_init)
 
 
 def quadratic(theta):
@@ -94,6 +95,17 @@ class TestFirstOrder:
         assert res.final_loss <= min(seen)
         # reported loss is re-checkable at the reported parameters
         assert quadratic(res.final_params)[0] == pytest.approx(res.final_loss)
+
+    def test_overflowing_moment_still_steps(self):
+        # gradients near 1e160 square to inf in the second moment; those
+        # coordinates step by lr * sign(m_hat) instead of stalling at 0
+        series = np.linspace(1e80, 2e80, 30)[:, None]
+        data = sm.TrajectoryDataset([series], 1.0, ("x",))
+        obj = EulerResidualObjective(sm.build_template("type2", 1),
+                                     ("id", "id", "add", "id", "add"), data, 0)
+        init = uniform_init(np.random.default_rng(5), 6)
+        res = sm.minimize_first_order(obj.loss_and_grad, init, 30, LR_FIRST)
+        assert res.final_loss <= obj.loss(init) / 10
 
 
 class TestBFGS:

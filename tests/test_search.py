@@ -207,6 +207,38 @@ class TestScoreSequence:
         assert record.loss == float("inf")
         assert np.array_equal(record.params, np.zeros(template.n_params))
 
+    @pytest.mark.parametrize("recovers", [True, False])
+    def test_init_retries(self, sir_dataset, monkeypatch, recovers):
+        # a start of 1e200 everywhere makes the loss inf; the fit draws again
+        # up to MAX_INIT_RETRIES times, which fixes how many numbers it takes
+        # from the rng, then gives up with the score-0 sentinel
+        draws = []
+
+        def init(rng, count):
+            draws.append(count)
+            if recovers and len(draws) > 1:
+                return uniform_init(rng, count)
+            return np.full(count, 1e200)
+
+        template = sm.build_template("type2", 3)
+        seq = ("sin", "id", "mul", "exp", "add")
+        optim = sm.OptimConfig(t1_iters=5, t2_iters=5)
+        plain = sm.score_sequence(seq, template, sir_dataset, 1, optim,
+                                  np.random.default_rng(5))
+        monkeypatch.setattr(search_mod, "uniform_init", init)
+        record = sm.score_sequence(seq, template, sir_dataset, 1, optim,
+                                   np.random.default_rng(5))
+        if recovers:
+            assert len(draws) == 2
+            # the refused start drew nothing, so the fit is the plain one
+            assert record.loss == plain.loss
+            assert np.array_equal(record.params, plain.params)
+        else:
+            assert len(draws) == 1 + search_mod.MAX_INIT_RETRIES
+            assert record.loss == float("inf")
+            assert record.score == 0.0
+            assert np.array_equal(record.params, np.zeros(template.n_params))
+
 
 def all_sequences(template):
     return itertools.product(*[
