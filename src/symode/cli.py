@@ -67,7 +67,20 @@ def _load_config(args):
         doc["output_dir"] = args.out
     if getattr(args, "epochs", None) is not None:
         doc["search"]["epochs"] = args.epochs
-    return run_config_from_dict(doc)
+    cfg = run_config_from_dict(doc)
+    _check_out_dir(cfg.output_dir, "output_dir")
+    return cfg
+
+
+def _check_out_dir(path, name):
+    """Raise a ConfigError naming ``name`` unless ``path`` is a directory,
+    or does not exist and its nearest existing ancestor is a directory, so
+    that the writers can make it. Creates nothing."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents)
+                    if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"{name}: {existing} is not a directory")
 
 
 def _cmd_generate(args):
@@ -90,6 +103,7 @@ def _cmd_search(args):
 def _cmd_forecast(args):
     if args.steps < 1:
         raise ConfigError("--steps: must be >= 1")
+    _check_out_dir(args.out, "--out")
     doc = load_results(args.results)
     system = system_from_document(doc)
     scale = scale_from_document(doc)
@@ -110,7 +124,7 @@ def _cmd_forecast(args):
             result = rollout(system, values[-1], args.steps, data.dt)
             anchor = values.shape[0] - 1
         restored = result.states * scale.scale
-    result = cut_forecast(result, restored)
+    result, restored = cut_forecast(result, restored)
     if not result.completed:
         raise NumericalError(f"rollout diverged at step {result.failure_step}")
     path = write_csv(Path(args.out) / "predictions.csv",
@@ -120,9 +134,9 @@ def _cmd_forecast(args):
 
 
 def _cmd_report(args):
-    doc = load_results(args.results)
     out = args.out if args.out else Path(args.results).parent
-    write_report(doc, out)
+    _check_out_dir(out, "--out" if args.out else "--results")
+    write_report(load_results(args.results), out)
     print(f"wrote report files to {out}")
 
 

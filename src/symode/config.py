@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .dataio import NORMALIZATION_MODES
+from .dataio import NORMALIZATION_MODES, read_text
 from .epidemic import EpiParams, ModelKind, benchmark_params
 from .errors import ConfigError
 from .search import SearchConfig
@@ -193,11 +193,9 @@ def run_config_from_dict(doc):
 
 def load_run_config(path):
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{path}: no such config file")
+    text = read_text(path, ConfigError, "config file")
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return run_config_from_dict(doc)

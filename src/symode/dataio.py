@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,12 +30,26 @@ from .errors import (DataError, EmptyFileError, MissingColumnError,
                      NonNumericCellError)
 
 
-def _read_rows(path):
+def read_text(path, error, what):
+    """The text of the UTF-8 file at ``path``, line ends as they are. A
+    missing file raises ``error`` saying there is no such ``what``; a
+    directory, any other file that cannot be read and bytes that are not
+    UTF-8 raise ``error`` naming the path and the cause."""
     path = Path(path)
     if not path.exists():
-        raise DataError(f"{path}: no such file")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        raise error(f"{path}: no such {what}")
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise error(f"{path}: cannot read {what}: {exc.strerror}") from None
+
+
+def _read_rows(path):
+    text = read_text(path, DataError, "file")
+    rows = csv.reader(io.StringIO(text, newline=""))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise EmptyFileError(path)

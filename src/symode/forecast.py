@@ -37,18 +37,20 @@ def rollout(model, init, steps, dt):
 
 
 def cut_forecast(result, *per_step):
-    """Where every forecast ends: ``result`` cut before its first step at
-    which a state, or a row of one of the ``per_step`` arrays (its values in
-    original units, its errors against the truth), is not finite, and
-    reported as diverged there. JSON and CSV have no number for a forecast
-    that left the float range."""
+    """Where every forecast ends: ``(result, *per_step)``, each cut before
+    the first step at which a state, or a row of one of the ``per_step``
+    arrays (its values in original units, its errors against the truth), is
+    not finite, with ``result`` reported as diverged there. Nothing is cut,
+    and the same objects come back, when every row is finite. JSON and CSV
+    have no number for a forecast that left the float range."""
     steps = result.states.shape[0]
     rows = [np.reshape(a, (steps, -1)) for a in (result.states, *per_step)]
     finite = np.isfinite(np.hstack(rows)).all(axis=1)
     if finite.all():
-        return result
+        return (result, *per_step)
     step = int(np.argmin(finite))
-    return RolloutResult(result.states[:step], False, step)
+    return (RolloutResult(result.states[:step], False, step),
+            *(a[:step] for a in per_step))
 
 
 def replay(model, truth, dt):

@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import expressions as ex
-from .dataio import ScaleRecord, load_csv, normalize_series, write_csv
+from .dataio import (ScaleRecord, load_csv, normalize_series, read_text,
+                     write_csv)
 from .datasets import TrajectoryDataset
 from .epidemic import generate_trajectories, train_test_split
 from .errors import ConfigError, DataError, NumericalError
 from .forecast import (cut_forecast, per_step_component_mse, per_step_mse,
-                       persistence_baseline, replay, rollout)
+                       persistence_baseline, rollout)
 from .search import SystemModel, search_component
 
 
@@ -178,9 +179,7 @@ def run_synthetic(cfg):
     completed = truth[:, : predicted.shape[1]]
     curve = per_step_mse(predicted, completed)
     by_component = per_step_component_mse(predicted, completed)
-    result = cut_forecast(result, curve, by_component)
-    curve = curve[: result.states.shape[0]]
-    by_component = by_component[: result.states.shape[0]]
+    result, curve, by_component = cut_forecast(result, curve, by_component)
     persistence = persistence_baseline(truth)
     # step 0 is the shared initial condition; the reported curve starts at
     # the first predicted step
@@ -220,44 +219,41 @@ def run_real(cfg):
         raise DataError(f"{cfg.input_csv}: {exc}") from None
     values = normalized.trajectories[0]
     names = raw.var_names
-    train_window = values[: cfg.train_days]
-    train = TrajectoryDataset([train_window], cfg.real_dt, names,
+    train = TrajectoryDataset([values[: cfg.train_days]], cfg.real_dt, names,
                               split="train")
     doc = _base_document(cfg, names, _search_all_components(train, cfg))
-    system = system_from_document(doc)
-
-    teacher_sq = (replay(system, train_window, cfg.real_dt) - train_window) ** 2
 
     # autonomous forecast seeded at the last training observation
     horizon = values.shape[0] - cfg.train_days
     anchor = cfg.train_days - 1
-    fc = rollout(system, values[anchor], horizon, cfg.real_dt)
+    fc = rollout(system_from_document(doc), values[anchor], horizon,
+                 cfg.real_dt)
     truth_window = values[anchor: anchor + fc.states.shape[0]]
     with np.errstate(over="ignore"):
         sq = (fc.states - truth_window) ** 2
         step_mse = sq.mean(axis=1)
         restored = fc.states * scale.scale
-    fc = cut_forecast(fc, step_mse, restored)
-    kept = fc.states.shape[0]
-    forecast_sq = sq[1:kept]
+    fc, step_mse, restored, sq = cut_forecast(fc, step_mse, restored, sq)
     persistence_sq = (values[anchor] - values[anchor + 1:]) ** 2
 
     metrics = doc["metrics"] = {
         "forecast_steps": int(horizon),
-        "per_step_mse": [float(v) for v in step_mse[1:kept]],
+        "per_step_mse": [float(v) for v in step_mse[1:]],
         "persistence_per_step": [float(v) for v in persistence_sq.mean(axis=1)],
     }
     # a diverged forecast has no mean to compare with persistence
     if fc.completed:
-        metrics["forecast_mse_per_series"] = _series_means(forecast_sq, names)
+        metrics["forecast_mse_per_series"] = _series_means(sq[1:], names)
     metrics["persistence_mse_per_series"] = _series_means(persistence_sq, names)
-    metrics["teacher_forced_mse_per_series"] = _series_means(teacher_sq, names)
+    # each fit's loss is its one-step Euler MSE on the training pairs
+    metrics["teacher_forced_mse_per_series"] = {
+        comp["name"]: comp["loss"] for comp in doc["components"]}
     if not fc.completed:
         metrics["diverged_at_step"] = fc.failure_step
     doc["scale_record"] = {"mode": scale.mode, "scale": scale.scale}
     doc["forecast"] = {
         "anchor_step": anchor,
-        "values": [[float(v) for v in row] for row in restored[1:kept]],
+        "values": [[float(v) for v in row] for row in restored[1:]],
     }
     return doc
 
@@ -386,14 +382,11 @@ def load_results(path):
     holds a component the system cannot be rebuilt from or a scale that is
     not positive ends in a DataError naming the file."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such results document")
+    text = read_text(path, DataError, "results document")
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_finite(float),
-                            parse_int=_finite(int),
-                            parse_constant=_finite(float))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        doc = json.loads(text, parse_float=_finite(float),
+                         parse_int=_finite(int), parse_constant=_finite(float))
+    except ValueError as exc:
         raise DataError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: top-level value is not a JSON object")

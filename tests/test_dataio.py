@@ -139,6 +139,15 @@ class TestTrajectoryRoundTrip:
         load_csv(path)
         assert reads == [path]
 
+    @pytest.mark.parametrize("ends", ["\r\n", "\r"])
+    def test_line_ends_read_as_lf(self, tmp_path, ends):
+        lf = load_csv(write(tmp_path, "lf.csv", SERIES_CSV))
+        other = tmp_path / "other.csv"
+        other.write_bytes(SERIES_CSV.replace("\n", ends).encode("utf-8"))
+        loaded = load_csv(other)
+        assert loaded.var_names == lf.var_names
+        assert np.array_equal(loaded.trajectories[0], lf.trajectories[0])
+
     def test_unknown_header_rejected(self, tmp_path):
         path = write(tmp_path, "odd.csv", "foo,bar\n1,2\n")
         with pytest.raises(MissingColumnError):

@@ -82,36 +82,45 @@ class TestRollout:
 class TestCutForecast:
     def test_finite_forecast_is_kept_whole(self):
         result = rollout(lambda x: -x, np.ones((2, 3)), 5, 0.1)
-        assert cut_forecast(result, np.ones(6), np.ones((6, 3))) is result
+        arrays = (result, np.ones(6), np.ones((6, 3)))
+        cut = cut_forecast(*arrays)
+        assert len(cut) == 3
+        assert all(a is b for a, b in zip(cut, arrays))
 
     def test_cut_before_first_non_finite_row(self):
         result = rollout(lambda x: -x, np.ones((2, 3)), 5, 0.1)
+        curve = np.arange(6.0)
         errors = np.ones((6, 3))
         errors[4, 1] = np.inf
         errors[5] = np.nan
-        cut = cut_forecast(result, np.ones(6), errors)
+        cut, cut_curve, cut_errors = cut_forecast(result, curve, errors)
         assert not cut.completed
         assert cut.failure_step == 4
         assert np.array_equal(cut.states, result.states[:4])
+        assert np.array_equal(cut_curve, curve[:4])
+        assert np.array_equal(cut_errors, errors[:4])
 
     def test_non_finite_state_ends_the_forecast(self):
         # a teacher-forced replay computes every row, finite or not
         states = np.array([[1.0, 2.0], [3.0, np.inf], [5.0, 6.0]])
-        cut = cut_forecast(RolloutResult(states, True))
+        cut, = cut_forecast(RolloutResult(states, True))
         assert (cut.completed, cut.failure_step) == (False, 1)
         assert np.array_equal(cut.states, states[:1])
 
     def test_rollout_failure_step_kept_when_rows_are_finite(self):
         result = rollout(lambda x: x * 1e200, np.ones(1), 10, 1.0)
         assert result.failure_step == 2
-        assert cut_forecast(result, np.ones(2)) is result
+        rows = np.ones(2)
+        cut, kept = cut_forecast(result, rows)
+        assert cut is result and kept is rows
 
     def test_earlier_overflow_in_original_units_wins(self):
         result = rollout(lambda x: x * 1e200, np.ones(1), 10, 1.0)
         with np.errstate(over="ignore"):
             restored = result.states * 1e200
-        cut = cut_forecast(result, restored)
+        cut, cut_restored = cut_forecast(result, restored)
         assert (cut.completed, cut.failure_step) == (False, 1)
+        assert np.array_equal(cut_restored, restored[:1])
 
 
 class TestPerStepMse:

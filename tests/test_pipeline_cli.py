@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import symode as sm
+from symode import cli, pipeline
 from symode.cli import main
 from symode.config import run_config_from_dict
 from symode.dataio import load_csv
@@ -130,6 +131,31 @@ class TestRealPipeline:
         assert len(doc["forecast"]["values"]) == 10
         assert (tmp_path / "run" / "forecast.csv").exists()
 
+    def test_teacher_forced_mse_is_the_fitted_loss(self, sample_csv,
+                                                   tmp_path):
+        """Each series' teacher-forced MSE is the mean squared one-step
+        Euler error over the training pairs, replayed row 0 excluded, which
+        is its component's fitted loss."""
+        cfg = run_config_from_dict(tiny_real_doc(sample_csv,
+                                                 out=str(tmp_path / "run")))
+        doc = run_pipeline(cfg)
+        raw = load_csv(sample_csv, dt=cfg.real_dt)
+        window = (raw.trajectories[0][: cfg.train_days]
+                  / doc["scale_record"]["scale"])
+        replayed = sm.replay(system_from_document(doc), window, cfg.real_dt)
+        one_step = ((replayed - window)[1:] ** 2).mean(axis=0)
+        teacher = doc["metrics"]["teacher_forced_mse_per_series"]
+        assert list(teacher) == doc["var_names"]
+        # The replay evaluates each right-hand side in another operation
+        # order than the fit did. Here R's terms reach 1.4e5 and cancel to
+        # |f| <= 0.03, so the two orders differ by 1.5e-11 in f and by
+        # 1.3e-7 relative in R's mean; a mean over 20 rows, row 0
+        # included, would be 5% off.
+        for k, comp in enumerate(doc["components"]):
+            assert teacher[comp["name"]] == comp["loss"]
+            assert teacher[comp["name"]] == pytest.approx(one_step[k],
+                                                          rel=1e-6, abs=0)
+
     def test_train_days_must_leave_room(self, sample_csv, tmp_path):
         doc = tiny_real_doc(sample_csv, out=str(tmp_path / "run"))
         doc["train_days"] = 30
@@ -166,8 +192,8 @@ BAD_RESULTS = {
     "invalid_json": (b"{", "not a JSON document: Expecting property name "
                            "enclosed in double quotes: line 1 column 2 "
                            "(char 1)"),
-    "not_utf8": (b"\xff", "not a JSON document: 'utf-8' codec can't decode "
-                          "byte 0xff in position 0: invalid start byte"),
+    "not_utf8": (b"\xff", "not UTF-8 text: 'utf-8' codec can't decode byte "
+                          "0xff in position 0: invalid start byte"),
     "list": (b"[]", "top-level value is not a JSON object"),
     "no_components": (lambda doc: doc.pop("components"),
                       "missing field 'components'"),
@@ -542,6 +568,87 @@ class TestCli:
         doc = load_results(tmp_path / "o2" / "results.json")
         assert doc["config_echo"]["seed"] == 9
         assert doc["config_echo"]["search"]["epochs"] == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("role", ["config", "input_csv", "results",
+                                      "data"])
+    def test_unreadable_input_is_a_named_error(self, tmp_path, capsys,
+                                               sample_csv, role, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_real_doc(bad, out=str(
+            tmp_path / "o"))), encoding="utf-8")
+        results = self._results_file(tmp_path, lambda doc: None)
+        argv, code, what = {
+            "config": (["search", "--config", str(bad)], 2, "config file"),
+            "input_csv": (["search", "--config", str(cfg_path)], 3, "file"),
+            "results": (["report", "--results", str(bad)], 3,
+                        "results document"),
+            "data": (["forecast", "--results", str(results), "--data",
+                      str(bad)], 3, "file"),
+        }[role]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == code
+        reason = (f"cannot read {what}: Is a directory" if kind == "directory"
+                  else "not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte")
+        label = "config error" if code == 2 else "data error"
+        assert capsys.readouterr().err == f"{label}: {bad}: {reason}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    @pytest.mark.parametrize("command", ["generate", "search", "forecast",
+                                         "report"])
+    def test_unusable_out_fails_before_any_work(self, tmp_path, capsys,
+                                                 monkeypatch, sample_csv,
+                                                 command, where):
+        def never(*args):
+            pytest.fail("called before the output directory was checked")
+
+        for module, name in [(pipeline, "_search_all_components"),
+                             (cli, "generate_synthetic"),
+                             (cli, "load_results")]:
+            monkeypatch.setattr(module, name, never)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n", encoding="utf-8")
+        out = taken if where == "file" else taken / "sub"
+        cfg_path = tmp_path / "cfg.json"
+        cfg = (tiny_synthetic_doc() if command == "generate"
+               else tiny_real_doc(sample_csv))
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        results = str(tmp_path / "results.json")
+        argv = {"generate": ["generate", "--config", str(cfg_path)],
+                "search": ["search", "--config", str(cfg_path)],
+                "forecast": ["forecast", "--results", results, "--data",
+                             str(sample_csv)],
+                "report": ["report", "--results", results]}[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        name = "output_dir" if command in ("generate", "search") else "--out"
+        assert capsys.readouterr().err == (
+            f"config error: {name}: {taken} is not a directory\n")
+        assert sorted(tmp_path.iterdir()) == [cfg_path, taken]
+        assert taken.read_text(encoding="utf-8") == "a file\n"
+
+    @pytest.mark.parametrize("command", ["search", "report"])
+    def test_unusable_default_out_is_a_config_error(self, tmp_path, capsys,
+                                                    sample_csv, command):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n", encoding="utf-8")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_real_doc(sample_csv,
+                                                     out=str(taken))),
+                            encoding="utf-8")
+        if command == "search":
+            argv, name = ["search", "--config", str(cfg_path)], "output_dir"
+        else:
+            argv = ["report", "--results", str(taken / "results.json")]
+            name = "--results"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {name}: {taken} is not a directory\n")
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
