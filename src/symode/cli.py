@@ -19,8 +19,9 @@ from .config import load_run_config, run_config_from_dict
 from .dataio import load_csv, save_trajectories_csv, write_csv
 from .errors import ConfigError, DataError, NumericalError
 from .forecast import RolloutResult, cut_forecast, replay, rollout
-from .pipeline import (dt_from_document, equations, generate_synthetic,
-                       load_results, run_pipeline, scale_from_document,
+from .pipeline import (RESULTS_FILE, dt_from_document, equations,
+                       generate_synthetic, load_results, report_files,
+                       run_pipeline, scale_from_document,
                        system_from_document, write_report)
 
 
@@ -67,43 +68,51 @@ def _load_config(args):
         doc["output_dir"] = args.out
     if getattr(args, "epochs", None) is not None:
         doc["search"]["epochs"] = args.epochs
-    cfg = run_config_from_dict(doc)
-    _check_out_dir(cfg.output_dir, "output_dir")
-    return cfg
+    return run_config_from_dict(doc)
 
 
-def _check_out_dir(path, name):
-    """Raise a ConfigError naming ``name`` unless ``path`` is a directory,
-    or does not exist and its nearest existing ancestor is a directory, so
-    that the writers can make it. Creates nothing."""
+def _check_out(path, name, files):
+    """The paths of ``files`` in the output directory ``path``. Raises a
+    ConfigError naming ``name`` when ``path``, or its nearest existing
+    ancestor if it does not exist, is not a directory, or when one of those
+    paths is a directory: the writers could not make or write them then.
+    Creates nothing."""
     path = Path(path)
     existing = next(p for p in (path, *path.parents)
                     if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise ConfigError(f"{name}: {existing} is not a directory")
+    paths = [path / file for file in files]
+    for file in paths:
+        if file.is_dir():
+            raise ConfigError(f"{name}: {file} is a directory")
+    return paths
 
 
 def _cmd_generate(args):
     cfg = _load_config(args)
+    path, = _check_out(cfg.output_dir, "output_dir", ["trajectories.csv"])
     if cfg.mode != "synthetic":
         raise ConfigError("generate requires a synthetic-mode config")
     data = generate_synthetic(cfg)
-    path = save_trajectories_csv(Path(cfg.output_dir) / "trajectories.csv",
-                                 data)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_trajectories_csv(path, data)
     print(f"wrote {data.n_trajectories} trajectories to {path}")
 
 
 def _cmd_search(args):
     cfg = _load_config(args)
+    results, *_ = _check_out(cfg.output_dir, "output_dir",
+                             [RESULTS_FILE, *report_files(cfg.mode == "real")])
     doc = run_pipeline(cfg)
-    print(f"wrote results to {Path(cfg.output_dir) / 'results.json'}")
+    print(f"wrote results to {results}")
     print(equations(doc), end="")
 
 
 def _cmd_forecast(args):
     if args.steps < 1:
         raise ConfigError("--steps: must be >= 1")
-    _check_out_dir(args.out, "--out")
+    path, = _check_out(args.out, "--out", ["predictions.csv"])
     doc = load_results(args.results)
     system = system_from_document(doc)
     scale = scale_from_document(doc)
@@ -116,27 +125,33 @@ def _cmd_forecast(args):
     # step in the units the system was fitted in, write in the data's units;
     # a value that leaves the float range on the way is cut, not warned about
     with np.errstate(over="ignore"):
-        values = data.trajectories[0] / scale.scale
+        values = data.trajectories[0] / scale
         if args.mode == "teacher":
             result = RolloutResult(replay(system, values, data.dt), True)
             anchor = 0
         else:
             result = rollout(system, values[-1], args.steps, data.dt)
             anchor = values.shape[0] - 1
-        restored = result.states * scale.scale
+        restored = result.states * scale
     result, restored = cut_forecast(result, restored)
     if not result.completed:
         raise NumericalError(f"rollout diverged at step {result.failure_step}")
-    path = write_csv(Path(args.out) / "predictions.csv",
-                     ["step", *doc["var_names"]],
-                     enumerate(restored, start=anchor))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(path, ["step", *doc["var_names"]],
+              enumerate(restored, start=anchor))
     print(f"wrote {path}")
 
 
 def _cmd_report(args):
+    # which files a report writes follows from the document, read after
+    # its directory is checked
     out = args.out if args.out else Path(args.results).parent
-    _check_out_dir(out, "--out" if args.out else "--results")
-    write_report(load_results(args.results), out)
+    name = "--out" if args.out else "--results"
+    _check_out(out, name, [])
+    doc = load_results(args.results)
+    _check_out(out, name, report_files("forecast" in doc))
+    Path(out).mkdir(parents=True, exist_ok=True)
+    write_report(doc, out)
     print(f"wrote report files to {out}")
 
 

@@ -1,7 +1,7 @@
 """CSV reading/writing and series normalization.
 
-Two file layouts are supported, both UTF-8 with LF endings and ``.``
-decimals:
+Two file layouts are supported, both UTF-8 (a leading byte-order mark is
+skipped) with LF endings and ``.`` decimals:
 
 * trajectory files: header ``trajectory_id,step,<var1>,...,<vard>``, one
   row per (trajectory, step), steps consecutive integers in any row order;
@@ -20,7 +20,6 @@ import csv
 import datetime
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +30,16 @@ from .errors import (DataError, EmptyFileError, MissingColumnError,
 
 
 def read_text(path, error, what):
-    """The text of the UTF-8 file at ``path``, line ends as they are. A
-    missing file raises ``error`` saying there is no such ``what``; a
-    directory, any other file that cannot be read and bytes that are not
-    UTF-8 raise ``error`` naming the path and the cause."""
+    """The text of the UTF-8 file at ``path``, line ends as they are and a
+    leading byte-order mark dropped. A missing file raises ``error`` saying
+    there is no such ``what``; a directory, any other file that cannot be
+    read and bytes that are not UTF-8 raise ``error`` naming the path and
+    the cause."""
     path = Path(path)
     if not path.exists():
         raise error(f"{path}: no such {what}")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
@@ -173,11 +173,10 @@ def _series(path, rows, dt, expected_columns):
 
 
 def write_csv(path, header, rows):
-    """Write the one CSV layout symode writes, making its directory: UTF-8,
-    LF line ends, and per row ``(*keys, values)`` its int keys, then its
-    values with repr, so that reading the file back reproduces them."""
+    """Write the one CSV layout symode writes, into an existing directory:
+    UTF-8, LF line ends, and per row ``(*keys, values)`` its int keys, then
+    its values with repr, so that reading the file back reproduces them."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -200,17 +199,9 @@ def save_trajectories_csv(path, data):
 NORMALIZATION_MODES = ("none", "by_constant", "by_max_total")
 
 
-@dataclass(frozen=True)
-class ScaleRecord:
-    """Remembers how a series was scaled so forecasts can be reported back
-    in the original units."""
-
-    mode: str
-    scale: float
-
-
 def normalize_series(data, mode, constant=None):
-    """Scale all values by a common positive factor.
+    """Scale all values by a common positive factor: ``(dataset, scale)``,
+    the float that multiplies a scaled value back into the original units.
 
     ``by_constant`` divides by the given constant; ``by_max_total`` divides
     by the largest row total observed, which maps the series into O(1).
@@ -230,4 +221,4 @@ def normalize_series(data, mode, constant=None):
         raise ValueError(f"normalization scale must be positive, got {scale}")
     scaled = [t / scale for t in data.trajectories]
     return (TrajectoryDataset(scaled, data.dt, data.var_names, data.split),
-            ScaleRecord(mode, scale))
+            scale)

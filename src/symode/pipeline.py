@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expressions as ex
-from .dataio import (ScaleRecord, load_csv, normalize_series, read_text,
-                     write_csv)
+from .dataio import load_csv, normalize_series, read_text, write_csv
 from .datasets import TrajectoryDataset
 from .epidemic import generate_trajectories, train_test_split
 from .errors import ConfigError, DataError, NumericalError
@@ -165,24 +164,34 @@ def _base_document(cfg, var_names, outcomes):
     }
 
 
+def _score_forecast(doc, truth, dt, scale):
+    """Roll the document's system out from the first state of each
+    trajectory of ``truth`` (n, T, d) over T - 1 steps and score it in
+    fitted units: the rollout, its states times ``scale`` and its per-step
+    MSE pooled and per component, all cut by ``cut_forecast``, then the
+    same two MSEs of persistence. Row 0 of each is the initial state."""
+    result = rollout(system_from_document(doc), truth[:, 0],
+                     truth.shape[1] - 1, dt)
+    # (step, trajectory, d) -> (trajectory, step, d); a diverged rollout
+    # keeps the steps that every trajectory completed
+    predicted = result.states.swapaxes(0, 1)
+    completed = truth[:, : predicted.shape[1]]
+    with np.errstate(over="ignore"):
+        restored = result.states * scale
+    still = np.broadcast_to(truth[:, :1], truth.shape)
+    return (*cut_forecast(result, restored, per_step_mse(predicted, completed),
+                          per_step_component_mse(predicted, completed)),
+            persistence_baseline(truth), per_step_component_mse(still, truth))
+
+
 def run_synthetic(cfg):
     full = generate_synthetic(cfg)
     train, test = train_test_split(full, cfg.data.train_fraction)
     doc = _base_document(cfg, train.var_names,
                          _search_all_components(train, cfg))
-    truth = np.stack(test.trajectories)
-    result = rollout(system_from_document(doc), truth[:, 0],
-                     truth.shape[1] - 1, test.dt)
-    # (step, trajectory, d) -> (trajectory, step, d); a diverged rollout
-    # keeps the steps that every trajectory completed
-    predicted = result.states.swapaxes(0, 1)
-    completed = truth[:, : predicted.shape[1]]
-    curve = per_step_mse(predicted, completed)
-    by_component = per_step_component_mse(predicted, completed)
-    result, curve, by_component = cut_forecast(result, curve, by_component)
-    persistence = persistence_baseline(truth)
-    # step 0 is the shared initial condition; the reported curve starts at
-    # the first predicted step
+    result, _, curve, by_component, persistence, _ = _score_forecast(
+        doc, np.stack(test.trajectories), test.dt, 1.0)
+    # the reported curves start at the first predicted step
     metrics = doc["metrics"] = {
         "per_step_mse": [float(v) for v in curve[1:]],
         "per_step_mse_by_component": {
@@ -200,8 +209,8 @@ def run_synthetic(cfg):
 
 
 def _series_means(sq, var_names):
-    """Column means of a (steps, d) array, keyed by variable name."""
-    return {name: float(sq[:, j].mean()) for j, name in enumerate(var_names)}
+    """Column means of a (steps, d) array's rows after row 0, by name."""
+    return {name: float(sq[1:, j].mean()) for j, name in enumerate(var_names)}
 
 
 def run_real(cfg):
@@ -223,37 +232,30 @@ def run_real(cfg):
                               split="train")
     doc = _base_document(cfg, names, _search_all_components(train, cfg))
 
-    # autonomous forecast seeded at the last training observation
-    horizon = values.shape[0] - cfg.train_days
+    # autonomous forecast of the one series from the last training day on
     anchor = cfg.train_days - 1
-    fc = rollout(system_from_document(doc), values[anchor], horizon,
-                 cfg.real_dt)
-    truth_window = values[anchor: anchor + fc.states.shape[0]]
-    with np.errstate(over="ignore"):
-        sq = (fc.states - truth_window) ** 2
-        step_mse = sq.mean(axis=1)
-        restored = fc.states * scale.scale
-    fc, step_mse, restored, sq = cut_forecast(fc, step_mse, restored, sq)
-    persistence_sq = (values[anchor] - values[anchor + 1:]) ** 2
-
+    (fc, restored, curve, by_component, persistence,
+     persistence_by_component) = _score_forecast(doc, values[None, anchor:],
+                                                 cfg.real_dt, scale)
     metrics = doc["metrics"] = {
-        "forecast_steps": int(horizon),
-        "per_step_mse": [float(v) for v in step_mse[1:]],
-        "persistence_per_step": [float(v) for v in persistence_sq.mean(axis=1)],
+        "forecast_steps": values.shape[0] - cfg.train_days,
+        "per_step_mse": [float(v) for v in curve[1:]],
+        "persistence_per_step": [float(v) for v in persistence[1:]],
     }
     # a diverged forecast has no mean to compare with persistence
     if fc.completed:
-        metrics["forecast_mse_per_series"] = _series_means(sq[1:], names)
-    metrics["persistence_mse_per_series"] = _series_means(persistence_sq, names)
+        metrics["forecast_mse_per_series"] = _series_means(by_component, names)
+    metrics["persistence_mse_per_series"] = _series_means(
+        persistence_by_component, names)
     # each fit's loss is its one-step Euler MSE on the training pairs
     metrics["teacher_forced_mse_per_series"] = {
         comp["name"]: comp["loss"] for comp in doc["components"]}
     if not fc.completed:
         metrics["diverged_at_step"] = fc.failure_step
-    doc["scale_record"] = {"mode": scale.mode, "scale": scale.scale}
+    doc["scale_record"] = {"mode": cfg.normalization.mode, "scale": scale}
     doc["forecast"] = {
         "anchor_step": anchor,
-        "values": [[float(v) for v in row] for row in restored[1:]],
+        "values": [[float(v) for v in row] for row in restored[1:, 0]],
     }
     return doc
 
@@ -277,8 +279,19 @@ def run_pipeline(cfg, out_dir=None):
 # document IO
 
 
+RESULTS_FILE = "results.json"
+
+
+def report_files(real):
+    """The files ``write_report`` writes, in order: the equations, the
+    per-step MSE and, for a real-mode document, the forecast."""
+    return ("equations.txt", "mse_per_step.csv",
+            *(("forecast.csv",) if real else ()))
+
+
 def write_results(doc, out_dir):
-    path = Path(out_dir) / "results.json"
+    """Write the results document and its report files, making ``out_dir``."""
+    path = Path(out_dir) / RESULTS_FILE
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n",
                     encoding="utf-8")
@@ -293,21 +306,23 @@ def equations(doc):
 
 
 def write_report(doc, out_dir):
-    """Emit the symbolic equations and per-step MSE CSV for a document."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "equations.txt").write_text(equations(doc), encoding="utf-8")
-    write_csv(out / "mse_per_step.csv", ["step_index", "mse"],
+    """Emit the symbolic equations, the per-step MSE CSV and a real-mode
+    forecast's CSV of a document into an existing directory."""
+    eqs, mse, *forecast = (Path(out_dir) / name
+                           for name in report_files("forecast" in doc))
+    eqs.write_text(equations(doc), encoding="utf-8")
+    write_csv(mse, ["step_index", "mse"],
               enumerate(([v] for v in doc["metrics"]["per_step_mse"]),
                         start=1))
-    if "forecast" in doc:
-        write_csv(out / "forecast.csv", ["step", *doc["var_names"]],
+    for path in forecast:
+        write_csv(path, ["step", *doc["var_names"]],
                   enumerate(doc["forecast"]["values"],
                             start=doc["forecast"]["anchor_step"] + 1))
 
 
 # The keys that ``forecast`` and ``report`` read in each section of a
-# results document (``config_echo`` is read by ``dt_from_document``);
+# results document (``config_echo`` is read by ``dt_from_document``), and
+# ``scale_record.mode``, the normalization mode the scale came from;
 # ``scale_record`` and ``forecast`` are optional sections.
 _RESULTS_FIELDS = {
     "metrics": ("per_step_mse",),
@@ -428,11 +443,11 @@ def system_from_document(doc):
 
 
 def scale_from_document(doc):
-    rec = doc.get("scale_record", {"mode": "none", "scale": 1.0})
-    scale = rec["scale"]
+    """The factor that takes the system's states to the data's units."""
+    scale = doc.get("scale_record", {"scale": 1.0})["scale"]
     if not (_is_number(scale) and 0 < scale < math.inf):
         raise ValueError("scale_record.scale: expected a positive number")
-    return ScaleRecord(rec["mode"], float(scale))
+    return float(scale)
 
 
 def dt_from_document(doc):

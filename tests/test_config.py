@@ -127,6 +127,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_run_config(tmp_path / "missing.json")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xef\xbb\xbf"
+                         + json.dumps(minimal_synthetic()).encode("utf-8"))
+        assert (load_run_config(path).to_dict()
+                == run_config_from_dict(minimal_synthetic()).to_dict())
+
 
 def syn(**keys):
     return {"mode": "synthetic", "model": {"kind": "sir"}, **keys}

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from symode import dataio
-from symode.dataio import (ScaleRecord, load_csv, normalize_series,
-                           save_trajectories_csv)
+from symode.dataio import load_csv, normalize_series, save_trajectories_csv
 from symode.datasets import TrajectoryDataset
 from symode.errors import (DataError, EmptyFileError, MissingColumnError,
                            NonNumericCellError)
@@ -148,6 +147,14 @@ class TestTrajectoryRoundTrip:
         assert loaded.var_names == lf.var_names
         assert np.array_equal(loaded.trajectories[0], lf.trajectories[0])
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = load_csv(write(tmp_path, "plain.csv", SERIES_CSV))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + SERIES_CSV.encode("utf-8"))
+        loaded = load_csv(marked)
+        assert loaded.var_names == plain.var_names
+        assert np.array_equal(loaded.trajectories[0], plain.trajectories[0])
+
     def test_unknown_header_rejected(self, tmp_path):
         path = write(tmp_path, "odd.csv", "foo,bar\n1,2\n")
         with pytest.raises(MissingColumnError):
@@ -195,14 +202,14 @@ class TestNormalization:
 
     def test_none_is_identity(self):
         data = self.make_data()
-        out, record = normalize_series(data, "none")
-        assert record == ScaleRecord("none", 1.0)
+        out, scale = normalize_series(data, "none")
+        assert scale == 1.0 and isinstance(scale, float)
         assert np.array_equal(out.trajectories[0], data.trajectories[0])
 
     def test_by_constant(self):
-        out, record = normalize_series(self.make_data(), "by_constant",
-                                       constant=1000.0)
-        assert record.scale == 1000.0
+        out, scale = normalize_series(self.make_data(), "by_constant",
+                                      constant=1000.0)
+        assert scale == 1000.0
         assert out.trajectories[0][0, 0] == pytest.approx(0.1)
 
     def test_by_constant_requires_value(self):
@@ -210,8 +217,8 @@ class TestNormalization:
             normalize_series(self.make_data(), "by_constant")
 
     def test_by_max_total(self):
-        out, record = normalize_series(self.make_data(), "by_max_total")
-        assert record.scale == 500.0
+        out, scale = normalize_series(self.make_data(), "by_max_total")
+        assert scale == 500.0
         totals = out.trajectories[0].sum(axis=1)
         assert totals.max() == pytest.approx(1.0)
 

@@ -156,6 +156,63 @@ class TestRealPipeline:
             assert teacher[comp["name"]] == pytest.approx(one_step[k],
                                                           rel=1e-6, abs=0)
 
+    def test_forecast_is_scored_in_fitted_units(self, sample_csv, tmp_path):
+        """Forecast and persistence are scored against the one series from
+        the last training day on, in the units the system was fitted in:
+        each per-step MSE is a mean over the series, each per-series MSE a
+        mean over the steps."""
+        cfg = run_config_from_dict(tiny_real_doc(sample_csv,
+                                                 out=str(tmp_path / "run")))
+        doc = run_pipeline(cfg)
+        scale = doc["scale_record"]["scale"]
+        values = load_csv(sample_csv).trajectories[0] / scale
+        anchor = doc["forecast"]["anchor_step"]
+        assert anchor == cfg.train_days - 1
+        truth = values[anchor + 1:]
+        forecast_sq = (np.array(doc["forecast"]["values"]) / scale - truth) ** 2
+        persistence_sq = (values[anchor] - truth) ** 2
+        metrics = doc["metrics"]
+        assert metrics["per_step_mse"] == pytest.approx(
+            forecast_sq.mean(axis=1), rel=1e-12, abs=0)
+        assert metrics["persistence_per_step"] == list(
+            persistence_sq.mean(axis=1))
+        for j, name in enumerate(doc["var_names"]):
+            assert metrics["forecast_mse_per_series"][name] == pytest.approx(
+                forecast_sq[:, j].mean(), rel=1e-12, abs=0)
+            assert (metrics["persistence_mse_per_series"][name]
+                    == persistence_sq[:, j].mean())
+
+    def test_overflow_in_original_units_is_a_divergence(self, sample_csv,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # The series in units of 1e200, so its scale is about 1e203. A
+        # system whose states grow by 1e12 per step stays finite in fitted
+        # units, squared errors included, over all 10 steps, but its state
+        # at step 9 (about 1e108) leaves the float range once multiplied
+        # back into the data's units.
+        lines = sample_csv.read_text(encoding="utf-8").splitlines()
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join([lines[0]] + [
+            ",".join([row[0], *(repr(float(v) * 1e200) for v in row[1:])])
+            for row in (line.split(",") for line in lines[1:])]) + "\n",
+            encoding="utf-8")
+        monkeypatch.setattr(pipeline, "system_from_document",
+                            lambda doc: lambda state: 1e12 * state)
+        cfg = run_config_from_dict(tiny_real_doc(big,
+                                                 out=str(tmp_path / "run")))
+        with pytest.raises(NumericalError,
+                           match="^forecast rollout diverged at step 9$"):
+            run_pipeline(cfg)
+        doc = json.loads((tmp_path / "run" / "results.json").read_text(
+            encoding="utf-8"))
+        metrics = doc["metrics"]
+        assert doc["scale_record"]["scale"] > 1e203
+        assert metrics["diverged_at_step"] == 9
+        assert "forecast_mse_per_series" not in metrics
+        assert len(metrics["per_step_mse"]) == 8
+        assert len(doc["forecast"]["values"]) == 8
+        assert np.isfinite(doc["forecast"]["values"]).all()
+
     def test_train_days_must_leave_room(self, sample_csv, tmp_path):
         doc = tiny_real_doc(sample_csv, out=str(tmp_path / "run"))
         doc["train_days"] = 30
@@ -430,7 +487,7 @@ class TestCli:
                      "--data", str(sample_csv), "--steps", "5",
                      "--out", str(tmp_path / "fc")]) == 0
         data = load_csv(sample_csv, dt_from_document(doc))
-        scale = scale_from_document(doc).scale
+        scale = scale_from_document(doc)
         observed = data.trajectories[0] / scale
         restored = sm.rollout(system_from_document(doc), observed[-1], 5,
                               data.dt).states * scale
@@ -631,6 +688,57 @@ class TestCli:
             f"config error: {name}: {taken} is not a directory\n")
         assert sorted(tmp_path.iterdir()) == [cfg_path, taken]
         assert taken.read_text(encoding="utf-8") == "a file\n"
+
+    @pytest.mark.parametrize("command,file", [
+        ("generate", "trajectories.csv"), ("search", "results.json"),
+        ("search", "forecast.csv"), ("forecast", "predictions.csv"),
+        ("report", "equations.txt")])
+    def test_output_file_held_as_directory_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, sample_csv, command, file):
+        def never(*args):
+            pytest.fail("called before the output files were checked")
+
+        for module, name in [(pipeline, "_search_all_components"),
+                             (cli, "generate_synthetic")]:
+            monkeypatch.setattr(module, name, never)
+        if command == "forecast":
+            monkeypatch.setattr(cli, "load_results", never)
+        out = tmp_path / "o"
+        (out / file).mkdir(parents=True)
+        cfg_path = tmp_path / "cfg.json"
+        cfg = (tiny_synthetic_doc() if command == "generate"
+               else tiny_real_doc(sample_csv))
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        results = str(self._results_file(tmp_path, lambda doc: None))
+        argv = {"generate": ["generate", "--config", str(cfg_path)],
+                "search": ["search", "--config", str(cfg_path)],
+                "forecast": ["forecast", "--results", results, "--data",
+                             str(sample_csv)],
+                "report": ["report", "--results", results]}[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        name = "output_dir" if command in ("generate", "search") else "--out"
+        assert capsys.readouterr().err == (
+            f"config error: {name}: {out / file} is a directory\n")
+        assert list(out.iterdir()) == [out / file]
+        assert not any((out / file).iterdir())
+
+    def test_report_checks_only_the_files_it_writes(self, tmp_path,
+                                                    sample_csv):
+        # a document without a forecast writes no forecast.csv
+        results = self._results_file(tmp_path, lambda doc: None)
+        out = tmp_path / "rep"
+        (out / "forecast.csv").mkdir(parents=True)
+        assert main(["report", "--results", str(results),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "equations.txt", "forecast.csv", "mse_per_step.csv"]
+
+    def test_results_byte_order_mark_is_skipped(self, tmp_path, sample_csv):
+        path = tmp_path / "results.json"
+        path.write_bytes(b"\xef\xbb\xbf"
+                         + json.dumps(minimal_results_doc()).encode("utf-8"))
+        assert load_results(path) == minimal_results_doc()
+        assert self._forecast_and_report(path, sample_csv, tmp_path) == [0, 0]
 
     @pytest.mark.parametrize("command", ["search", "report"])
     def test_unusable_default_out_is_a_config_error(self, tmp_path, capsys,
