@@ -39,8 +39,10 @@ def read_text(path, error, what):
     if not path.exists():
         raise error(f"{path}: no such {what}")
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            return fh.read()
+        # plain UTF-8, so a decode error counts its offset from the first
+        # byte, a byte-order mark included
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
     except OSError as exc:

@@ -42,7 +42,6 @@ class EulerResidualObjective:
         ex.validate_sequence(template, sequence)
         self.template = template
         self.sequence = tuple(sequence)
-        self.component = component
         self.dt = data.dt
         X, X_next = data.stacked_pairs()
         self.dy = X_next[:, component] - X[:, component]
@@ -50,26 +49,25 @@ class EulerResidualObjective:
         self._leaves = ex.leaf_values(template, self.sequence, X)
         self.n_params = template.n_params
 
-    def _residual(self, theta):
-        """One forward pass and its Euler residual, which is None when phi
-        is not finite on some sample."""
+    def _loss(self, theta):
+        """One forward pass: the loss, the Euler residual and the pass's
+        values and caches. A phi that is not finite on some sample gives
+        the +inf sentinel and a residual of None."""
         values, caches = ex.forward_pass(self.template, self.sequence, theta,
                                          self._leaves)
         phi = values[-1]
-        r = self.dy - phi * self.dt if np.all(np.isfinite(phi)) else None
-        return r, values, caches
+        if not np.all(np.isfinite(phi)):
+            return float("inf"), None, values, caches
+        r = self.dy - phi * self.dt
+        return ex._dot(r, r) / self.m, r, values, caches
 
     def loss(self, theta):
-        r, _, _ = self._residual(theta)
-        if r is None:
-            return float("inf")
-        return float(r @ r) / self.m
+        return self._loss(theta)[0]
 
     def loss_and_grad(self, theta):
-        r, values, caches = self._residual(theta)
+        loss, r, values, caches = self._loss(theta)
         if r is None:
-            return float("inf"), np.zeros(self.n_params)
-        loss = float(r @ r) / self.m
+            return loss, np.zeros(self.n_params)
         # d loss / d theta = (2 dt / M) * sum_s r_s * (-d phi / d theta)
         weights = (-2.0 * self.dt / self.m) * r
         grad = ex.weighted_param_gradient(self.template, self.sequence, theta,

@@ -10,7 +10,6 @@ randomness lives in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -110,7 +109,7 @@ def minimize_first_order(fn, init, iters, lr):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def minimize_bfgs(fn, init, iters, grad_tol, trace: Optional[list] = None):
+def minimize_bfgs(fn, init, iters, grad_tol):
     """BFGS with an inverse-Hessian approximation and Armijo backtracking.
 
     Stops when the gradient norm drops below ``grad_tol`` or the iteration
@@ -152,9 +151,6 @@ def minimize_bfgs(fn, init, iters, grad_tol, trace: Optional[list] = None):
             step *= BACKTRACK_FACTOR
         if not accepted:
             break
-        if trace is not None:
-            trace.append({"loss_before": loss, "loss_after": cand_loss,
-                          "step": step, "directional_derivative": dd})
         s = step * p
         y = cand_grad - grad
         theta, loss, grad = cand, cand_loss, cand_grad

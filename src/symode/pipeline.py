@@ -321,12 +321,11 @@ def write_report(doc, out_dir):
 
 
 # The keys that ``forecast`` and ``report`` read in each section of a
-# results document (``config_echo`` is read by ``dt_from_document``), and
-# ``scale_record.mode``, the normalization mode the scale came from;
+# results document (``config_echo`` is read by ``dt_from_document``);
 # ``scale_record`` and ``forecast`` are optional sections.
 _RESULTS_FIELDS = {
     "metrics": ("per_step_mse",),
-    "scale_record": ("mode", "scale"),
+    "scale_record": ("scale",),
     "forecast": ("anchor_step", "values"),
 }
 _COMPONENT_FIELDS = ("component", "name", "template", "sequence",
@@ -359,6 +358,8 @@ def _check_values(doc):
         for key in ("name", "symbolic"):
             if not isinstance(comp[key], str):
                 raise ValueError(f"components[{k}].{key}: expected a string")
+        if comp["name"] != names[k]:
+            raise ValueError(f"components[{k}].name: expected {names[k]!r}")
         coefficients = comp["coefficients"]
         if not (isinstance(coefficients, list)
                 and all(map(_is_number, coefficients))):
@@ -393,9 +394,10 @@ def _finite(parse):
 def load_results(path):
     """Read a results document. A file that is not strict JSON or not a JSON
     object, lacks a field that ``forecast`` or ``report`` reads, holds a
-    value of the wrong type there, lists a component out of its index order,
-    holds a component the system cannot be rebuilt from or a scale that is
-    not positive ends in a DataError naming the file."""
+    value of the wrong type there, lists a component out of its index order
+    or under a name other than its ``var_names`` entry, holds a component
+    the system cannot be rebuilt from or a scale that is not positive ends
+    in a DataError naming the file."""
     path = Path(path)
     text = read_text(path, DataError, "results document")
     try:

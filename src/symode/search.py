@@ -263,8 +263,7 @@ def score_sequence(sequence, template, data, component, optim, rng,
     component's :func:`feature_factor`, a sequence whose
     :func:`linear_form` exists takes its least-squares minimum in closed
     form. Every other sequence, and a closed form whose loss is not
-    finite, runs :func:`two_stage_minimize` on its :func:`_factored`
-    objective where there is one, and on the direct objective otherwise.
+    finite, runs :func:`two_stage_minimize` through :func:`_minimize`.
     Every recorded loss is the direct objective's at the recorded
     parameters. Numerical failures never propagate out of here.
     """
@@ -285,21 +284,22 @@ def score_sequence(sequence, template, data, component, optim, rng,
         loss = objective.loss(theta)
         if np.isfinite(loss):
             return ScoreRecord(sequence, loss, theta, component, template)
-    fit = _factored(objective, theta0) or objective
-    result = two_stage_minimize(fit.loss_and_grad, theta0, optim)
-    return ScoreRecord(sequence, objective.loss(result.final_params),
-                       result.final_params, component, template)
+    theta, loss = _minimize(objective, theta0, two_stage_minimize, optim)
+    return ScoreRecord(sequence, loss, theta, component, template)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _factored(objective, start):
-    """The :class:`~symode.losses.FactoredResidualObjective` view of a
-    direct ``objective``, or None when it has no factor or its loss at
-    ``start`` is not finite."""
-    factored = FactoredResidualObjective(objective)
-    if factored.factor is None or not np.isfinite(factored.loss(start)):
-        return None
-    return factored
+def _minimize(objective, start, minimize, *args):
+    """Run ``minimize(fn, start, *args)`` on the
+    :class:`~symode.losses.FactoredResidualObjective` view of the direct
+    ``objective`` when that view has a factor and a finite loss at
+    ``start``, and on ``objective`` otherwise. Returns the final parameters
+    and the direct loss there, which is the loss every record holds."""
+    fit = FactoredResidualObjective(objective)
+    if fit.factor is None or not np.isfinite(fit.loss(start)):
+        fit = objective
+    theta = minimize(fit.loss_and_grad, start, *args).final_params
+    return theta, objective.loss(theta)
 
 
 @dataclass
@@ -361,11 +361,10 @@ def _finetune_pool(pool, data, component, optim, factor):
             continue
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)
-        fit = _factored(objective, record.params) or objective
-        result = minimize_first_order(fit.loss_and_grad, record.params,
-                                      optim.t3_iters, LR_FINETUNE)
-        pool.insert(replace(record, params=result.final_params,
-                            loss=objective.loss(result.final_params)))
+        theta, loss = _minimize(objective, record.params,
+                                minimize_first_order, optim.t3_iters,
+                                LR_FINETUNE)
+        pool.insert(replace(record, params=theta, loss=loss))
 
 
 class SystemModel:

@@ -155,6 +155,13 @@ class TestTrajectoryRoundTrip:
         assert loaded.var_names == plain.var_names
         assert np.array_equal(loaded.trajectories[0], plain.trajectories[0])
 
+    def test_bad_byte_after_a_byte_order_mark_is_named_at_its_offset(
+            self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        with pytest.raises(DataError, match="byte 0xff in position 5:"):
+            load_csv(path)
+
     def test_unknown_header_rejected(self, tmp_path):
         path = write(tmp_path, "odd.csv", "foo,bar\n1,2\n")
         with pytest.raises(MissingColumnError):

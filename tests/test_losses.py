@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,3 +383,49 @@ def test_every_factor_qr_stays_within_the_budget(monkeypatch):
     widths = {cols for _, cols in shapes}
     # the feature factors, ab and ab+c at both d, abc at d = 3 only
     assert widths == {23, 33, 21, 65, 37, 73, 43}
+
+
+# The loss and gradient of a type2 and a type1 sequence on 25,000 random
+# pairs: each loss, and the gradient of type1's interior node, is a dot
+# product over the samples.
+SAMPLE_DOT_SCRIPT = """
+import numpy as np
+import symode as sm
+from symode.datasets import TrajectoryDataset
+rng = np.random.default_rng(0)
+data = TrajectoryDataset([rng.uniform(-1, 1, (25001, 3))], 0.1,
+                         ("x0", "x1", "x2"))
+for kind, seq in (("type2", ("sin", "id", "mul", "exp", "add")),
+                  ("type1", ("sin", "id", "mul", "cos"))):
+    objective = sm.EulerResidualObjective(sm.build_template(kind, 3), seq,
+                                          data, 0)
+    loss, grad = objective.loss_and_grad(rng.uniform(-1, 1,
+                                                     objective.n_params))
+    print(float.hex(loss), *map(float.hex, grad))
+"""
+
+
+def test_sample_dot_products_do_not_depend_on_blas_threads():
+    """OpenBLAS splits a dot product of more than 10,000 entries among its
+    threads; the objective's loss and gradient have the same bits with one
+    thread and with two."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", SAMPLE_DOT_SCRIPT], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2
+
+
+def test_sample_dot_product_overflows_to_inf_and_nan():
+    """Chunk sums add as IEEE floats: a total past the float range is inf,
+    and chunks of opposite infinite sign give nan, as one ``a @ b`` does.
+    Callers silence numpy's overflow warning, as the minimizers do."""
+    big = np.full(2 * ex.DOT_BUDGET, 1e152)
+    assert ex._dot(big, big) == float("inf")
+    signs = np.repeat([1.0, -1.0], ex.DOT_BUDGET)
+    with np.errstate(over="ignore"):
+        assert np.isnan(ex._dot(big * signs, np.full(big.size, 1e200)))

@@ -129,13 +129,32 @@ class TestBFGS:
         assert res.iterations_used <= 200
 
     def test_armijo_acceptance_property(self):
-        trace = []
-        fn, *_ , init = spd_quadratic(3)
-        sm.minimize_bfgs(fn, init, 50, 1e-10, trace=trace)
-        assert trace
-        for step in trace:
-            bound = step["loss_before"] + ARMIJO_C * step["step"] * step["directional_derivative"]
-            assert step["loss_after"] <= bound + 1e-15
+        # an evaluated point is an accepted iterate unless the next
+        # evaluation is the half-way backtrack toward it from the base point
+        fn, *_, init = spd_quadratic(3)
+        for problem, start in ((fn, init),
+                               (rosenbrock, np.array([-1.2, 1.0]))):
+            calls = []
+
+            def logged(theta):
+                loss, grad = problem(theta)
+                calls.append((theta.copy(), loss, grad))
+                return loss, grad
+
+            res = sm.minimize_bfgs(logged, start, 50, 1e-10)
+            # a failed line search ends the run on a rejected point
+            if not np.array_equal(calls[-1][0], res.final_params):
+                calls.pop()
+            base, accepted = calls[0], 0
+            for k, point in enumerate(calls[1:], start=1):
+                half = base[0] + 0.5 * (point[0] - base[0])
+                if k + 1 < len(calls) and np.allclose(
+                        calls[k + 1][0], half, rtol=1e-12, atol=1e-15):
+                    continue
+                bound = base[1] + ARMIJO_C * base[2] @ (point[0] - base[0])
+                assert point[1] <= bound + 1e-15
+                base, accepted = point, accepted + 1
+            assert accepted
 
     def test_failed_line_search_returns_start(self):
         # a gradient of the wrong sign: every step along -grad goes uphill

@@ -273,9 +273,6 @@ BAD_RESULTS = {
                           "var_names: expected a list of 3 distinct strings"),
     "no_per_step_mse": (lambda doc: doc["metrics"].pop("per_step_mse"),
                         "metrics: missing field 'per_step_mse'"),
-    "no_scale_mode": (
-        lambda doc: doc.update(scale_record={"scale": 2.0}),
-        "scale_record: missing field 'mode'"),
     "bad_scale": (
         lambda doc: doc.update(scale_record={"mode": "none", "scale": "x"}),
         "scale_record.scale: expected a positive number"),
@@ -325,6 +322,10 @@ BAD_RESULTS = {
         "components[1].component: expected 1"),
     "no_name": (lambda doc: doc["components"][1].pop("name"),
                 "components[1]: missing field 'name'"),
+    "swapped_names": (
+        lambda doc: [comp.update(name=name)
+                     for comp, name in zip(doc["components"], "DQR")],
+        "components[0].name: expected 'Q'"),
     "no_template": (lambda doc: doc["components"][0].pop("template"),
                     "components[0]: missing field 'template'"),
     "no_sequence": (lambda doc: doc["components"][2].pop("sequence"),
@@ -838,6 +839,13 @@ class TestCli:
 
     def test_minimal_results_document_loads(self, tmp_path, sample_csv):
         path = self._results_file(tmp_path, lambda doc: None)
+        assert self._forecast_and_report(path, sample_csv, tmp_path) == [0, 0]
+
+    def test_scale_record_without_mode_loads(self, tmp_path, sample_csv):
+        # forecast reads only the scale; the mode is informational
+        path = self._results_file(
+            tmp_path, lambda doc: doc.update(scale_record={"scale": 2.0}))
+        assert load_results(path)["scale_record"] == {"scale": 2.0}
         assert self._forecast_and_report(path, sample_csv, tmp_path) == [0, 0]
 
     @pytest.mark.parametrize("content,message", list(BAD_RESULTS.values()),
