@@ -55,10 +55,12 @@ UNARY_RULES = {
     "exp": (_exp_clamped, _exp_clamped_deriv),
 }
 
+# tag -> (value rule, adjoint rule); the adjoint rule maps the node's
+# adjoint and its operands' values to the operands' adjoints.
 BINARY_RULES = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": (lambda a, b: a + b, lambda adj, a, b: (adj, adj)),
+    "sub": (lambda a, b: a - b, lambda adj, a, b: (adj, -adj)),
+    "mul": (lambda a, b: a * b, lambda adj, a, b: (adj * b, adj * a)),
 }
 
 # Ordered operator vocabularies. Controller logits index into these
@@ -182,45 +184,57 @@ class CompiledExpression:
         object.__setattr__(self, "params", theta)
 
 
-def leaf_values(template, sequence, X):
-    """Per-leaf operator outputs u(X) on a batch X of shape (n, d); they do
-    not depend on the parameters, so one set serves every forward pass."""
-    out = {}
+def compile_plan(template, sequence):
+    """The walk of (template, sequence) that :func:`forward_pass` and
+    :func:`weighted_param_gradient` follow, built once per sequence. Per
+    node, in post-order: (kind, value rule, derivative or adjoint rule,
+    alpha index, beta index, children). The kind is "leaf", "unary" or
+    "binary"; a leaf's alpha is params[alpha:beta], an interior unary
+    node's is params[alpha], and a binary node has no parameters. The
+    sequence must be valid for the template (:func:`validate_sequence`)."""
+    plan = []
+    for node, tag, sl in zip(template.nodes, sequence, template.slices):
+        if node.kind == "binary":
+            plan.append(("binary", *BINARY_RULES[tag], None, None,
+                         node.children))
+        else:
+            plan.append(("leaf" if node.is_leaf else "unary",
+                         *UNARY_RULES[tag], sl.start, sl.stop - 1,
+                         node.children))
+    return tuple(plan)
+
+
+def leaf_values(plan, X):
+    """Per-node leaf operator outputs u(X) on a batch X of shape (n, d),
+    None at every other node; they do not depend on the parameters, so one
+    set serves every forward pass."""
     # as in forward_pass, a non-finite output is the caller's to handle
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, node in enumerate(template.nodes):
-            if node.is_leaf:
-                out[i] = UNARY_RULES[sequence[i]][0](X)
-    return out
+        return [rule(X) if kind == "leaf" else None
+                for kind, rule, *_ in plan]
 
 
-def forward_pass(template, sequence, params, leaves):
-    """Evaluate every node, reading the leaf operator outputs from
-    :func:`leaf_values`.
+def forward_pass(plan, params, leaves):
+    """Evaluate every node of a :func:`compile_plan`, reading the leaf
+    operator outputs from :func:`leaf_values`.
 
     Returns (values, caches): values[i] is the (n,) output of node i and
     caches[i] holds what :func:`weighted_param_gradient` reads (leaf
-    operator matrix or interior operator output).
+    operator matrix or interior operator output). Overflow gives
+    non-finite values, which the caller turns into loss sentinels; the
+    caller also holds the ``np.errstate`` that keeps it from warning.
     """
-    values = [None] * len(template.nodes)
-    caches = [None] * len(template.nodes)
-    # overflow is legitimate here: non-finite outputs become loss sentinels
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, node in enumerate(template.nodes):
-            if node.kind == "binary":
-                l, r = node.children
-                values[i] = BINARY_RULES[sequence[i]](values[l], values[r])
-            elif node.is_leaf:
-                U = leaves[i]
-                theta = params[template.slices[i]]
-                values[i] = U @ theta[:-1] + theta[-1]
-                caches[i] = U
-            else:
-                (c,) = node.children
-                u = UNARY_RULES[sequence[i]][0](values[c])
-                theta = params[template.slices[i]]
-                values[i] = theta[0] * u + theta[1]
-                caches[i] = u
+    values, caches = [], []
+    for (kind, rule, _, alpha, beta, children), U in zip(plan, leaves):
+        if kind == "leaf":
+            value, cache = U @ params[alpha:beta] + params[beta], U
+        elif kind == "unary":
+            cache = rule(values[children[0]])
+            value = params[alpha] * cache + params[beta]
+        else:
+            value, cache = rule(values[children[0]], values[children[1]]), None
+        values.append(value)
+        caches.append(cache)
     return values, caches
 
 
@@ -246,49 +260,42 @@ def _dot(a, b):
     return total
 
 
-def weighted_param_gradient(template, sequence, params, values, caches,
-                            weights):
+def weighted_param_gradient(plan, params, values, caches, weights):
     """Gradient of ``sum_n weights_n * f(X_n)`` with respect to the
-    parameters: one reverse sweep over the output of :func:`forward_pass`
-    at the same ``params``. Nodes have a single parent, so each node's
-    adjoint is written exactly once, before the sweep reaches the node."""
-    adj = [None] * len(template.nodes)
+    parameters: one reverse sweep of the plan over the output of
+    :func:`forward_pass` at the same ``params``. Nodes have a single
+    parent, so each node's adjoint is written exactly once, before the
+    sweep reaches the node."""
+    adj = [None] * len(plan)
     adj[-1] = weights
-    grad = np.zeros(template.n_params)
-    for i in reversed(range(len(template.nodes))):
-        node = template.nodes[i]
+    grad = np.zeros(len(params))
+    for i in reversed(range(len(plan))):
+        kind, _, rule, alpha, beta, children = plan[i]
         a = adj[i]
-        if node.kind == "binary":
-            l, r = node.children
-            tag = sequence[i]
-            if tag == "add":
-                adj[l], adj[r] = a, a
-            elif tag == "sub":
-                adj[l], adj[r] = a, -a
-            else:  # mul
-                adj[l], adj[r] = a * values[r], a * values[l]
-            continue
-        sl = template.slices[i]
-        if node.is_leaf:
-            grad[sl.start : sl.stop - 1] = caches[i].T @ a
-            grad[sl.stop - 1] = a.sum()
+        if kind == "binary":
+            l, r = children
+            adj[l], adj[r] = rule(a, values[l], values[r])
+        elif kind == "leaf":
+            grad[alpha:beta] = caches[i].T @ a
+            grad[beta] = a.sum()
         else:
-            (c,) = node.children
-            grad[sl.start] = _dot(a, caches[i])
-            grad[sl.start + 1] = a.sum()
-            du = UNARY_RULES[sequence[i]][1](values[c])
-            alpha = params[sl][0]
-            adj[c] = a * (alpha * du)
+            grad[alpha] = _dot(a, caches[i])
+            grad[beta] = a.sum()
+            (c,) = children
+            adj[c] = a * (params[alpha] * rule(values[c]))
     return grad
 
 
+# overflow gives non-finite values, which the callers report
+@np.errstate(over="ignore", invalid="ignore")
 def _forward(expr, X):
-    """Forward pass of ``expr`` on a batch X of shape (..., d)."""
+    """The plan of ``expr`` and its forward pass on a batch X of shape
+    (..., d): (plan, values, caches)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[-1] != expr.template.input_dim:
         raise ValueError(f"input dim {X.shape[-1]} != {expr.template.input_dim}")
-    leaves = leaf_values(expr.template, expr.sequence, X)
-    return forward_pass(expr.template, expr.sequence, expr.params, leaves)
+    plan = compile_plan(expr.template, expr.sequence)
+    return (plan, *forward_pass(plan, expr.params, leaf_values(plan, X)))
 
 
 def evaluate_batch(expr, X):
@@ -298,7 +305,7 @@ def evaluate_batch(expr, X):
     do not depend on the rows evaluated with it. May contain non-finite
     values; callers that need a hard failure should use :func:`evaluate`."""
     rows = np.atleast_2d(np.asarray(X, dtype=float))[:, None, :]
-    values, _ = _forward(expr, rows)
+    _, values, _ = _forward(expr, rows)
     return values[-1][:, 0]
 
 
@@ -315,11 +322,11 @@ def evaluate(expr, x):
 def param_gradient(expr, x):
     """Exact gradient of f with respect to every parameter at one point."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    values, caches = _forward(expr, x)
+    plan, values, caches = _forward(expr, x)
     if not np.isfinite(values[-1][0]):
         raise EvaluationError(f"expression value is not finite at x={x!r}")
-    return weighted_param_gradient(expr.template, expr.sequence, expr.params,
-                                   values, caches, np.ones(1))
+    return weighted_param_gradient(plan, expr.params, values, caches,
+                                   np.ones(1))
 
 
 # ---------------------------------------------------------------------------

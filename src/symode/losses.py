@@ -42,36 +42,41 @@ class EulerResidualObjective:
         ex.validate_sequence(template, sequence)
         self.template = template
         self.sequence = tuple(sequence)
+        self._plan = ex.compile_plan(template, self.sequence)
         self.dt = data.dt
         X, X_next = data.stacked_pairs()
         self.dy = X_next[:, component] - X[:, component]
         self.m = X.shape[0]
-        self._leaves = ex.leaf_values(template, self.sequence, X)
+        self._leaves = ex.leaf_values(self._plan, X)
         self.n_params = template.n_params
 
     def _loss(self, theta):
         """One forward pass: the loss, the Euler residual and the pass's
-        values and caches. A phi that is not finite on some sample gives
-        the +inf sentinel and a residual of None."""
-        values, caches = ex.forward_pass(self.template, self.sequence, theta,
-                                         self._leaves)
-        phi = values[-1]
-        if not np.all(np.isfinite(phi)):
-            return float("inf"), None, values, caches
-        r = self.dy - phi * self.dt
+        values and caches. A phi that is not finite on some sample makes
+        the loss not finite, as does a residual whose square overflows."""
+        values, caches = ex.forward_pass(self._plan, theta, self._leaves)
+        r = self.dy - values[-1] * self.dt
         return ex._dot(r, r) / self.m, r, values, caches
 
+    # Public entries: a loss that is not finite is the +inf sentinel, never
+    # a warning. forward_pass holds no np.errstate of its own; inside a fit
+    # the minimizers hold one for the whole fit, and the decorator form
+    # costs half of a ``with np.errstate`` block per call.
+    @np.errstate(over="ignore", invalid="ignore")
     def loss(self, theta):
-        return self._loss(theta)[0]
+        loss = self._loss(theta)[0]
+        return loss if math.isfinite(loss) else float("inf")
 
+    @np.errstate(over="ignore", invalid="ignore")
     def loss_and_grad(self, theta):
         loss, r, values, caches = self._loss(theta)
-        if r is None:
-            return loss, np.zeros(self.n_params)
+        if not math.isfinite(loss):
+            # no minimizer reads the gradient at a non-finite loss
+            return float("inf"), np.zeros(self.n_params)
         # d loss / d theta = (2 dt / M) * sum_s r_s * (-d phi / d theta)
         weights = (-2.0 * self.dt / self.m) * r
-        grad = ex.weighted_param_gradient(self.template, self.sequence, theta,
-                                          values, caches, weights)
+        grad = ex.weighted_param_gradient(self._plan, theta, values, caches,
+                                          weights)
         return loss, grad
 
 

@@ -9,6 +9,7 @@ randomness lives in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +57,24 @@ class _BestTracker:
         self.loss = float(loss)
 
     def offer(self, theta, loss):
+        """Callers offer finite losses only. Every iterate is a fresh array
+        that nothing writes to, so ``theta`` is kept without a copy."""
         # ties prefer the most recent point, so a converged iterate wins
         # over an equal-loss line-search trial
-        if np.isfinite(loss) and loss <= self.loss:
+        if loss <= self.loss:
             self.loss = float(loss)
-            self.theta = np.array(theta, copy=True)
+            self.theta = theta
 
 
 def _check_start(loss):
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NonFiniteLossError(f"loss is {loss} at the initial parameters")
+
+
+def _norm(v):
+    """The Euclidean norm of a vector, with the bits of np.linalg.norm,
+    which for a 1-D float vector is sqrt(v @ v) too."""
+    return math.sqrt(v @ v)
 
 
 def uniform_init(rng, count):
@@ -89,7 +98,7 @@ def minimize_first_order(fn, init, iters, lr):
     v = np.zeros_like(theta)
     used = 0
     for t in range(1, iters + 1):
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             break
         m = BETA1 * m + (1.0 - BETA1) * grad
         v = BETA2 * v + (1.0 - BETA2) * grad * grad
@@ -98,11 +107,13 @@ def minimize_first_order(fn, init, iters, lr):
         # a gradient above ~1.3e154 squares to inf, which would freeze its
         # coordinate for good; there the step is lr times the sign of m_hat
         denom = np.sqrt(v_hat) + ADAM_EPS
-        theta = theta - np.where(np.isinf(denom), lr * np.sign(m_hat),
-                                 lr * m_hat / denom)
+        step = lr * m_hat / denom
+        if np.isinf(denom).any():
+            step = np.where(np.isinf(denom), lr * np.sign(m_hat), step)
+        theta = theta - step
         loss, grad = fn(theta)
         used = t
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             break
         best.offer(theta, loss)
     return OptimResult(best.theta, best.loss, used, converged=False)
@@ -127,9 +138,9 @@ def minimize_bfgs(fn, init, iters, grad_tol):
     H = np.eye(n)
     identity = np.eye(n)
     used = 0
-    converged = bool(np.linalg.norm(grad) <= grad_tol)
+    converged = _norm(grad) <= grad_tol
     for k in range(iters):
-        if converged or not np.all(np.isfinite(grad)):
+        if converged or not np.isfinite(grad).all():
             break
         p = -H @ grad
         dd = float(grad @ p)
@@ -141,28 +152,28 @@ def minimize_bfgs(fn, init, iters, grad_tol):
         step = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            cand = theta + step * p
+            s = step * p
+            cand = theta + s
             cand_loss, cand_grad = fn(cand)
-            if np.isfinite(cand_loss):
+            if math.isfinite(cand_loss):
                 best.offer(cand, cand_loss)
-            if np.isfinite(cand_loss) and cand_loss <= loss + ARMIJO_C * step * dd:
-                accepted = True
-                break
+                if cand_loss <= loss + ARMIJO_C * step * dd:
+                    accepted = True
+                    break
             step *= BACKTRACK_FACTOR
         if not accepted:
             break
-        s = step * p
         y = cand_grad - grad
         theta, loss, grad = cand, cand_loss, cand_grad
         used = k + 1
         sty = float(s @ y)
-        if sty > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sty > 1e-10 * _norm(s) * _norm(y):
             rho = 1.0 / sty
-            outer_sy = np.outer(s, y)
+            outer_sy = s[:, None] * y
             H = (identity - rho * outer_sy) @ H @ (identity - rho * outer_sy.T)
-            H += rho * np.outer(s, s)
+            H += rho * (s[:, None] * s)
         # a non-finite norm fails the test; the next iteration stops on it
-        converged = bool(np.linalg.norm(grad) <= grad_tol)
+        converged = _norm(grad) <= grad_tol
     return OptimResult(best.theta, best.loss, used, converged)
 
 

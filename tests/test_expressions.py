@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import symode as sm
 from symode.errors import EvaluationError
-from symode.expressions import (EXP_CLAMP, UNARY_RULES, forward_pass,
-                                leaf_string, leaf_values, to_symbolic_string,
-                                weighted_param_gradient)
+from symode.expressions import (EXP_CLAMP, UNARY_RULES, compile_plan,
+                                forward_pass, leaf_string, leaf_values,
+                                to_symbolic_string, weighted_param_gradient)
 
 from conftest import random_sequence
 
@@ -202,9 +202,9 @@ class TestGradient:
             expr = sm.CompiledExpression(t, seq, theta)
             X = rng.uniform(-1, 1, (20, 3))
             w = rng.normal(size=20)
-            values, caches = forward_pass(t, seq, theta,
-                                          leaf_values(t, seq, X))
-            g = weighted_param_gradient(t, seq, theta, values, caches, w)
+            plan = compile_plan(t, seq)
+            values, caches = forward_pass(plan, theta, leaf_values(plan, X))
+            g = weighted_param_gradient(plan, theta, values, caches, w)
             rows = sum(w[i] * sm.param_gradient(expr, X[i]) for i in range(20))
             assert g == pytest.approx(rows, rel=1e-12, abs=1e-12)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import symode as sm
 from symode import expressions as ex
 from symode import losses as losses_mod
 from symode.datasets import TrajectoryDataset
+from symode.errors import EvaluationError
 from symode.losses import (MAX_FACTOR_COLUMNS, QR_BUDGET,
                            EulerResidualObjective, FactoredResidualObjective,
                            product_width, tsqr)
@@ -183,6 +185,131 @@ def test_loss_and_grad_runs_one_forward_pass(monkeypatch, sir_dataset):
     assert len(calls) == 1
     assert obj.loss(theta) == loss
     assert len(calls) == 2
+
+
+def reference_loss_and_grad(template, sequence, theta, data, component):
+    """The objective's loss and gradient from a walk of ``template.nodes``
+    and ``template.slices``, one node at a time and in the operations the
+    compiled plan must reproduce bit for bit."""
+    X, X_next = data.stacked_pairs()
+    dy = X_next[:, component] - X[:, component]
+    m = X.shape[0]
+    n = len(template.nodes)
+    values, caches = [None] * n, [None] * n
+    for i, node in enumerate(template.nodes):
+        tag = sequence[i]
+        if node.kind == "binary":
+            a, b = (values[c] for c in node.children)
+            values[i] = a + b if tag == "add" else a - b if tag == "sub" else a * b
+            continue
+        t = theta[template.slices[i]]
+        if node.is_leaf:
+            caches[i] = ex.UNARY_RULES[tag][0](X)
+            values[i] = caches[i] @ t[:-1] + t[-1]
+        else:
+            caches[i] = ex.UNARY_RULES[tag][0](values[node.children[0]])
+            values[i] = t[0] * caches[i] + t[1]
+    r = dy - values[-1] * data.dt
+    loss = ex._dot(r, r) / m
+    adj = [None] * n
+    adj[-1] = (-2.0 * data.dt / m) * r
+    grad = np.zeros(template.n_params)
+    for i in reversed(range(n)):
+        node, tag, a = template.nodes[i], sequence[i], adj[i]
+        if node.kind == "binary":
+            l, r = node.children
+            if tag == "add":
+                adj[l], adj[r] = a, a
+            elif tag == "sub":
+                adj[l], adj[r] = a, -a
+            else:
+                adj[l], adj[r] = a * values[r], a * values[l]
+            continue
+        sl = template.slices[i]
+        if node.is_leaf:
+            grad[sl.start:sl.stop - 1] = caches[i].T @ a
+            grad[sl.stop - 1] = a.sum()
+        else:
+            (c,) = node.children
+            grad[sl.start] = ex._dot(a, caches[i])
+            grad[sl.start + 1] = a.sum()
+            adj[c] = a * (theta[sl][0] * ex.UNARY_RULES[tag][1](values[c]))
+    return loss, grad
+
+
+def hexes(loss, grad):
+    return float(loss).hex(), [float(g).hex() for g in grad]
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+@pytest.mark.parametrize("trajectories, steps", [(10, 125), (11, 1000)])
+def test_compiled_plan_matches_the_template_walk(kind, trajectories, steps):
+    """The direct objective walks a plan compiled once per sequence; its
+    loss and every gradient entry have the bits of the template walk, on
+    M = 1,250 and on M past DOT_BUDGET, where the sample dot products run
+    in chunks. Where phi overflows, both losses are inf and the objective's
+    gradient is zero."""
+    data = sm.generate_trajectories("sir", sm.benchmark_params("sir"),
+                                    trajectories, steps, 0.2,
+                                    np.random.default_rng(3))
+    assert (data.stacked_pairs()[0].shape[0] > ex.DOT_BUDGET) == (
+        steps == 1000)
+    template = sm.build_template(kind, 3)
+    rng = np.random.default_rng(21)
+    # every leaf is about 1e200: phi overflows, or the residual's square
+    # does where the root keeps phi finite
+    huge = np.full(template.n_params, 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(6):
+            seq = random_sequence(template, rng)
+            component = int(rng.integers(3))
+            objective = EulerResidualObjective(template, seq, data, component)
+            for theta in (rng.uniform(-1, 1, template.n_params),
+                          rng.uniform(-3, 3, template.n_params)):
+                assert hexes(*objective.loss_and_grad(theta)) == hexes(
+                    *reference_loss_and_grad(template, seq, theta, data,
+                                             component))
+                assert objective.loss(theta) == objective.loss_and_grad(
+                    theta)[0]
+            loss, _ = reference_loss_and_grad(template, seq, huge, data,
+                                              component)
+            assert not np.isfinite(loss)
+            loss, grad = objective.loss_and_grad(huge)
+            assert loss == objective.loss(huge) == float("inf")
+            assert np.array_equal(grad, np.zeros(template.n_params))
+
+
+@pytest.mark.parametrize("kind, sequence, scale, phi_finite", [
+    ("type1", ("cube", "id", "mul", "square"), 1e200, False),   # phi is inf
+    ("type1", ("id", "id", "sub", "sin"), 1e308, False),        # phi is nan
+    ("type2", ("exp", "cube", "mul", "id", "add"), 1e200, False),
+    ("type2", ("1", "0", "add", "0", "add"), 1e200, True),  # r @ r overflows
+])
+def test_public_entries_do_not_warn_at_overflow(sir_dataset, kind, sequence,
+                                                scale, phi_finite):
+    """Inside a fit the minimizers hold one np.errstate for the whole fit;
+    every public entry holds its own, so an overflowing theta gives the
+    entry's sentinel or its named error, never a RuntimeWarning."""
+    template = sm.build_template(kind, 3)
+    theta = np.full(template.n_params, scale)
+    expr = sm.CompiledExpression(template, sequence, theta)
+    x = sir_dataset.trajectories[0][:5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        objective = EulerResidualObjective(template, sequence, sir_dataset, 0)
+        assert objective.loss(theta) == float("inf")
+        loss, grad = objective.loss_and_grad(theta)
+        assert loss == float("inf")
+        assert np.array_equal(grad, np.zeros(template.n_params))
+        assert losses_mod.euler_residual_loss(expr, sir_dataset, 0) == float(
+            "inf")
+        loss, grad = losses_mod.loss_and_gradient(expr, sir_dataset, 0)
+        assert loss == float("inf")
+        assert np.array_equal(grad, np.zeros(template.n_params))
+        assert np.isfinite(ex.evaluate_batch(expr, x)).all() == phi_finite
+        if not phi_finite:
+            with pytest.raises(EvaluationError):
+                ex.param_gradient(expr, x[0])
 
 
 # the ab shape (l0 +- l1) * l3 and the ab+c shape (l0 * l1) +- l3, with
@@ -392,6 +519,7 @@ SAMPLE_DOT_SCRIPT = """
 import numpy as np
 import symode as sm
 from symode.datasets import TrajectoryDataset
+from symode.errors import EvaluationError
 rng = np.random.default_rng(0)
 data = TrajectoryDataset([rng.uniform(-1, 1, (25001, 3))], 0.1,
                          ("x0", "x1", "x2"))

@@ -214,6 +214,25 @@ class TestTwoStage:
         assert coef_r == pytest.approx(-0.3, abs=1e-3)
 
 
+@pytest.mark.parametrize("iters", [0, 1, 30])
+def test_minimizers_never_touch_init(iters):
+    """The best-iterate tracker keeps each iterate without a copy, because
+    every iterate is a fresh array, and copies only the start: no
+    minimizer writes into ``init`` (read-only here) or returns it."""
+    fn, _, _, start = spd_quadratic(4)
+    runs = (lambda init: sm.minimize_first_order(fn, init, iters, LR_FIRST),
+            lambda init: sm.minimize_bfgs(fn, init, iters, 1e-8),
+            lambda init: sm.two_stage_minimize(
+                fn, init, sm.OptimConfig(t1_iters=iters, t2_iters=iters)))
+    for run in runs:
+        init = start.copy()
+        init.setflags(write=False)
+        res = run(init)
+        assert res.final_params is not init
+        assert np.array_equal(init, start)
+        assert np.array_equal(res.final_params, start) == (iters == 0)
+
+
 class TestOptimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -991,3 +994,15 @@ class TestCli:
                               "allocate ")
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_loads_neither_multiprocessing_nor_scipy():
+    """Set-up cost: ``symode search`` imports multiprocessing only where it
+    forks the component searches, and nothing imports scipy, so neither
+    adds to the import of the CLI."""
+    script = ("import sys, symode.cli; print(sorted({m.split('.')[0] for m "
+              "in sys.modules} & {'multiprocessing', 'scipy'}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
