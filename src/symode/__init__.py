@@ -20,7 +20,7 @@ from .forecast import (RolloutResult, per_step_mse, persistence_baseline,
                        replay, rollout)
 from .losses import EulerResidualObjective, euler_residual_loss, loss_and_gradient
 from .optimize import (OptimConfig, OptimResult, minimize_bfgs,
-                       minimize_first_order, two_stage_minimize)
+                       minimize_first_order, minimize_lm, two_stage_minimize)
 from .search import (CandidatePool, ScoreRecord, SearchConfig, SystemModel,
                      score_from_loss, score_sequence, search_component)
 

@@ -167,11 +167,14 @@ def param_count(template, sequence):
 
 @dataclass(frozen=True, eq=False)
 class CompiledExpression:
-    """An evaluatable expression: template + sequence + flat parameters."""
+    """An evaluatable expression: template + sequence + flat parameters.
+    ``plan`` is the sequence's :func:`compile_plan`, built once here for
+    every evaluation of the expression."""
 
     template: TreeTemplate
     sequence: tuple
     params: np.ndarray
+    plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sequence", tuple(self.sequence))
@@ -182,6 +185,8 @@ class CompiledExpression:
             raise ValueError(f"params shape {theta.shape} != ({expected},)")
         theta.setflags(write=False)
         object.__setattr__(self, "params", theta)
+        object.__setattr__(self, "plan",
+                           compile_plan(self.template, self.sequence))
 
 
 def compile_plan(template, sequence):
@@ -260,42 +265,68 @@ def _dot(a, b):
     return total
 
 
-def weighted_param_gradient(plan, params, values, caches, weights):
-    """Gradient of ``sum_n weights_n * f(X_n)`` with respect to the
-    parameters: one reverse sweep of the plan over the output of
-    :func:`forward_pass` at the same ``params``. Nodes have a single
-    parent, so each node's adjoint is written exactly once, before the
-    sweep reaches the node."""
+def _reverse_sweep(plan, params, values, root_adjoint):
+    """Yield (i, adjoint) for every node i that has parameters, by one
+    reverse sweep of the plan over the values of :func:`forward_pass` at
+    the same ``params``, from the root's adjoint ``root_adjoint``. Nodes
+    have a single parent, so each node's adjoint is written exactly once,
+    before the sweep reaches the node."""
     adj = [None] * len(plan)
-    adj[-1] = weights
-    grad = np.zeros(len(params))
+    adj[-1] = root_adjoint
     for i in reversed(range(len(plan))):
-        kind, _, rule, alpha, beta, children = plan[i]
+        kind, _, rule, alpha, _, children = plan[i]
         a = adj[i]
         if kind == "binary":
             l, r = children
             adj[l], adj[r] = rule(a, values[l], values[r])
-        elif kind == "leaf":
-            grad[alpha:beta] = caches[i].T @ a
-            grad[beta] = a.sum()
-        else:
-            grad[alpha] = _dot(a, caches[i])
-            grad[beta] = a.sum()
+            continue
+        yield i, a
+        if kind == "unary":
             (c,) = children
             adj[c] = a * (params[alpha] * rule(values[c]))
+
+
+def weighted_param_gradient(plan, params, values, caches, weights):
+    """Gradient of ``sum_n weights_n * f(X_n)`` with respect to the
+    parameters, from the output of :func:`forward_pass` at the same
+    ``params``."""
+    grad = np.zeros(len(params))
+    for i, a in _reverse_sweep(plan, params, values, weights):
+        kind, _, _, alpha, beta, _ = plan[i]
+        if kind == "leaf":
+            grad[alpha:beta] = caches[i].T @ a
+        else:
+            grad[alpha] = _dot(a, caches[i])
+        grad[beta] = a.sum()
     return grad
+
+
+def param_jacobian(plan, params, values, caches, seed):
+    """The (n, n_params) matrix whose row s is ``seed * d f(X_s) / d
+    theta``: the sweep of :func:`weighted_param_gradient` with ``seed`` on
+    every sample, each node's parameter columns kept per sample instead of
+    summed."""
+    jac = np.zeros((values[-1].size, len(params)))
+    for i, a in _reverse_sweep(plan, params, values,
+                               np.full(values[-1].shape, seed)):
+        kind, _, _, alpha, beta, _ = plan[i]
+        if kind == "leaf":
+            jac[:, alpha:beta] = caches[i] * a[:, None]
+        else:
+            jac[:, alpha] = a * caches[i]
+        jac[:, beta] = a
+    return jac
 
 
 # overflow gives non-finite values, which the callers report
 @np.errstate(over="ignore", invalid="ignore")
 def _forward(expr, X):
-    """The plan of ``expr`` and its forward pass on a batch X of shape
-    (..., d): (plan, values, caches)."""
+    """The forward pass of ``expr`` on a batch X of shape (..., d):
+    (values, caches)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[-1] != expr.template.input_dim:
         raise ValueError(f"input dim {X.shape[-1]} != {expr.template.input_dim}")
-    plan = compile_plan(expr.template, expr.sequence)
-    return (plan, *forward_pass(plan, expr.params, leaf_values(plan, X)))
+    return forward_pass(expr.plan, expr.params, leaf_values(expr.plan, X))
 
 
 def evaluate_batch(expr, X):
@@ -305,7 +336,7 @@ def evaluate_batch(expr, X):
     do not depend on the rows evaluated with it. May contain non-finite
     values; callers that need a hard failure should use :func:`evaluate`."""
     rows = np.atleast_2d(np.asarray(X, dtype=float))[:, None, :]
-    _, values, _ = _forward(expr, rows)
+    values, _ = _forward(expr, rows)
     return values[-1][:, 0]
 
 
@@ -322,10 +353,10 @@ def evaluate(expr, x):
 def param_gradient(expr, x):
     """Exact gradient of f with respect to every parameter at one point."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    plan, values, caches = _forward(expr, x)
+    values, caches = _forward(expr, x)
     if not np.isfinite(values[-1][0]):
         raise EvaluationError(f"expression value is not finite at x={x!r}")
-    return weighted_param_gradient(plan, expr.params, values, caches,
+    return weighted_param_gradient(expr.plan, expr.params, values, caches,
                                    np.ones(1))
 
 

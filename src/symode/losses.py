@@ -79,6 +79,20 @@ class EulerResidualObjective:
                                           weights)
         return loss, grad
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def residual(self, theta):
+        """(loss, r, jacobian): the loss, the Euler residual
+        r = dy - phi dt with loss = |r|^2 / M, and a function that returns
+        r's Jacobian -dt d phi / d theta (M x n_params). The Jacobian's
+        sweep runs only when that function is called, so a trial point
+        that a minimizer rejects costs one forward pass. A loss that is not
+        finite is the +inf sentinel, and its jacobian is None."""
+        loss, r, values, caches = self._loss(theta)
+        if not math.isfinite(loss):
+            return float("inf"), r, None
+        return loss, r, lambda: ex.param_jacobian(self._plan, theta, values,
+                                                  caches, -self.dt)
+
 
 # OpenBLAS hands a matrix-vector product of more than about 8,192 entries to
 # its worker threads; on 2 cores a 140 x 65 QR then took twice as long as
@@ -210,21 +224,39 @@ class FactoredResidualObjective:
         loss, rv = self._loss(z[-1])
         if not math.isfinite(loss):
             return float("inf"), np.zeros(self.n_params)
+        return loss, self._sweep(z, (2.0 * self.dt / self.m) * (rv @ self._rk))
+
+    def residual(self, theta):
+        """(loss, r, jacobian) as for the direct objective, with the
+        residual r = R [dt z; -1] of at most MAX_FACTOR_COLUMNS rows, which
+        has the direct residual's norm, and its Jacobian
+        dt R_k dz / d theta."""
+        z = self._forward(theta)
+        loss, rv = self._loss(z[-1])
+        if not math.isfinite(loss):
+            return float("inf"), rv, None
+        return loss, rv, lambda: self._sweep(z, self.dt * self._rk)
+
+    def _sweep(self, z, adjoint):
+        """d (adjoint z_root) / d theta, by one reverse sweep over the z of
+        :meth:`_forward`. ``adjoint`` is a vector, for a gradient, or a
+        matrix, for the Jacobian of one output per row."""
         adj = [None] * len(z)
-        adj[-1] = (2.0 * self.dt / self.m) * (rv @ self._rk)
-        grad = np.empty(self.n_params)
+        adj[-1] = adjoint
+        out = np.empty((*adjoint.shape[:-1], self.n_params))
         for i in reversed(range(len(z))):
             leaf, tag, l, r = self._plan[i]
             a = adj[i]
             if leaf is not None:
-                grad[leaf] = a
+                out[..., leaf] = a
             elif tag == "mul":
-                a = a.reshape(z[l].size, z[r].size)
+                a = a.reshape(*a.shape[:-1], z[l].size, z[r].size)
                 adj[l], adj[r] = a @ z[r], z[l] @ a
             else:
                 n = z[l].size
-                adj[l], adj[r] = a[:n], -a[n:] if tag == "sub" else a[n:]
-        return loss, grad
+                adj[l], adj[r] = (a[..., :n],
+                                  -a[..., n:] if tag == "sub" else a[..., n:])
+        return out
 
 
 def euler_residual_loss(expr, data, component):

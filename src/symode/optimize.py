@@ -1,10 +1,12 @@
-"""Two-stage parameter optimization: an adaptive first-order warm-up
+"""Parameter optimization: Levenberg–Marquardt on a least-squares
+residual, and the two-stage scheme of an adaptive first-order warm-up
 followed by BFGS refinement with Armijo backtracking.
 
-All routines take a single objective callable ``fn(theta) -> (loss, grad)``
-and track the best iterate ever evaluated, so the reported loss is never
-worse than any point actually visited. Everything is deterministic: no
-randomness lives in this module.
+The first-order and BFGS routines take a single objective callable
+``fn(theta) -> (loss, grad)``; Levenberg–Marquardt takes an objective with
+a ``residual`` method. Every routine tracks the best iterate ever
+evaluated, so the reported loss is never worse than any point actually
+visited. Everything is deterministic: no randomness lives in this module.
 """
 
 from __future__ import annotations
@@ -27,12 +29,23 @@ ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Levenberg–Marquardt: the starting damping and the factor that divides it
+# after an accepted step and multiplies it after a rejected one; a fit stops
+# after LM_STALLS accepted steps in a row that each lower the loss by a
+# relative LM_STALL_RTOL or less, or after LM_ITERS iterations.
+LM_DAMPING = 1e-3
+LM_DAMPING_FACTOR = 5.0
+LM_STALL_RTOL = 1e-10
+LM_STALLS = 3
+LM_ITERS = 50
 
 
 @dataclass
 class OptimConfig:
     """Iteration budgets of the two-stage scheme and of the fine-tuning
-    pass applied to candidate-pool entries."""
+    pass applied to candidate-pool entries. The search fits each sequence
+    by :func:`minimize_lm`, which has no budget here, so ``t1_iters`` and
+    ``t2_iters`` set only :func:`two_stage_minimize`'s."""
 
     t1_iters: int = 150
     t2_iters: int = 150
@@ -185,3 +198,61 @@ def two_stage_minimize(fn, init, cfg: OptimConfig):
     return OptimResult(second.final_params, second.final_loss,
                        first.iterations_used + second.iterations_used,
                        second.converged)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def minimize_lm(objective, init):
+    """Levenberg–Marquardt with Marquardt's scaling on a loss
+    |r(theta)|^2 / objective.m.
+
+    ``objective.residual(theta)`` returns (loss, r, jacobian), where
+    ``jacobian()`` is dr/dtheta; it is called only at accepted points. Each
+    iteration solves (J'J + lam D) step = -J'r, with D the diagonal of J'J
+    (a zero entry taken as 1), and accepts the trial only when its loss is
+    finite and lower than the current one; lam starts at LM_DAMPING and is
+    divided by LM_DAMPING_FACTOR on an accepted step and multiplied by it on
+    a rejected one. Stops when the gradient norm 2|J'r| / m is at most
+    GRAD_TOL (converged), after LM_STALLS accepted steps in a row that each
+    lower the loss by a relative LM_STALL_RTOL or less, or after LM_ITERS
+    iterations.
+    """
+    theta = np.array(init, dtype=float, copy=True)
+    loss, r, jacobian = objective.residual(theta)
+    _check_start(loss)
+    best = _BestTracker(theta, loss)
+    grad_scale = 2.0 / objective.m
+    damping = LM_DAMPING
+    stalls = used = 0
+    converged = False
+    for k in range(LM_ITERS):
+        if jacobian is not None:   # a new point: its normal equations
+            J = jacobian()
+            jtj, jtr = J.T @ J, J.T @ r
+            if not (np.isfinite(jtj).all() and np.isfinite(jtr).all()):
+                break
+            converged = grad_scale * _norm(jtr) <= GRAD_TOL
+            if converged:
+                break
+            scaling = np.diag(jtj).copy()
+            scaling[scaling == 0.0] = 1.0
+            scaling = np.diag(scaling)
+            jacobian = None
+        used = k + 1
+        try:
+            cand = theta - np.linalg.solve(jtj + damping * scaling, jtr)
+        except np.linalg.LinAlgError:   # singular to working precision
+            damping *= LM_DAMPING_FACTOR
+            continue
+        cand_loss, cand_r, cand_jacobian = objective.residual(cand)
+        if math.isfinite(cand_loss):
+            best.offer(cand, cand_loss)
+        if cand_loss < loss:   # the +inf sentinel never is
+            drop = loss - cand_loss
+            stalls = stalls + 1 if drop <= LM_STALL_RTOL * loss else 0
+            theta, loss, r, jacobian = cand, cand_loss, cand_r, cand_jacobian
+            damping /= LM_DAMPING_FACTOR
+            if stalls == LM_STALLS:
+                break
+        else:
+            damping *= LM_DAMPING_FACTOR
+    return OptimResult(best.theta, best.loss, used, converged)

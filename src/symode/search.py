@@ -14,7 +14,7 @@ from .errors import NumericalError
 from .losses import (EulerResidualObjective, FactoredResidualObjective,
                      tsqr)
 from .optimize import (LR_FINETUNE, OptimConfig, minimize_first_order,
-                       two_stage_minimize, uniform_init)
+                       minimize_lm, uniform_init)
 
 # re-initialization attempts when random parameters give a non-finite loss
 MAX_INIT_RETRIES = 3
@@ -201,7 +201,7 @@ def linear_form(template, sequence):
 def _closed_form_route(factor, template, sequence):
     """The :func:`linear_form` of a sequence that a search holding the
     feature ``factor`` solves in closed form; None for a sequence it fits
-    in two stages."""
+    iteratively."""
     return None if factor is None else linear_form(template, sequence)
 
 
@@ -253,8 +253,7 @@ def _closed_form(factor, template, sequence, form):
 
 # a loss beyond the float range scores 0; it is no cause for a warning
 @np.errstate(over="ignore", invalid="ignore")
-def score_sequence(sequence, template, data, component, optim, rng,
-                   factor=None):
+def score_sequence(sequence, template, data, component, rng, factor=None):
     """Fit the parameters of one sequence and score the result.
 
     Parameters start uniform on [-1, 1]; a non-finite starting loss is
@@ -263,9 +262,10 @@ def score_sequence(sequence, template, data, component, optim, rng,
     component's :func:`feature_factor`, a sequence whose
     :func:`linear_form` exists takes its least-squares minimum in closed
     form. Every other sequence, and a closed form whose loss is not
-    finite, runs :func:`two_stage_minimize` through :func:`_minimize`.
-    Every recorded loss is the direct objective's at the recorded
-    parameters. Numerical failures never propagate out of here.
+    finite, runs :func:`~symode.optimize.minimize_lm` from the uniform
+    start through :func:`_minimize`. Every recorded loss is the direct
+    objective's at the recorded parameters. Numerical failures never
+    propagate out of here.
     """
     sequence = tuple(sequence)
     objective = EulerResidualObjective(template, sequence, data, component)
@@ -284,21 +284,22 @@ def score_sequence(sequence, template, data, component, optim, rng,
         loss = objective.loss(theta)
         if np.isfinite(loss):
             return ScoreRecord(sequence, loss, theta, component, template)
-    theta, loss = _minimize(objective, theta0, two_stage_minimize, optim)
+    theta, loss = _minimize(objective, theta0, minimize_lm)
     return ScoreRecord(sequence, loss, theta, component, template)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _minimize(objective, start, minimize, *args):
-    """Run ``minimize(fn, start, *args)`` on the
+def _minimize(objective, start, minimize):
+    """Run ``minimize(fit, start)`` with ``fit`` the
     :class:`~symode.losses.FactoredResidualObjective` view of the direct
     ``objective`` when that view has a factor and a finite loss at
-    ``start``, and on ``objective`` otherwise. Returns the final parameters
-    and the direct loss there, which is the loss every record holds."""
+    ``start``, and ``objective`` itself otherwise. Returns the final
+    parameters and the direct loss there, which is the loss every record
+    holds."""
     fit = FactoredResidualObjective(objective)
     if fit.factor is None or not np.isfinite(fit.loss(start)):
         fit = objective
-    theta = minimize(fit.loss_and_grad, start, *args).final_params
+    theta = minimize(fit, start).final_params
     return theta, objective.loss(theta)
 
 
@@ -314,7 +315,7 @@ def search_component(data, component, cfg: SearchConfig, rng):
 
     Every epoch: sample a batch, score each distinct sequence once, insert
     the records into the pool, then update the controller on the batch
-    scores. After the last epoch each pool entry fitted in two stages gets
+    scores. After the last epoch each pool entry fitted iteratively gets
     a slow first-order fine-tuning pass, which can only improve its
     recorded loss. A type2 search factors the component's features once,
     for the closed-form fits of its linear sequences; :func:`score_sequence`
@@ -333,7 +334,7 @@ def search_component(data, component, cfg: SearchConfig, rng):
         for i, seq in enumerate(batch.sequences):
             if seq not in scored:
                 record = score_sequence(seq, template, data, component,
-                                        cfg.optim, rng, factor)
+                                        rng, factor)
                 scored[seq] = record
                 pool.insert(record)
             scores[i] = scored[seq].score
@@ -350,7 +351,7 @@ def search_component(data, component, cfg: SearchConfig, rng):
 
 def _finetune_pool(pool, data, component, optim, factor):
     """Slow first-order pass over the pool entries that
-    :func:`score_sequence` fits in two stages, on the same objective; an
+    :func:`score_sequence` fits iteratively, on the same objective; an
     entry with a closed form under the search's feature ``factor`` already
     sits at its least-squares minimum and is skipped. Each result is
     offered back to the pool, which keeps the record with the lower direct
@@ -361,9 +362,10 @@ def _finetune_pool(pool, data, component, optim, factor):
             continue
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)
-        theta, loss = _minimize(objective, record.params,
-                                minimize_first_order, optim.t3_iters,
-                                LR_FINETUNE)
+        theta, loss = _minimize(
+            objective, record.params,
+            lambda fit, start: minimize_first_order(
+                fit.loss_and_grad, start, optim.t3_iters, LR_FINETUNE))
         pool.insert(replace(record, params=theta, loss=loss))
 
 

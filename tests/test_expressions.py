@@ -143,6 +143,45 @@ class TestEvaluate:
             alone = [sm.evaluate_batch(expr, x)[0] for x in X]
             assert np.array_equal(sm.evaluate_batch(expr, X), alone)
 
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_stored_plan_gives_the_per_call_plan_bits(self, kind):
+        # what evaluate_batch computed when it compiled the plan on every
+        # call: each row a stack of one through forward_pass
+        rng = np.random.default_rng(23)
+        t = sm.build_template(kind, 3)
+        X = rng.uniform(-2, 2, (40, 3))
+        for _ in range(50):
+            expr = sm.CompiledExpression(t, random_sequence(t, rng),
+                                         rng.uniform(-1, 1, t.n_params))
+            plan = compile_plan(t, expr.sequence)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values, _ = forward_pass(plan, expr.params,
+                                         leaf_values(plan, X[:, None, :]))
+            assert (list(map(float.hex, sm.evaluate_batch(expr, X)))
+                    == list(map(float.hex, values[-1][:, 0])))
+
+    def test_plan_is_compiled_once_per_expression(self, monkeypatch):
+        import symode.expressions as ex_mod
+        compiled = []
+        original = ex_mod.compile_plan
+
+        def spy(template, sequence):
+            compiled.append(sequence)
+            return original(template, sequence)
+
+        monkeypatch.setattr(ex_mod, "compile_plan", spy)
+        rng = np.random.default_rng(4)
+        t = sm.build_template("type1", 3)
+        system = sm.SystemModel([sm.CompiledExpression(
+            t, random_sequence(t, rng), rng.uniform(-1, 1, t.n_params) / 10)
+            for _ in range(3)])
+        assert len(compiled) == 3
+        result = sm.rollout(system, rng.uniform(0, 1, (5, 3)), 40, 0.01)
+        assert result.states.shape[0] > 1
+        sm.param_gradient(system.components[0], [0.1, 0.2, 0.3])
+        assert len(compiled) == 3
+        assert "plan" not in repr(system.components[0])
+
     def test_dimension_mismatch(self):
         expr = leaf_only_type2(3, "id", [1, 1, 1], 0.0)
         with pytest.raises(ValueError):

@@ -434,6 +434,80 @@ class TestFactoredResidualObjective:
         assert np.isfinite(loss)
 
 
+def residual_differences(objective, theta, h=1e-6):
+    """Central differences of ``objective``'s residual, one column per
+    parameter."""
+    columns = []
+    for k in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[k] += h
+        down[k] -= h
+        columns.append((objective.residual(up)[1]
+                        - objective.residual(down)[1]) / (2 * h))
+    return np.column_stack(columns)
+
+
+class TestResidualJacobian:
+    """Both objectives' residual Jacobians against central differences,
+    and 2 J'r / M against ``loss_and_grad``'s gradient, on random type1 and
+    type2 sequences; 12,000 pairs is above DOT_BUDGET."""
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    @pytest.mark.parametrize("pairs", [1250, 12000])
+    def test_matches_differences_and_the_gradient(self, kind, pairs):
+        assert 12000 > ex.DOT_BUDGET
+        rng = np.random.default_rng(pairs)
+        data = TrajectoryDataset([rng.uniform(-1, 1, (pairs + 1, 3))], 0.1,
+                                 ("x0", "x1", "x2"))
+        template = sm.build_template(kind, 3)
+        checked = 0
+        for _ in range(6):
+            seq = random_sequence(template, rng)
+            direct = EulerResidualObjective(template, seq, data, 0)
+            factored = FactoredResidualObjective(direct)
+            assert (factored.factor is None) == (kind == "type1")
+            theta = rng.uniform(-1, 1, template.n_params)
+            for fit in (direct, factored):
+                if fit is factored and kind == "type1":
+                    continue
+                loss, r, jacobian = fit.residual(theta)
+                assert loss == pytest.approx(float(r @ r) / pairs, rel=1e-12)
+                J = jacobian()
+                assert J.shape == (r.size, template.n_params)
+                fd = residual_differences(fit, theta)
+                assert np.abs(J - fd).max() <= 1e-6 * max(np.abs(J).max(), 1)
+                grad = fit.loss_and_grad(theta)[1]
+                assert (np.linalg.norm(2 * (J.T @ r) / pairs - grad)
+                        <= 1e-11 * np.linalg.norm(grad))
+                checked += 1
+        assert checked >= 6
+
+    def test_residual_has_no_jacobian_at_a_non_finite_loss(self):
+        data = single_pair_dataset([1e200, 0.0], [0.0, 0.0], 1.0)
+        template = sm.build_template("type2", 2)
+        objective = EulerResidualObjective(
+            template, ("quartic", "0", "add", "0", "add"), data, 0)
+        loss, _, jacobian = objective.residual(np.ones(template.n_params))
+        assert loss == float("inf") and jacobian is None
+
+    def test_residual_runs_no_reverse_sweep(self, monkeypatch, sir_dataset):
+        def refuse(*args):
+            raise AssertionError("reverse sweep run")
+
+        template = sm.build_template("type1", 3)
+        objective = EulerResidualObjective(template, ("sin", "id", "mul",
+                                                      "cos"), sir_dataset, 0)
+        factored = FactoredResidualObjective(EulerResidualObjective(
+            sm.build_template("type2", 3), AB[0], sir_dataset, 0))
+        monkeypatch.setattr(ex, "param_jacobian", refuse)
+        monkeypatch.setattr(FactoredResidualObjective, "_sweep", refuse)
+        theta = np.full(template.n_params, 0.3)
+        assert np.isfinite(objective.residual(theta)[0])
+        assert np.isfinite(factored.residual(np.full(12, 0.3))[0])
+        with pytest.raises(AssertionError, match="reverse sweep run"):
+            objective.residual(theta)[2]()
+
+
 class TestPowerTagGradients:
     """Gradient oracles for the power tags in every place a tree puts them;
     the random oracles above draw cube and quartic only by chance."""
@@ -497,14 +571,13 @@ def test_every_factor_qr_stays_within_the_budget(monkeypatch):
         return qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", recording)
-    optim = sm.OptimConfig(t1_iters=3, t2_iters=3)
     for model, d in (("sir", 3), ("seird", 5)):
         data = sm.generate_trajectories(model, sm.benchmark_params(model), 4,
                                         300, 0.2, np.random.default_rng(1))
         template = sm.build_template("type2", d)
         factor = search_mod.feature_factor(data, 0)
         for seq in (AB[0], AB_PLUS_C[0], ABC):
-            sm.score_sequence(seq, template, data, 0, optim,
+            sm.score_sequence(seq, template, data, 0,
                               np.random.default_rng(0), factor)
     assert max(rows * cols for rows, cols in shapes) <= QR_BUDGET
     widths = {cols for _, cols in shapes}
@@ -514,7 +587,8 @@ def test_every_factor_qr_stays_within_the_budget(monkeypatch):
 
 # The loss and gradient of a type2 and a type1 sequence on 25,000 random
 # pairs: each loss, and the gradient of type1's interior node, is a dot
-# product over the samples.
+# product over the samples; and the normal equations J'J and J'r that
+# Levenberg–Marquardt forms from the 25,000-row Jacobian of the residual.
 SAMPLE_DOT_SCRIPT = """
 import numpy as np
 import symode as sm
@@ -527,9 +601,12 @@ for kind, seq in (("type2", ("sin", "id", "mul", "exp", "add")),
                   ("type1", ("sin", "id", "mul", "cos"))):
     objective = sm.EulerResidualObjective(sm.build_template(kind, 3), seq,
                                           data, 0)
-    loss, grad = objective.loss_and_grad(rng.uniform(-1, 1,
-                                                     objective.n_params))
-    print(float.hex(loss), *map(float.hex, grad))
+    theta = rng.uniform(-1, 1, objective.n_params)
+    loss, grad = objective.loss_and_grad(theta)
+    _, r, jacobian = objective.residual(theta)
+    J = jacobian()
+    print(float.hex(loss), *map(float.hex, grad),
+          *map(float.hex, (J.T @ J).ravel()), *map(float.hex, J.T @ r))
 """
 
 

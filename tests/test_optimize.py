@@ -4,8 +4,8 @@ import pytest
 import symode as sm
 from symode.errors import NonFiniteLossError
 from symode.losses import EulerResidualObjective
-from symode.optimize import (ARMIJO_C, LR_FIRST, MAX_BACKTRACKS,
-                             uniform_init)
+from symode.optimize import (ARMIJO_C, GRAD_TOL, LM_ITERS, LM_STALLS,
+                             LR_FIRST, MAX_BACKTRACKS, uniform_init)
 
 
 def quadratic(theta):
@@ -231,6 +231,124 @@ def test_minimizers_never_touch_init(iters):
         assert res.final_params is not init
         assert np.array_equal(init, start)
         assert np.array_equal(res.final_params, start) == (iters == 0)
+
+
+class Residual:
+    """A least-squares objective |r(theta)|^2 / m for minimize_lm, which
+    logs each residual call and each Jacobian it hands out."""
+
+    def __init__(self, r, jac, m):
+        self.r, self.jac, self.m = r, jac, m
+        self.losses, self.jacobians_at = [], []
+
+    def residual(self, theta):
+        r = np.asarray(self.r(theta), dtype=float)
+        loss = float(r @ r) / self.m
+        self.losses.append(loss)
+        if not np.isfinite(loss):
+            return float("inf"), r, None
+
+        def jacobian():
+            self.jacobians_at.append(loss)
+            return np.asarray(self.jac(theta), dtype=float)
+        return loss, r, jacobian
+
+
+def rosenbrock_residual():
+    return Residual(lambda t: [10 * (t[1] - t[0] ** 2), 1 - t[0]],
+                    lambda t: [[-20 * t[0], 10], [-1, 0]], 2)
+
+
+class TestLevenbergMarquardt:
+    def test_linear_least_squares_in_one_step(self):
+        rng = np.random.default_rng(2)
+        A, b = rng.normal(size=(30, 4)), rng.normal(size=30)
+        objective = Residual(lambda t: A @ t - b, lambda t: A, 30)
+        res = sm.minimize_lm(objective, np.zeros(4))
+        exact = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert np.allclose(res.final_params, exact, rtol=1e-8, atol=1e-10)
+
+    def test_rosenbrock(self):
+        objective = rosenbrock_residual()
+        res = sm.minimize_lm(objective, np.array([-1.2, 1.0]))
+        assert np.allclose(res.final_params, [1.0, 1.0], atol=1e-8)
+        assert res.converged
+        assert res.iterations_used < LM_ITERS
+
+    def test_accepts_only_lower_losses_and_sweeps_only_there(self):
+        objective = rosenbrock_residual()
+        sm.minimize_lm(objective, np.array([-1.2, 1.0]))
+        # a Jacobian is formed at the start and at each accepted point, and
+        # each accepted point has a lower loss than the one before
+        assert objective.jacobians_at[0] == objective.losses[0]
+        assert all(b < a for a, b in zip(objective.jacobians_at,
+                                         objective.jacobians_at[1:]))
+        assert len(objective.jacobians_at) < len(objective.losses)
+
+    def test_stops_on_the_gradient_norm_at_the_start(self):
+        objective = Residual(lambda t: [t[0] - 1.0], lambda t: [[1.0]], m=4)
+        res = sm.minimize_lm(objective, np.array([1.0 + GRAD_TOL]))
+        # 2 |J'r| / m is about GRAD_TOL / 2
+        assert res.converged and res.iterations_used == 0
+        assert len(objective.losses) == 1
+
+    def test_stops_after_stalled_steps(self):
+        # a residual whose loss falls by a relative 1e-12 per accepted step
+        # whatever the step: each accepted step stalls
+        state = {"calls": 0}
+
+        def r(theta):
+            state["calls"] += 1
+            return [1.0 - 1e-12 * state["calls"]]
+
+        objective = Residual(r, lambda t: [[1.0]], 1)
+        res = sm.minimize_lm(objective, np.array([0.0]))
+        assert res.iterations_used == LM_STALLS
+        assert not res.converged
+
+    def test_rejected_trials_raise_the_damping_until_the_budget(self):
+        # a gradient of the wrong sign: every trial goes uphill
+        objective = Residual(lambda t: [t[0]], lambda t: [[-1.0]], 1)
+        res = sm.minimize_lm(objective, np.array([1.0]))
+        assert res.iterations_used == LM_ITERS
+        assert len(objective.losses) == 1 + LM_ITERS
+        assert objective.jacobians_at == [1.0]
+        assert np.array_equal(res.final_params, [1.0])
+        # the damping grows fivefold per rejection, so the steps shrink
+        assert objective.losses[-1] == pytest.approx(1.0, rel=1e-30 ** 0.5)
+
+    def test_non_finite_trial_is_rejected(self):
+        # a nearly flat start: the first trials overflow
+        objective = Residual(lambda t: [np.exp(800 * t[0]) - 1],
+                             lambda t: [[800 * np.exp(800 * t[0])]], 1)
+        res = sm.minimize_lm(objective, np.array([-0.02]))
+        assert objective.losses[1] == float("inf")
+        assert np.isfinite(res.final_loss)
+        assert res.final_loss < objective.losses[0]
+
+    def test_never_touches_init(self):
+        fn, A, b, start = spd_quadratic(4)
+        objective = Residual(lambda t: A @ t - b, lambda t: A, 5)
+        init = start.copy()
+        init.setflags(write=False)
+        res = sm.minimize_lm(objective, init)
+        assert res.final_params is not init
+        assert np.array_equal(init, start)
+        assert res.final_loss < objective.losses[0]
+
+    def test_nonfinite_start_raises(self):
+        objective = Residual(lambda t: [np.inf], lambda t: [[1.0]], 1)
+        with pytest.raises(NonFiniteLossError):
+            sm.minimize_lm(objective, np.array([1.0]))
+
+    def test_singular_normal_equations_are_a_rejection(self):
+        # two equal columns and no damping left to tell them apart: the
+        # solve fails, which counts as a rejected trial, not an error
+        objective = Residual(lambda t: [t[0] + t[1] - 2.0, 0.0],
+                             lambda t: [[1.0, 1.0], [0.0, 0.0]], 2)
+        res = sm.minimize_lm(objective, np.array([5.0, 5.0]))
+        assert res.final_loss <= objective.losses[0]
+        assert np.isfinite(res.final_loss)
 
 
 class TestOptimConfig:

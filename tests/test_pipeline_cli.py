@@ -11,8 +11,9 @@ import symode as sm
 from symode import cli, pipeline
 from symode.cli import main
 from symode.config import run_config_from_dict
-from symode.dataio import load_csv
+from symode.dataio import load_csv, normalize_series
 from symode.errors import NumericalError
+from symode.search import CandidatePool, ScoreRecord, SearchOutcome
 from symode.pipeline import (dt_from_document, generate_synthetic,
                              load_results, run_pipeline, run_synthetic,
                              scale_from_document, system_from_document)
@@ -118,6 +119,145 @@ class TestSyntheticPipeline:
         for comp_entry, expr in zip(doc["components"], system.components):
             assert comp_entry["symbolic"] == sm.to_symbolic_string(
                 expr, 4, doc["var_names"])
+
+
+# Type2 expressions of the SIR field at the benchmark rates (beta 0.9,
+# gamma 0.2, mu 0.3, n_pop 1), which the synthetic data follow by Euler
+# steps, and ones whose rollout leaves the float range at once. A pool
+# keeps one entry per sequence, so entries of one pool differ in sequence.
+PRODUCT = ("id", "id", "mul", "id", "add")
+LEAF = ("id", "0", "add", "0", "add")
+EXACT_SIR = [(PRODUCT, [-0.9, 0, 0, 0, 0, 1, 0, 0, -0.3, 0, 0, 0.3]),
+             (PRODUCT, [0.9, 0, 0, 0, 0, 1, 0, 0, 0, -0.5, 0, 0]),
+             (LEAF, [0, 0.2, -0.3, 0] + [0] * 8)]
+# the exact S field again, with the last leaf subtracted: the same bits
+EXACT_S_SUB = (("id", "id", "mul", "id", "sub"),
+               [-0.9, 0, 0, 0, 0, 1, 0, 0, 0.3, 0, 0, -0.3])
+SLOW_S = (PRODUCT, [-0.8, 0, 0, 0, 0, 1, 0, 0, -0.3, 0, 0, 0.3])
+DIVERGING = [(seq, [1e200, 0, 0, 0] + [0] * 8)
+             for seq in (LEAF, ("id", "0", "sub", "0", "add"),
+                         ("id", "0", "add", "0", "sub"))]
+STILL = (("0", "0", "add", "0", "add"), [0] * 12)
+
+
+def planted_outcomes(pools):
+    """Search outcomes whose pools hold the given (sequence, params)
+    entries per component, ranked in the order given."""
+    template = sm.build_template("type2", 3)
+    outcomes = []
+    for component, entries in enumerate(pools):
+        pool = CandidatePool(len(entries))
+        for rank, (seq, params) in enumerate(entries):
+            pool.insert(ScoreRecord(seq, 10.0 ** (rank - 30),
+                                    np.array(params, float), component,
+                                    template))
+        outcomes.append(SearchOutcome(pool.best(), pool, [0.5]))
+    return outcomes
+
+
+class TestSystemCheck:
+    """When the winners' training rollout diverges, the pool system with
+    rank sum at most 2 that completes with the lowest max per-step
+    training MSE is reported instead, and ``metrics.system_swap`` says
+    so."""
+
+    def run(self, monkeypatch, tmp_path, pools, doc):
+        inits = []
+        rollout = pipeline.rollout
+
+        def spy(model, init, steps, dt):
+            inits.append((np.array(init), steps))
+            return rollout(model, init, steps, dt)
+
+        monkeypatch.setattr(pipeline, "rollout", spy)
+        monkeypatch.setattr(pipeline, "_search_all_components",
+                            lambda data, cfg: planted_outcomes(pools))
+        cfg = run_config_from_dict(doc)
+        try:
+            written = run_pipeline(cfg, out_dir=tmp_path / "run")
+        except NumericalError:
+            written = load_results(tmp_path / "run" / "results.json")
+        return cfg, written, inits
+
+    def test_lowest_training_error_replaces_a_diverging_winner(
+            self, monkeypatch, tmp_path):
+        # S's winner diverges; S at rank 1 completes with a wrong rate, S at
+        # rank 2 follows the data: the lower error wins over the rank sum
+        pools = [[DIVERGING[0], SLOW_S, EXACT_S_SUB], [EXACT_SIR[1]],
+                 [EXACT_SIR[2]]]
+        cfg, doc, inits = self.run(monkeypatch, tmp_path, pools,
+                                   tiny_synthetic_doc())
+        assert doc["metrics"]["system_swap"] == {
+            "train_diverged_at_step": 1, "pool_rank": {"S": 2, "I": 0, "R": 0}}
+        assert list(doc["metrics"])[-1] == "system_swap"
+        chosen = [EXACT_S_SUB, EXACT_SIR[1], EXACT_SIR[2]]
+        for comp, (seq, params) in zip(doc["components"], chosen):
+            assert tuple(comp["sequence"]) == seq
+            assert comp["coefficients"] == params
+        # the pool section still lists every entry, best first
+        assert [tuple(e["sequence"]) for e in doc["pool"][0]["entries"]] == [
+            DIVERGING[0][0], SLOW_S[0], EXACT_S_SUB[0]]
+        assert doc["metrics"]["max_per_step_mse"] < 1e-25
+        # every rollout before the forecast starts from the training
+        # trajectories' first states and runs over the training horizon
+        train, test = sm.train_test_split(generate_synthetic(cfg),
+                                          cfg.data.train_fraction)
+        check, (forecast, _) = inits[:-1], inits[-1]
+        # the winners, then (1, 0, 0) and (2, 0, 0): the other pools hold
+        # one entry each
+        assert len(check) == 1 + 2
+        for init, steps in check:
+            assert np.array_equal(init, np.stack(train.trajectories)[:, 0])
+            assert steps == cfg.data.steps
+        assert np.array_equal(forecast, np.stack(test.trajectories)[:, 0])
+
+    def test_ties_go_to_the_lower_rank_sum(self, monkeypatch, tmp_path):
+        # ranks (1, 0, 0) and (2, 0, 0) give the same rollout bits
+        pools = [[DIVERGING[0], EXACT_SIR[0], EXACT_S_SUB], [EXACT_SIR[1]],
+                 [EXACT_SIR[2]]]
+        _, doc, _ = self.run(monkeypatch, tmp_path, pools,
+                             tiny_synthetic_doc())
+        assert doc["metrics"]["system_swap"]["pool_rank"] == {
+            "S": 1, "I": 0, "R": 0}
+
+    def test_winners_stay_when_no_neighbour_completes(self, monkeypatch,
+                                                      tmp_path):
+        pools = [DIVERGING, [EXACT_SIR[1]], [EXACT_SIR[2]]]
+        _, doc, _ = self.run(monkeypatch, tmp_path, pools,
+                             tiny_synthetic_doc())
+        assert "system_swap" not in doc["metrics"]
+        assert doc["metrics"]["diverged_at_step"] == 1
+        assert doc["components"][0]["coefficients"] == DIVERGING[0][1]
+
+    def test_completing_winners_write_no_record(self, monkeypatch, tmp_path):
+        pools = [[SLOW_S, EXACT_S_SUB], [EXACT_SIR[1]], [EXACT_SIR[2]]]
+        _, doc, inits = self.run(monkeypatch, tmp_path, pools,
+                                 tiny_synthetic_doc())
+        assert list(doc["metrics"]) == [
+            "per_step_mse", "per_step_mse_by_component",
+            "persistence_per_step", "max_per_step_mse"]
+        assert doc["components"][0]["coefficients"] == SLOW_S[1]
+        assert len(inits) == 2
+
+    def test_real_mode_checks_the_training_days(self, monkeypatch, tmp_path,
+                                                sample_csv):
+        pools = [[DIVERGING[0], STILL], [STILL], [STILL]]
+        cfg, doc, inits = self.run(monkeypatch, tmp_path, pools,
+                                   tiny_real_doc(sample_csv))
+        assert doc["metrics"]["system_swap"] == {
+            "train_diverged_at_step": 1, "pool_rank": {"Q": 1, "D": 0, "R": 0}}
+        assert list(doc["metrics"])[-1] == "system_swap"
+        assert doc["components"][0]["coefficients"] == STILL[1]
+        values = normalize_series(load_csv(sample_csv, cfg.real_dt),
+                                  "by_max_total")[0].trajectories[0]
+        # the winners, then (1, 0, 0), from day 0; the forecast from the
+        # last training day
+        assert len(inits) == 3
+        for init, steps in inits[:-1]:
+            assert np.array_equal(init, values[None, 0])
+            assert steps == cfg.train_days - 1
+        anchor, _ = inits[-1]
+        assert np.array_equal(anchor, values[None, cfg.train_days - 1])
 
 
 class TestRealPipeline:
@@ -513,15 +653,16 @@ class TestCli:
         assert_same_bits(values, np.concatenate(truth.trajectories))
 
     def test_diverged_search_still_writes_results(self, tmp_path, capsys):
-        # this seed's type1 winners overflow the test forecast at step 27
-        doc = tiny_synthetic_doc(seed=9, out=str(tmp_path / "run"))
+        # this seed's type1 winners complete their training rollout, so
+        # they stay, and overflow the test forecast at step 37
+        doc = tiny_synthetic_doc(seed=2, out=str(tmp_path / "run"))
         doc["data"]["steps"] = 250
         doc["search"] = dict(TINY_SEARCH, templates="type1")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["search", "--config", str(cfg_path)]) == 4
         assert capsys.readouterr().err == (
-            "numerical failure: autonomous rollout diverged at step 27\n")
+            "numerical failure: autonomous rollout diverged at step 37\n")
 
         results = tmp_path / "run" / "results.json"
         written = load_results(results)
@@ -530,9 +671,9 @@ class TestCli:
         assert [p["component"] for p in written["pool"]] == [0, 1, 2]
         assert all(len(h["best_scores"]) == 3 for h in written["history"])
         metrics = written["metrics"]
-        assert metrics["diverged_at_step"] == 27
-        # only the 26 steps that every test trajectory completed
-        assert len(metrics["per_step_mse"]) == 26
+        assert metrics["diverged_at_step"] == 37
+        # only the 36 steps that every test trajectory completed
+        assert len(metrics["per_step_mse"]) == 36
         assert "max_per_step_mse" not in metrics
         assert main(["report", "--results", str(results),
                      "--out", str(tmp_path / "rep")]) == 0
@@ -541,7 +682,7 @@ class TestCli:
         assert len(equations.splitlines()) == 3
 
     def test_diverged_document_is_returned_then_raised(self, tmp_path):
-        doc = tiny_synthetic_doc(seed=9)
+        doc = tiny_synthetic_doc(seed=2)
         doc["data"]["steps"] = 250
         doc["search"] = dict(TINY_SEARCH, templates="type1")
         cfg = run_config_from_dict(doc)
@@ -549,31 +690,32 @@ class TestCli:
         assert list(returned["metrics"]) == [
             "per_step_mse", "per_step_mse_by_component",
             "persistence_per_step", "diverged_at_step"]
-        assert returned["metrics"]["diverged_at_step"] == 27
+        assert returned["metrics"]["diverged_at_step"] == 37
         with pytest.raises(NumericalError) as raised:
             run_pipeline(cfg, out_dir=tmp_path / "run")
-        assert str(raised.value) == "autonomous rollout diverged at step 27"
+        assert str(raised.value) == "autonomous rollout diverged at step 37"
         assert load_results(tmp_path / "run" / "results.json") == returned
 
     def test_error_beyond_float_range_is_a_divergence(self, tmp_path, capsys):
-        # this seed's forecast states stay finite up to step 215, but their
-        # squared error at step 215 does not
-        doc = tiny_synthetic_doc(seed=26, out=str(tmp_path / "run"))
+        # this seed's forecast states stay finite up to step 43, but their
+        # squared error at step 43 does not; no pool system of rank sum at
+        # most 2 completes its training rollout, so the winners stay
+        doc = tiny_synthetic_doc(seed=7, out=str(tmp_path / "run"))
         doc["data"]["steps"] = 250
         doc["search"] = dict(TINY_SEARCH, templates="type1")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["search", "--config", str(cfg_path)]) == 4
         assert capsys.readouterr().err == (
-            "numerical failure: autonomous rollout diverged at step 215\n")
+            "numerical failure: autonomous rollout diverged at step 43\n")
 
         def reject(token):
             raise ValueError(f"non-finite token {token}")
 
         text = (tmp_path / "run" / "results.json").read_text(encoding="utf-8")
         metrics = json.loads(text, parse_constant=reject)["metrics"]
-        assert metrics["diverged_at_step"] == 215
-        assert len(metrics["per_step_mse"]) == 214
+        assert metrics["diverged_at_step"] == 43
+        assert len(metrics["per_step_mse"]) == 42
 
     def test_real_mode_rejects_several_trajectories(self, tmp_path, capsys):
         data = tmp_path / "two.csv"
@@ -599,7 +741,8 @@ class TestCli:
 
     def test_diverged_real_forecast_still_writes_results(self, tmp_path,
                                                           capsys):
-        # this seed's type1 winners overflow the forecast at step 10
+        # this seed's type1 winners complete their training rollout and
+        # overflow the forecast at step 6
         doc = tiny_real_doc(SERIES, out=str(tmp_path / "run"))
         doc["seed"] = 2
         doc["search"] = dict(TINY_SEARCH, templates="type1")
@@ -607,17 +750,17 @@ class TestCli:
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["search", "--config", str(cfg_path)]) == 4
         assert capsys.readouterr().err == (
-            "numerical failure: forecast rollout diverged at step 10\n")
+            "numerical failure: forecast rollout diverged at step 6\n")
         written = load_results(tmp_path / "run" / "results.json")
         assert list(written["metrics"]) == [
             "forecast_steps", "per_step_mse", "persistence_per_step",
             "persistence_mse_per_series", "teacher_forced_mse_per_series",
             "diverged_at_step"]
-        assert written["metrics"]["diverged_at_step"] == 10
-        assert len(written["metrics"]["per_step_mse"]) == 9
-        assert len(written["forecast"]["values"]) == 9
+        assert written["metrics"]["diverged_at_step"] == 6
+        assert len(written["metrics"]["per_step_mse"]) == 5
+        assert len(written["forecast"]["values"]) == 5
         rows = (tmp_path / "run" / "forecast.csv").read_text().splitlines()
-        assert len(rows) == 10
+        assert len(rows) == 6
 
     def test_seed_and_epochs_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
