@@ -149,18 +149,18 @@ def product_width(template, sequence):
 
 
 class FactoredResidualObjective:
-    """The loss and gradient of an :class:`EulerResidualObjective`,
+    """The loss and a residual of an :class:`EulerResidualObjective`,
     evaluated from the R factor of [K | dy], which is built once from that
     objective's leaf operator values and ``dy``.
 
     ``factor`` is None when the sequence has no :func:`product_width`, when
     that width and the ``dy`` column exceed MAX_FACTOR_COLUMNS, or when an
-    entry is not finite. A call forms z(theta) leaf by leaf, takes
-    R [dt z; -1], and sweeps the nodes in reverse for the gradient, on
-    vectors of at most the product width; its cost does not depend on the
-    number of samples. A value that is not finite gives the +inf sentinel;
-    callers silence the overflow warning with ``np.errstate``, as the
-    minimizers do.
+    entry is not finite. A call forms z(theta) leaf by leaf and takes
+    R [dt z; -1]; the residual's Jacobian sweeps the nodes in reverse. Both
+    work on arrays of at most the product width per side, so their cost
+    does not depend on the number of samples. A value that is not finite
+    gives the +inf sentinel; callers silence the overflow warning with
+    ``np.errstate``, as the minimizers do.
     """
 
     def __init__(self, objective):
@@ -219,13 +219,6 @@ class FactoredResidualObjective:
         loss, _ = self._loss(self._forward(theta)[-1])
         return loss if math.isfinite(loss) else float("inf")
 
-    def loss_and_grad(self, theta):
-        z = self._forward(theta)
-        loss, rv = self._loss(z[-1])
-        if not math.isfinite(loss):
-            return float("inf"), np.zeros(self.n_params)
-        return loss, self._sweep(z, (2.0 * self.dt / self.m) * (rv @ self._rk))
-
     def residual(self, theta):
         """(loss, r, jacobian) as for the direct objective, with the
         residual r = R [dt z; -1] of at most MAX_FACTOR_COLUMNS rows, which
@@ -238,24 +231,23 @@ class FactoredResidualObjective:
         return loss, rv, lambda: self._sweep(z, self.dt * self._rk)
 
     def _sweep(self, z, adjoint):
-        """d (adjoint z_root) / d theta, by one reverse sweep over the z of
-        :meth:`_forward`. ``adjoint`` is a vector, for a gradient, or a
-        matrix, for the Jacobian of one output per row."""
+        """d (adjoint z_root) / d theta for a matrix ``adjoint``, one output
+        per row, by one reverse sweep over the z of :meth:`_forward`."""
         adj = [None] * len(z)
         adj[-1] = adjoint
-        out = np.empty((*adjoint.shape[:-1], self.n_params))
+        out = np.empty((adjoint.shape[0], self.n_params))
         for i in reversed(range(len(z))):
             leaf, tag, l, r = self._plan[i]
             a = adj[i]
             if leaf is not None:
-                out[..., leaf] = a
+                out[:, leaf] = a
             elif tag == "mul":
-                a = a.reshape(*a.shape[:-1], z[l].size, z[r].size)
+                a = a.reshape(a.shape[0], z[l].size, z[r].size)
                 adj[l], adj[r] = a @ z[r], z[l] @ a
             else:
                 n = z[l].size
-                adj[l], adj[r] = (a[..., :n],
-                                  -a[..., n:] if tag == "sub" else a[..., n:])
+                adj[l], adj[r] = (a[:, :n],
+                                  -a[:, n:] if tag == "sub" else a[:, n:])
         return out
 
 

@@ -1,12 +1,14 @@
 """Parameter optimization: Levenberg–Marquardt on a least-squares
-residual, and the two-stage scheme of an adaptive first-order warm-up
-followed by BFGS refinement with Armijo backtracking.
+residual, which fits every iteratively fitted sequence of a search, and
+the two-stage scheme of an adaptive first-order warm-up followed by BFGS
+refinement with Armijo backtracking.
 
 The first-order and BFGS routines take a single objective callable
-``fn(theta) -> (loss, grad)``; Levenberg–Marquardt takes an objective with
-a ``residual`` method. Every routine tracks the best iterate ever
-evaluated, so the reported loss is never worse than any point actually
-visited. Everything is deterministic: no randomness lives in this module.
+``fn(theta) -> (loss, grad)`` and track the best iterate ever evaluated;
+Levenberg–Marquardt takes an objective with a ``residual`` method and
+moves only to a lower loss. So the reported loss is never worse than any
+point actually visited. Everything is deterministic: no randomness lives
+in this module.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import numpy as np
 from .errors import NonFiniteLossError
 
 
-# The fixed parts of the schedule: the step sizes of the warm-up and of the
-# fine-tuning pass, the BFGS gradient-norm tolerance, the Armijo constant
-# and backtracking factor of its line search, and Adam's moment constants.
+# The fixed parts of the schedule: the step size of the warm-up, the BFGS
+# gradient-norm tolerance, the Armijo constant and backtracking factor of
+# its line search, and Adam's moment constants.
 LR_FIRST = 0.05
-LR_FINETUNE = 0.005
 GRAD_TOL = 1e-8
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -42,10 +43,10 @@ LM_ITERS = 50
 
 @dataclass
 class OptimConfig:
-    """Iteration budgets of the two-stage scheme and of the fine-tuning
-    pass applied to candidate-pool entries. The search fits each sequence
-    by :func:`minimize_lm`, which has no budget here, so ``t1_iters`` and
-    ``t2_iters`` set only :func:`two_stage_minimize`'s."""
+    """Iteration budgets of :func:`two_stage_minimize`. The search fits
+    and fine-tunes every sequence by :func:`minimize_lm`, which has no
+    budget here, so it reads none of these; nothing reads ``t3_iters``,
+    which stays a valid config key because existing configs set it."""
 
     t1_iters: int = 150
     t2_iters: int = 150
@@ -209,9 +210,10 @@ def minimize_lm(objective, init):
     ``jacobian()`` is dr/dtheta; it is called only at accepted points. Each
     iteration solves (J'J + lam D) step = -J'r, with D the diagonal of J'J
     (a zero entry taken as 1), and accepts the trial only when its loss is
-    finite and lower than the current one; lam starts at LM_DAMPING and is
-    divided by LM_DAMPING_FACTOR on an accepted step and multiplied by it on
-    a rejected one. Stops when the gradient norm 2|J'r| / m is at most
+    finite and lower than the current one, so the current point is always
+    the best one visited; lam starts at LM_DAMPING and is divided by
+    LM_DAMPING_FACTOR on an accepted step and multiplied by it on a
+    rejected one. Stops when the gradient norm 2|J'r| / m is at most
     GRAD_TOL (converged), after LM_STALLS accepted steps in a row that each
     lower the loss by a relative LM_STALL_RTOL or less, or after LM_ITERS
     iterations.
@@ -219,7 +221,6 @@ def minimize_lm(objective, init):
     theta = np.array(init, dtype=float, copy=True)
     loss, r, jacobian = objective.residual(theta)
     _check_start(loss)
-    best = _BestTracker(theta, loss)
     grad_scale = 2.0 / objective.m
     damping = LM_DAMPING
     stalls = used = 0
@@ -244,8 +245,6 @@ def minimize_lm(objective, init):
             damping *= LM_DAMPING_FACTOR
             continue
         cand_loss, cand_r, cand_jacobian = objective.residual(cand)
-        if math.isfinite(cand_loss):
-            best.offer(cand, cand_loss)
         if cand_loss < loss:   # the +inf sentinel never is
             drop = loss - cand_loss
             stalls = stalls + 1 if drop <= LM_STALL_RTOL * loss else 0
@@ -255,4 +254,4 @@ def minimize_lm(objective, init):
                 break
         else:
             damping *= LM_DAMPING_FACTOR
-    return OptimResult(best.theta, best.loss, used, converged)
+    return OptimResult(theta, loss, used, converged)

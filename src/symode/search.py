@@ -1,6 +1,8 @@
 """The search loop: score sampled operator sequences, update the
 controller, keep the best candidates and fine-tune them; and the
-vector-valued system that one expression per component forms."""
+vector-valued system that one expression per component forms. Every
+iterative fit, first fits and fine-tune alike, is
+:func:`~symode.optimize.minimize_lm` through :func:`_minimize`."""
 
 from __future__ import annotations
 
@@ -13,8 +15,7 @@ from .controller import ControllerPolicy, policy_update, sample_sequences
 from .errors import NumericalError
 from .losses import (EulerResidualObjective, FactoredResidualObjective,
                      tsqr)
-from .optimize import (LR_FINETUNE, OptimConfig, minimize_first_order,
-                       minimize_lm, uniform_init)
+from .optimize import OptimConfig, minimize_lm, uniform_init
 
 # re-initialization attempts when random parameters give a non-finite loss
 MAX_INIT_RETRIES = 3
@@ -284,22 +285,22 @@ def score_sequence(sequence, template, data, component, rng, factor=None):
         loss = objective.loss(theta)
         if np.isfinite(loss):
             return ScoreRecord(sequence, loss, theta, component, template)
-    theta, loss = _minimize(objective, theta0, minimize_lm)
+    theta, loss = _minimize(objective, theta0)
     return ScoreRecord(sequence, loss, theta, component, template)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _minimize(objective, start, minimize):
-    """Run ``minimize(fit, start)`` with ``fit`` the
+def _minimize(objective, start):
+    """Run :func:`~symode.optimize.minimize_lm` from ``start`` on the
     :class:`~symode.losses.FactoredResidualObjective` view of the direct
     ``objective`` when that view has a factor and a finite loss at
-    ``start``, and ``objective`` itself otherwise. Returns the final
+    ``start``, and on ``objective`` itself otherwise. Returns the final
     parameters and the direct loss there, which is the loss every record
     holds."""
     fit = FactoredResidualObjective(objective)
     if fit.factor is None or not np.isfinite(fit.loss(start)):
         fit = objective
-    theta = minimize(fit, start).final_params
+    theta = minimize_lm(fit, start).final_params
     return theta, objective.loss(theta)
 
 
@@ -315,8 +316,8 @@ def search_component(data, component, cfg: SearchConfig, rng):
 
     Every epoch: sample a batch, score each distinct sequence once, insert
     the records into the pool, then update the controller on the batch
-    scores. After the last epoch each pool entry fitted iteratively gets
-    a slow first-order fine-tuning pass, which can only improve its
+    scores. After the last epoch each pool entry fitted iteratively is
+    fitted again from its recorded parameters, which can only improve its
     recorded loss. A type2 search factors the component's features once,
     for the closed-form fits of its linear sequences; :func:`score_sequence`
     and the fine-tune route every sequence by that one factor.
@@ -341,7 +342,7 @@ def search_component(data, component, cfg: SearchConfig, rng):
         batch.scores = scores
         policy_update(policy, batch, cfg.nu)
         history.append(float(scores.max()))
-    _finetune_pool(pool, data, component, cfg.optim, factor)
+    _finetune_pool(pool, data, component, factor)
     best = pool.best()
     if best is None:
         raise NumericalError(
@@ -349,23 +350,22 @@ def search_component(data, component, cfg: SearchConfig, rng):
     return SearchOutcome(best, pool, history)
 
 
-def _finetune_pool(pool, data, component, optim, factor):
-    """Slow first-order pass over the pool entries that
-    :func:`score_sequence` fits iteratively, on the same objective; an
-    entry with a closed form under the search's feature ``factor`` already
-    sits at its least-squares minimum and is skipped. Each result is
-    offered back to the pool, which keeps the record with the lower direct
-    loss, so the recorded loss never worsens."""
+def _finetune_pool(pool, data, component, factor):
+    """Run Levenberg–Marquardt again, through :func:`_minimize`, from the
+    recorded parameters of each pool entry that :func:`score_sequence`
+    fits iteratively; an entry with a closed form under the search's
+    feature ``factor`` already sits at its least-squares minimum and is
+    skipped. A first fit that stopped on its iteration budget or on
+    stalled steps goes on from where it stopped. Each result is offered
+    back to the pool, which keeps the record with the lower direct loss,
+    so the recorded loss never worsens."""
     for record in pool.records():
         if _closed_form_route(factor, record.template,
                               record.sequence) is not None:
             continue
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)
-        theta, loss = _minimize(
-            objective, record.params,
-            lambda fit, start: minimize_first_order(
-                fit.loss_and_grad, start, optim.t3_iters, LR_FINETUNE))
+        theta, loss = _minimize(objective, record.params)
         pool.insert(replace(record, params=theta, loss=loss))
 
 

@@ -338,7 +338,8 @@ class TestFactoredResidualObjective:
             direct = EulerResidualObjective(template, seq, data, component)
             factored = FactoredResidualObjective(direct)
             theta = rng.uniform(-1, 1, template.n_params)
-            loss, grad = factored.loss_and_grad(theta)
+            loss, r, jacobian = factored.residual(theta)
+            grad = 2 * (jacobian().T @ r) / direct.m
             direct_loss, direct_grad = direct.loss_and_grad(theta)
             assert loss == pytest.approx(direct_loss, rel=1e-12)
             assert factored.loss(theta) == loss
@@ -416,9 +417,8 @@ class TestFactoredResidualObjective:
         # as inside a fit, where the minimizers silence the overflow
         with np.errstate(over="ignore", invalid="ignore"):
             assert factored.loss(theta) == float("inf")
-            loss, grad = factored.loss_and_grad(theta)
-        assert loss == float("inf")
-        assert np.array_equal(grad, np.zeros(template.n_params))
+            loss, _, jacobian = factored.residual(theta)
+        assert loss == float("inf") and jacobian is None
 
     def test_each_call_is_independent_of_the_samples(self, monkeypatch,
                                                      desk_sir_train):
@@ -430,8 +430,9 @@ class TestFactoredResidualObjective:
         monkeypatch.setattr(ex, "forward_pass", None)
         monkeypatch.setattr(ex, "UNARY_RULES", None)
         theta = np.linspace(-1, 1, template.n_params)
-        loss, _ = factored.loss_and_grad(theta)
+        loss, r, jacobian = factored.residual(theta)
         assert np.isfinite(loss)
+        assert jacobian().shape == (r.size, template.n_params)
 
 
 def residual_differences(objective, theta, h=1e-6):
@@ -449,8 +450,9 @@ def residual_differences(objective, theta, h=1e-6):
 
 class TestResidualJacobian:
     """Both objectives' residual Jacobians against central differences,
-    and 2 J'r / M against ``loss_and_grad``'s gradient, on random type1 and
-    type2 sequences; 12,000 pairs is above DOT_BUDGET."""
+    and 2 J'r / M against the direct objective's ``loss_and_grad``
+    gradient, on random type1 and type2 sequences; 12,000 pairs is above
+    DOT_BUDGET."""
 
     @pytest.mark.parametrize("kind", ["type1", "type2"])
     @pytest.mark.parametrize("pairs", [1250, 12000])
@@ -476,7 +478,7 @@ class TestResidualJacobian:
                 assert J.shape == (r.size, template.n_params)
                 fd = residual_differences(fit, theta)
                 assert np.abs(J - fd).max() <= 1e-6 * max(np.abs(J).max(), 1)
-                grad = fit.loss_and_grad(theta)[1]
+                grad = direct.loss_and_grad(theta)[1]
                 assert (np.linalg.norm(2 * (J.T @ r) / pairs - grad)
                         <= 1e-11 * np.linalg.norm(grad))
                 checked += 1
@@ -509,8 +511,10 @@ class TestResidualJacobian:
 
 
 class TestPowerTagGradients:
-    """Gradient oracles for the power tags in every place a tree puts them;
-    the random oracles above draw cube and quartic only by chance."""
+    """Gradient oracles for the power tags in every place a tree puts them
+    (the factored objective's gradient is the 2 J'r / M of its
+    ``residual``); the random oracles above draw cube and quartic only by
+    chance."""
 
     @pytest.mark.parametrize("tag", ["cube", "quartic"])
     @pytest.mark.parametrize("children", [("id", "sin", "mul"),
@@ -539,8 +543,10 @@ class TestPowerTagGradients:
             factored = FactoredResidualObjective(direct)
             assert factored.factor is not None
             theta = rng.uniform(-1, 1, template.n_params)
-            for objective in (direct, factored):
-                _, grad = objective.loss_and_grad(theta)
+            _, r, jacobian = factored.residual(theta)
+            grads = (direct.loss_and_grad(theta)[1],
+                     2 * (jacobian().T @ r) / factored.m)
+            for objective, grad in zip((direct, factored), grads):
                 fd = central_differences(objective, theta)
                 assert (np.linalg.norm(grad - fd)
                         <= 1e-5 * np.linalg.norm(grad))

@@ -259,6 +259,12 @@ def rosenbrock_residual():
                     lambda t: [[-20 * t[0], 10], [-1, 0]], 2)
 
 
+def overflowing_residual():
+    """A nearly flat start at -0.02, whose first trials overflow."""
+    return Residual(lambda t: [np.exp(800 * t[0]) - 1],
+                    lambda t: [[800 * np.exp(800 * t[0])]], 1)
+
+
 class TestLevenbergMarquardt:
     def test_linear_least_squares_in_one_step(self):
         rng = np.random.default_rng(2)
@@ -318,13 +324,23 @@ class TestLevenbergMarquardt:
         assert objective.losses[-1] == pytest.approx(1.0, rel=1e-30 ** 0.5)
 
     def test_non_finite_trial_is_rejected(self):
-        # a nearly flat start: the first trials overflow
-        objective = Residual(lambda t: [np.exp(800 * t[0]) - 1],
-                             lambda t: [[800 * np.exp(800 * t[0])]], 1)
+        objective = overflowing_residual()
         res = sm.minimize_lm(objective, np.array([-0.02]))
         assert objective.losses[1] == float("inf")
         assert np.isfinite(res.final_loss)
         assert res.final_loss < objective.losses[0]
+
+    @pytest.mark.parametrize("make,init", [(rosenbrock_residual, [-1.2, 1.0]),
+                                           (overflowing_residual, [-0.02])])
+    def test_result_is_the_best_point_visited(self, make, init):
+        # the lowest finite loss of every residual call, rejected trials
+        # included, is the result's, and its parameters give that loss
+        objective = make()
+        res = sm.minimize_lm(objective, np.array(init))
+        assert res.final_loss == min(l for l in objective.losses
+                                     if np.isfinite(l))
+        r = np.asarray(objective.r(res.final_params), dtype=float)
+        assert float(r @ r) / objective.m == res.final_loss
 
     def test_never_touches_init(self):
         fn, A, b, start = spd_quadratic(4)

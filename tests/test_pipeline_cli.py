@@ -654,15 +654,15 @@ class TestCli:
 
     def test_diverged_search_still_writes_results(self, tmp_path, capsys):
         # this seed's type1 winners complete their training rollout, so
-        # they stay, and overflow the test forecast at step 37
-        doc = tiny_synthetic_doc(seed=2, out=str(tmp_path / "run"))
+        # they stay, and overflow the test forecast at step 69
+        doc = tiny_synthetic_doc(seed=17, out=str(tmp_path / "run"))
         doc["data"]["steps"] = 250
         doc["search"] = dict(TINY_SEARCH, templates="type1")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["search", "--config", str(cfg_path)]) == 4
         assert capsys.readouterr().err == (
-            "numerical failure: autonomous rollout diverged at step 37\n")
+            "numerical failure: autonomous rollout diverged at step 69\n")
 
         results = tmp_path / "run" / "results.json"
         written = load_results(results)
@@ -671,9 +671,9 @@ class TestCli:
         assert [p["component"] for p in written["pool"]] == [0, 1, 2]
         assert all(len(h["best_scores"]) == 3 for h in written["history"])
         metrics = written["metrics"]
-        assert metrics["diverged_at_step"] == 37
-        # only the 36 steps that every test trajectory completed
-        assert len(metrics["per_step_mse"]) == 36
+        assert metrics["diverged_at_step"] == 69
+        # only the 68 steps that every test trajectory completed
+        assert len(metrics["per_step_mse"]) == 68
         assert "max_per_step_mse" not in metrics
         assert main(["report", "--results", str(results),
                      "--out", str(tmp_path / "rep")]) == 0
@@ -682,7 +682,7 @@ class TestCli:
         assert len(equations.splitlines()) == 3
 
     def test_diverged_document_is_returned_then_raised(self, tmp_path):
-        doc = tiny_synthetic_doc(seed=2)
+        doc = tiny_synthetic_doc(seed=17)
         doc["data"]["steps"] = 250
         doc["search"] = dict(TINY_SEARCH, templates="type1")
         cfg = run_config_from_dict(doc)
@@ -690,10 +690,10 @@ class TestCli:
         assert list(returned["metrics"]) == [
             "per_step_mse", "per_step_mse_by_component",
             "persistence_per_step", "diverged_at_step"]
-        assert returned["metrics"]["diverged_at_step"] == 37
+        assert returned["metrics"]["diverged_at_step"] == 69
         with pytest.raises(NumericalError) as raised:
             run_pipeline(cfg, out_dir=tmp_path / "run")
-        assert str(raised.value) == "autonomous rollout diverged at step 37"
+        assert str(raised.value) == "autonomous rollout diverged at step 69"
         assert load_results(tmp_path / "run" / "results.json") == returned
 
     def test_error_beyond_float_range_is_a_divergence(self, tmp_path, capsys):
@@ -742,7 +742,7 @@ class TestCli:
     def test_diverged_real_forecast_still_writes_results(self, tmp_path,
                                                           capsys):
         # this seed's type1 winners complete their training rollout and
-        # overflow the forecast at step 6
+        # overflow the forecast at step 8
         doc = tiny_real_doc(SERIES, out=str(tmp_path / "run"))
         doc["seed"] = 2
         doc["search"] = dict(TINY_SEARCH, templates="type1")
@@ -750,17 +750,17 @@ class TestCli:
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["search", "--config", str(cfg_path)]) == 4
         assert capsys.readouterr().err == (
-            "numerical failure: forecast rollout diverged at step 6\n")
+            "numerical failure: forecast rollout diverged at step 8\n")
         written = load_results(tmp_path / "run" / "results.json")
         assert list(written["metrics"]) == [
             "forecast_steps", "per_step_mse", "persistence_per_step",
             "persistence_mse_per_series", "teacher_forced_mse_per_series",
             "diverged_at_step"]
-        assert written["metrics"]["diverged_at_step"] == 6
-        assert len(written["metrics"]["per_step_mse"]) == 5
-        assert len(written["forecast"]["values"]) == 5
+        assert written["metrics"]["diverged_at_step"] == 8
+        assert len(written["metrics"]["per_step_mse"]) == 7
+        assert len(written["forecast"]["values"]) == 7
         rows = (tmp_path / "run" / "forecast.csv").read_text().splitlines()
-        assert len(rows) == 6
+        assert len(rows) == 8
 
     def test_seed_and_epochs_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -298,9 +298,7 @@ class TestClosedForm:
         def refuse(*args):
             raise AssertionError("closed form reached")
 
-        cfg = sm.SearchConfig(epochs=2, batch_size=4,
-                              optim=sm.OptimConfig(t1_iters=5, t2_iters=5,
-                                                   t3_iters=2))
+        cfg = sm.SearchConfig(epochs=2, batch_size=4)
         monkeypatch.setattr(search_mod, "feature_factor", refuse)
         monkeypatch.setattr(search_mod, "_closed_form", refuse)
         # the factored view of a type1 sequence has no factor to build
@@ -389,9 +387,7 @@ class TestFactoredFits:
     def test_every_recorded_loss_is_the_direct_loss(self, request, dataset):
         data = request.getfixturevalue(dataset)
         # a pool as large as the draws keeps every scored sequence
-        cfg = sm.SearchConfig(epochs=3, batch_size=10, pool_capacity=30,
-                              optim=sm.OptimConfig(t1_iters=30, t2_iters=20,
-                                                   t3_iters=10))
+        cfg = sm.SearchConfig(epochs=3, batch_size=10, pool_capacity=30)
         template = sm.build_template("type2", 3)
         for component in range(3):
             out = sm.search_component(data, component, cfg,
@@ -403,7 +399,7 @@ class TestFactoredFits:
             for record in records:
                 assert self.direct_loss(record, data) == record.loss
 
-    def pool(self, data, optim):
+    def pool(self, data):
         template = sm.build_template("type2", 3)
         factor = search_mod.feature_factor(data, 2)
         pool = CandidatePool(len(self.SEQUENCES))
@@ -414,18 +410,18 @@ class TestFactoredFits:
 
     def test_finetune_runs_on_factored_objectives(self, sir_dataset,
                                                   monkeypatch):
-        optim = sm.OptimConfig(t1_iters=20, t2_iters=10, t3_iters=20)
-        pool, factor = self.pool(sir_dataset, optim)
+        pool, factor = self.pool(sir_dataset)
         before = {r.sequence: r.loss for r in pool.records()}
         objectives = []
-        first_order = search_mod.minimize_first_order
+        lm = search_mod.minimize_lm
 
-        def spy(fn, *args):
-            objectives.append(type(fn.__self__))
-            return first_order(fn, *args)
+        def spy(fit, start):
+            objectives.append(type(fit))
+            return lm(fit, start)
 
-        monkeypatch.setattr(search_mod, "minimize_first_order", spy)
-        search_mod._finetune_pool(pool, sir_dataset, 2, optim, factor)
+        with monkeypatch.context() as patch:
+            patch.setattr(search_mod, "minimize_lm", spy)
+            search_mod._finetune_pool(pool, sir_dataset, 2, factor)
         # the linear sequence has a closed form and is not fine-tuned
         assert objectives == [FactoredResidualObjective] * 2
         for record in pool.records():
@@ -434,19 +430,29 @@ class TestFactoredFits:
 
     def test_finetune_keeps_entries_whose_direct_loss_would_worsen(
             self, sir_dataset, monkeypatch):
-        optim = sm.OptimConfig(t1_iters=20, t2_iters=10, t3_iters=20)
-        pool, factor = self.pool(sir_dataset, optim)
+        pool, factor = self.pool(sir_dataset)
         before = [(r.loss, r.params.copy()) for r in pool.records()]
+        starts = []
 
-        def claims_zero(fn, init, iters, lr):
-            return OptimResult(init + 0.5, 0.0, iters, converged=False)
+        def claims_zero(fit, init):
+            starts.append(init.copy())
+            return OptimResult(init + 0.5, 0.0, 0, converged=False)
 
-        monkeypatch.setattr(search_mod, "minimize_first_order", claims_zero)
-        search_mod._finetune_pool(pool, sir_dataset, 2, optim, factor)
+        with monkeypatch.context() as patch:
+            patch.setattr(search_mod, "minimize_lm", claims_zero)
+            search_mod._finetune_pool(pool, sir_dataset, 2, factor)
         after = [(r.loss, r.params) for r in pool.records()]
         for (loss, params), (new_loss, new_params) in zip(before, after):
             assert new_loss == loss
             assert np.array_equal(new_params, params)
+        # both iterative entries were offered parameters whose direct loss
+        # is worse than their own, however low the claimed loss
+        offered = [r for r in pool.records()
+                   if any(np.array_equal(r.params, s) for s in starts)]
+        assert len(starts) == len(offered) == 2
+        for record in offered:
+            worse = dataclasses.replace(record, params=record.params + 0.5)
+            assert self.direct_loss(worse, sir_dataset) > record.loss
 
     def test_factored_loss_not_finite_at_start_is_a_direct_fit(
             self, sir_dataset, monkeypatch):
@@ -469,23 +475,23 @@ class TestFinetuneRoute:
     def test_only_iterative_entries_are_fine_tuned(self, request, dataset,
                                                    monkeypatch):
         data = request.getfixturevalue(dataset)
-        cfg = sm.SearchConfig(epochs=3, batch_size=10, pool_capacity=30,
-                              optim=sm.OptimConfig(t1_iters=20, t2_iters=10,
-                                                   t3_iters=5))
+        cfg = sm.SearchConfig(epochs=3, batch_size=10, pool_capacity=30)
         starts, before = [], {}
-        first_order = search_mod.minimize_first_order
+        lm = search_mod.minimize_lm
         finetune = search_mod._finetune_pool
 
-        def spy(fn, init, *args):
+        def spy(fit, init):
             starts.append(init.tobytes())
-            return first_order(fn, init, *args)
+            return lm(fit, init)
 
         def snapshot(pool, *args):
             before.update({r.sequence: (r.params.tobytes(), r.loss)
                            for r in pool.records()})
-            return finetune(pool, *args)
+            # the first fits run minimize_lm too; only the fine-tune's count
+            with monkeypatch.context() as patch:
+                patch.setattr(search_mod, "minimize_lm", spy)
+                return finetune(pool, *args)
 
-        monkeypatch.setattr(search_mod, "minimize_first_order", spy)
         monkeypatch.setattr(search_mod, "_finetune_pool", snapshot)
         template = sm.build_template("type2", 3)
         n_closed = n_iterative = 0
@@ -514,12 +520,12 @@ class TestLevenbergMarquardtFits:
     """The acceptance of Levenberg–Marquardt on the search path: on random
     sequences fitted iteratively (every type1 sequence, the nonlinear
     type2 ones), the direct loss of ``minimize_lm`` from the uniform start
-    against that of ``two_stage_minimize`` from the same start, both through
-    ``_minimize``, so on the objective ``score_sequence`` picks. Losses
-    within a relative TIE of each other are the same minimum: LM stops on
-    stalled steps, two-stage on the gradient norm, and on type1 about a
-    third of the fits end at the same minimum a few 1e-12 apart, on either
-    side."""
+    through ``_minimize``, so on the objective ``score_sequence`` picks,
+    against that of ``two_stage_minimize`` on the direct objective from the
+    same start. Losses within a relative TIE of each other are the same
+    minimum: LM stops on stalled steps, two-stage on the gradient norm, and
+    on type1 about a third of the fits end at the same minimum a few 1e-12
+    apart, on either side."""
 
     TIE = 1e-9
 
@@ -544,10 +550,9 @@ class TestLevenbergMarquardtFits:
             start_loss = objective.loss(start)
             if not np.isfinite(start_loss):
                 continue
-            _, lm = search_mod._minimize(objective, start, sm.minimize_lm)
-            _, two_stage = search_mod._minimize(
-                objective, start, lambda fit, init: sm.two_stage_minimize(
-                    fit.loss_and_grad, init, sm.OptimConfig()))
+            _, lm = search_mod._minimize(objective, start)
+            two_stage = sm.two_stage_minimize(
+                objective.loss_and_grad, start, sm.OptimConfig()).final_loss
             assert np.array_equal(start, kept)
             assert lm <= start_loss
             ratios.append(lm / two_stage if two_stage > 0 else
@@ -563,23 +568,20 @@ class TestLevenbergMarquardtFits:
 
 class TestSearchComponent:
     def test_single_epoch_single_sequence(self, sir_dataset):
-        cfg = sm.SearchConfig(epochs=1, batch_size=1,
-                              optim=sm.OptimConfig(t1_iters=10, t2_iters=5))
+        cfg = sm.SearchConfig(epochs=1, batch_size=1)
         out = sm.search_component(sir_dataset, 2, cfg, component_rng(5, 2))
         assert len(out.history) == 1
         assert len(out.pool) == 1
         assert out.best is not None
 
     def test_running_max_history_nondecreasing(self, sir_dataset):
-        cfg = sm.SearchConfig(epochs=6, batch_size=4,
-                              optim=sm.OptimConfig(t1_iters=20, t2_iters=10))
+        cfg = sm.SearchConfig(epochs=6, batch_size=4)
         out = sm.search_component(sir_dataset, 2, cfg, component_rng(2, 2))
         running = np.maximum.accumulate(out.history)
         assert np.all(np.diff(running) >= 0)
 
     def test_deterministic_under_seed(self, sir_dataset):
-        cfg = sm.SearchConfig(epochs=4, batch_size=3,
-                              optim=sm.OptimConfig(t1_iters=15, t2_iters=10))
+        cfg = sm.SearchConfig(epochs=4, batch_size=3)
         a = sm.search_component(sir_dataset, 1, cfg, component_rng(9, 1))
         b = sm.search_component(sir_dataset, 1, cfg, component_rng(9, 1))
         assert a.best.sequence == b.best.sequence
@@ -587,8 +589,7 @@ class TestSearchComponent:
         assert a.history == b.history
 
     def test_finetune_never_worsens(self, sir_dataset):
-        cfg = sm.SearchConfig(epochs=3, batch_size=4,
-                              optim=sm.OptimConfig(t1_iters=20, t2_iters=10))
+        cfg = sm.SearchConfig(epochs=3, batch_size=4)
         # capture pool losses before fine-tuning by running the loop pieces
         rng = component_rng(7, 2)
         template = sm.build_template(cfg.template_for(2), sir_dataset.dim)
@@ -608,7 +609,7 @@ class TestSearchComponent:
             batch.scores = scores
             sm.policy_update(policy, batch, cfg.nu)
         before = {r.sequence: r.loss for r in pool.records()}
-        search_mod._finetune_pool(pool, sir_dataset, 2, cfg.optim, None)
+        search_mod._finetune_pool(pool, sir_dataset, 2, None)
         for rec in pool.records():
             assert rec.loss <= before[rec.sequence] + 1e-18
 
@@ -618,8 +619,7 @@ class TestSearchComponent:
         # sequence and start
         data = TrajectoryDataset([np.linspace(1e200, 1e201, 6)[:, None]], 1.0,
                                  ("x",))
-        cfg = sm.SearchConfig(epochs=1, batch_size=2,
-                              optim=sm.OptimConfig(t1_iters=5, t2_iters=5))
+        cfg = sm.SearchConfig(epochs=1, batch_size=2)
         with pytest.raises(NumericalError, match=(
                 "component 0: no sequence produced a finite loss")):
             sm.search_component(data, 0, cfg, component_rng(4, 0))
@@ -635,16 +635,13 @@ class TestPerComponentTemplates:
         assert sm.SearchConfig(templates="type2").template_for(7) == "type2"
 
     def test_mixed_templates_search_and_assemble(self, sir_dataset):
-        optim = sm.OptimConfig(t1_iters=15, t2_iters=10, t3_iters=5)
         records = []
         for comp, kinds in ((0, ["type2", "type1", "type1"]),
                             (1, ["type2", "type1", "type1"])):
-            cfg = sm.SearchConfig(epochs=2, batch_size=3, templates=kinds,
-                                  optim=optim)
+            cfg = sm.SearchConfig(epochs=2, batch_size=3, templates=kinds)
             records.append(sm.search_component(sir_dataset, comp, cfg,
                                                component_rng(4, comp)).best)
-        cfg = sm.SearchConfig(epochs=2, batch_size=3, templates="type1",
-                              optim=optim)
+        cfg = sm.SearchConfig(epochs=2, batch_size=3, templates="type1")
         records.append(sm.search_component(sir_dataset, 2, cfg,
                                            component_rng(4, 2)).best)
         system = sm.SystemModel([sm.CompiledExpression(r.template, r.sequence,
