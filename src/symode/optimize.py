@@ -1,7 +1,8 @@
 """Parameter optimization: Levenberg–Marquardt on a least-squares
-residual, which fits every iteratively fitted sequence of a search, and
-the two-stage scheme of an adaptive first-order warm-up followed by BFGS
-refinement with Armijo backtracking.
+residual, which fits every iteratively fitted sequence of a search within
+the iteration budget its caller gives, and the two-stage scheme of an
+adaptive first-order warm-up followed by BFGS refinement with Armijo
+backtracking.
 
 The first-order and BFGS routines take a single objective callable
 ``fn(theta) -> (loss, grad)`` and track the best iterate ever evaluated;
@@ -33,7 +34,9 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Levenberg–Marquardt: the starting damping and the factor that divides it
 # after an accepted step and multiplies it after a rejected one; a fit stops
 # after LM_STALLS accepted steps in a row that each lower the loss by a
-# relative LM_STALL_RTOL or less, or after LM_ITERS iterations.
+# relative LM_STALL_RTOL or less, or when its iteration budget is spent.
+# LM_ITERS is the full budget, which the search gives every fit but the
+# screening first fits on the factored objective.
 LM_DAMPING = 1e-3
 LM_DAMPING_FACTOR = 5.0
 LM_STALL_RTOL = 1e-10
@@ -44,9 +47,10 @@ LM_ITERS = 50
 @dataclass
 class OptimConfig:
     """Iteration budgets of :func:`two_stage_minimize`. The search fits
-    and fine-tunes every sequence by :func:`minimize_lm`, which has no
-    budget here, so it reads none of these; nothing reads ``t3_iters``,
-    which stays a valid config key because existing configs set it."""
+    and fine-tunes every sequence by :func:`minimize_lm`, whose budgets are
+    module constants (``LM_ITERS`` here, ``search.LM_SCREEN_ITERS``), so it
+    reads none of these; nothing reads ``t3_iters``, which stays a valid
+    config key because existing configs set it."""
 
     t1_iters: int = 150
     t2_iters: int = 150
@@ -202,9 +206,9 @@ def two_stage_minimize(fn, init, cfg: OptimConfig):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def minimize_lm(objective, init):
+def minimize_lm(objective, init, iters):
     """Levenberg–Marquardt with Marquardt's scaling on a loss
-    |r(theta)|^2 / objective.m.
+    |r(theta)|^2 / objective.m, for at most ``iters`` iterations.
 
     ``objective.residual(theta)`` returns (loss, r, jacobian), where
     ``jacobian()`` is dr/dtheta; it is called only at accepted points. Each
@@ -215,8 +219,9 @@ def minimize_lm(objective, init):
     LM_DAMPING_FACTOR on an accepted step and multiplied by it on a
     rejected one. Stops when the gradient norm 2|J'r| / m is at most
     GRAD_TOL (converged), after LM_STALLS accepted steps in a row that each
-    lower the loss by a relative LM_STALL_RTOL or less, or after LM_ITERS
-    iterations.
+    lower the loss by a relative LM_STALL_RTOL or less, or after ``iters``
+    iterations. Each iteration makes at most one residual call, so a fit
+    makes at most ``iters + 1``.
     """
     theta = np.array(init, dtype=float, copy=True)
     loss, r, jacobian = objective.residual(theta)
@@ -225,7 +230,7 @@ def minimize_lm(objective, init):
     damping = LM_DAMPING
     stalls = used = 0
     converged = False
-    for k in range(LM_ITERS):
+    for k in range(iters):
         if jacobian is not None:   # a new point: its normal equations
             J = jacobian()
             jtj, jtr = J.T @ J, J.T @ r
@@ -234,13 +239,17 @@ def minimize_lm(objective, init):
             converged = grad_scale * _norm(jtr) <= GRAD_TOL
             if converged:
                 break
-            scaling = np.diag(jtj).copy()
+            # J'J + lam D differs from J'J only on its diagonal, a view
+            # that each trial rewrites
+            damped = jtj.copy()
+            diagonal = damped.reshape(-1)[::jtj.shape[0] + 1]
+            scaling = diagonal.copy()
             scaling[scaling == 0.0] = 1.0
-            scaling = np.diag(scaling)
             jacobian = None
         used = k + 1
+        np.add(jtj.diagonal(), damping * scaling, out=diagonal)
         try:
-            cand = theta - np.linalg.solve(jtj + damping * scaling, jtr)
+            cand = theta - np.linalg.solve(damped, jtr)
         except np.linalg.LinAlgError:   # singular to working precision
             damping *= LM_DAMPING_FACTOR
             continue

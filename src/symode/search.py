@@ -2,7 +2,10 @@
 controller, keep the best candidates and fine-tune them; and the
 vector-valued system that one expression per component forms. Every
 iterative fit, first fits and fine-tune alike, is
-:func:`~symode.optimize.minimize_lm` through :func:`_minimize`."""
+:func:`~symode.optimize.minimize_lm` through :func:`_minimize`: a first
+fit on the factored objective is a short screening fit of
+``LM_SCREEN_ITERS`` iterations, and every other fit, the fine-tune of
+each pool entry included, has the full ``LM_ITERS``."""
 
 from __future__ import annotations
 
@@ -15,10 +18,19 @@ from .controller import ControllerPolicy, policy_update, sample_sequences
 from .errors import NumericalError
 from .losses import (EulerResidualObjective, FactoredResidualObjective,
                      tsqr)
-from .optimize import OptimConfig, minimize_lm, uniform_init
+from .optimize import LM_ITERS, OptimConfig, minimize_lm, uniform_init
 
 # re-initialization attempts when random parameters give a non-finite loss
 MAX_INIT_RETRIES = 3
+# The iteration budget of a first fit on the factored objective: it only
+# screens the sequence for the pool, whose entries the fine-tune then runs
+# for LM_ITERS more. Measured on perfbench qdr_real, config 0 of run seeds
+# 0-19 (60 winners, against LM_ITERS for every fit): a budget of 15 left 15
+# winner losses more than 1% worse; 20 left 9, none more than 6% worse.
+# Direct-objective fits keep LM_ITERS: screening them as well raised the
+# median test max per-step MSE of sir_type1 run seeds 0-59 from 1.1e-5 to
+# 3.4e-5.
+LM_SCREEN_ITERS = 20
 
 # Unary tags whose leaf is a constant whatever its parameters; every other
 # tag's leaf features are columns of the closed-form fit.
@@ -264,9 +276,10 @@ def score_sequence(sequence, template, data, component, rng, factor=None):
     :func:`linear_form` exists takes its least-squares minimum in closed
     form. Every other sequence, and a closed form whose loss is not
     finite, runs :func:`~symode.optimize.minimize_lm` from the uniform
-    start through :func:`_minimize`. Every recorded loss is the direct
-    objective's at the recorded parameters. Numerical failures never
-    propagate out of here.
+    start through :func:`_minimize`, for ``LM_SCREEN_ITERS`` iterations on
+    the factored objective and ``LM_ITERS`` on the direct one. Every
+    recorded loss is the direct objective's at the recorded parameters.
+    Numerical failures never propagate out of here.
     """
     sequence = tuple(sequence)
     objective = EulerResidualObjective(template, sequence, data, component)
@@ -285,22 +298,23 @@ def score_sequence(sequence, template, data, component, rng, factor=None):
         loss = objective.loss(theta)
         if np.isfinite(loss):
             return ScoreRecord(sequence, loss, theta, component, template)
-    theta, loss = _minimize(objective, theta0)
+    theta, loss = _minimize(objective, theta0, LM_SCREEN_ITERS)
     return ScoreRecord(sequence, loss, theta, component, template)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _minimize(objective, start):
-    """Run :func:`~symode.optimize.minimize_lm` from ``start`` on the
+def _minimize(objective, start, factored_iters):
+    """Run :func:`~symode.optimize.minimize_lm` from ``start`` for
+    ``factored_iters`` iterations on the
     :class:`~symode.losses.FactoredResidualObjective` view of the direct
     ``objective`` when that view has a factor and a finite loss at
-    ``start``, and on ``objective`` itself otherwise. Returns the final
-    parameters and the direct loss there, which is the loss every record
-    holds."""
-    fit = FactoredResidualObjective(objective)
+    ``start``, and for ``LM_ITERS`` on ``objective`` itself otherwise.
+    Returns the final parameters and the direct loss there, which is the
+    loss every record holds."""
+    fit, iters = FactoredResidualObjective(objective), factored_iters
     if fit.factor is None or not np.isfinite(fit.loss(start)):
-        fit = objective
-    theta = minimize_lm(fit, start).final_params
+        fit, iters = objective, LM_ITERS
+    theta = minimize_lm(fit, start, iters).final_params
     return theta, objective.loss(theta)
 
 
@@ -353,19 +367,20 @@ def search_component(data, component, cfg: SearchConfig, rng):
 def _finetune_pool(pool, data, component, factor):
     """Run Levenberg–Marquardt again, through :func:`_minimize`, from the
     recorded parameters of each pool entry that :func:`score_sequence`
-    fits iteratively; an entry with a closed form under the search's
-    feature ``factor`` already sits at its least-squares minimum and is
-    skipped. A first fit that stopped on its iteration budget or on
-    stalled steps goes on from where it stopped. Each result is offered
-    back to the pool, which keeps the record with the lower direct loss,
-    so the recorded loss never worsens."""
+    fits iteratively, for the full ``LM_ITERS`` on either objective; an
+    entry with a closed form under the search's feature ``factor`` already
+    sits at its least-squares minimum and is skipped. A first fit that
+    stopped on its iteration budget (``LM_SCREEN_ITERS`` for a factored
+    screening fit) or on stalled steps goes on from where it stopped. Each
+    result is offered back to the pool, which keeps the record with the
+    lower direct loss, so the recorded loss never worsens."""
     for record in pool.records():
         if _closed_form_route(factor, record.template,
                               record.sequence) is not None:
             continue
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)
-        theta, loss = _minimize(objective, record.params)
+        theta, loss = _minimize(objective, record.params, LM_ITERS)
         pool.insert(replace(record, params=theta, loss=loss))
 
 

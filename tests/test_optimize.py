@@ -270,20 +270,20 @@ class TestLevenbergMarquardt:
         rng = np.random.default_rng(2)
         A, b = rng.normal(size=(30, 4)), rng.normal(size=30)
         objective = Residual(lambda t: A @ t - b, lambda t: A, 30)
-        res = sm.minimize_lm(objective, np.zeros(4))
+        res = sm.minimize_lm(objective, np.zeros(4), LM_ITERS)
         exact = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.allclose(res.final_params, exact, rtol=1e-8, atol=1e-10)
 
     def test_rosenbrock(self):
         objective = rosenbrock_residual()
-        res = sm.minimize_lm(objective, np.array([-1.2, 1.0]))
+        res = sm.minimize_lm(objective, np.array([-1.2, 1.0]), LM_ITERS)
         assert np.allclose(res.final_params, [1.0, 1.0], atol=1e-8)
         assert res.converged
         assert res.iterations_used < LM_ITERS
 
     def test_accepts_only_lower_losses_and_sweeps_only_there(self):
         objective = rosenbrock_residual()
-        sm.minimize_lm(objective, np.array([-1.2, 1.0]))
+        sm.minimize_lm(objective, np.array([-1.2, 1.0]), LM_ITERS)
         # a Jacobian is formed at the start and at each accepted point, and
         # each accepted point has a lower loss than the one before
         assert objective.jacobians_at[0] == objective.losses[0]
@@ -293,7 +293,7 @@ class TestLevenbergMarquardt:
 
     def test_stops_on_the_gradient_norm_at_the_start(self):
         objective = Residual(lambda t: [t[0] - 1.0], lambda t: [[1.0]], m=4)
-        res = sm.minimize_lm(objective, np.array([1.0 + GRAD_TOL]))
+        res = sm.minimize_lm(objective, np.array([1.0 + GRAD_TOL]), LM_ITERS)
         # 2 |J'r| / m is about GRAD_TOL / 2
         assert res.converged and res.iterations_used == 0
         assert len(objective.losses) == 1
@@ -308,14 +308,14 @@ class TestLevenbergMarquardt:
             return [1.0 - 1e-12 * state["calls"]]
 
         objective = Residual(r, lambda t: [[1.0]], 1)
-        res = sm.minimize_lm(objective, np.array([0.0]))
+        res = sm.minimize_lm(objective, np.array([0.0]), LM_ITERS)
         assert res.iterations_used == LM_STALLS
         assert not res.converged
 
     def test_rejected_trials_raise_the_damping_until_the_budget(self):
         # a gradient of the wrong sign: every trial goes uphill
         objective = Residual(lambda t: [t[0]], lambda t: [[-1.0]], 1)
-        res = sm.minimize_lm(objective, np.array([1.0]))
+        res = sm.minimize_lm(objective, np.array([1.0]), LM_ITERS)
         assert res.iterations_used == LM_ITERS
         assert len(objective.losses) == 1 + LM_ITERS
         assert objective.jacobians_at == [1.0]
@@ -323,9 +323,25 @@ class TestLevenbergMarquardt:
         # the damping grows fivefold per rejection, so the steps shrink
         assert objective.losses[-1] == pytest.approx(1.0, rel=1e-30 ** 0.5)
 
+    @pytest.mark.parametrize("iters", [0, 1, 3, 20])
+    def test_budget_bounds_iterations_and_residual_calls(self, iters):
+        objective = rosenbrock_residual()
+        start = np.array([-1.2, 1.0])
+        res = sm.minimize_lm(objective, start, iters)
+        assert res.iterations_used <= iters
+        assert len(objective.losses) <= iters + 1
+        if iters == 0:
+            assert res.iterations_used == 0
+            assert np.array_equal(res.final_params, start)
+            assert res.final_loss == objective.losses[0]
+        else:
+            # Rosenbrock from this start needs more than 20 iterations
+            assert not res.converged
+            assert res.iterations_used == iters
+
     def test_non_finite_trial_is_rejected(self):
         objective = overflowing_residual()
-        res = sm.minimize_lm(objective, np.array([-0.02]))
+        res = sm.minimize_lm(objective, np.array([-0.02]), LM_ITERS)
         assert objective.losses[1] == float("inf")
         assert np.isfinite(res.final_loss)
         assert res.final_loss < objective.losses[0]
@@ -336,7 +352,7 @@ class TestLevenbergMarquardt:
         # the lowest finite loss of every residual call, rejected trials
         # included, is the result's, and its parameters give that loss
         objective = make()
-        res = sm.minimize_lm(objective, np.array(init))
+        res = sm.minimize_lm(objective, np.array(init), LM_ITERS)
         assert res.final_loss == min(l for l in objective.losses
                                      if np.isfinite(l))
         r = np.asarray(objective.r(res.final_params), dtype=float)
@@ -347,7 +363,7 @@ class TestLevenbergMarquardt:
         objective = Residual(lambda t: A @ t - b, lambda t: A, 5)
         init = start.copy()
         init.setflags(write=False)
-        res = sm.minimize_lm(objective, init)
+        res = sm.minimize_lm(objective, init, LM_ITERS)
         assert res.final_params is not init
         assert np.array_equal(init, start)
         assert res.final_loss < objective.losses[0]
@@ -355,14 +371,14 @@ class TestLevenbergMarquardt:
     def test_nonfinite_start_raises(self):
         objective = Residual(lambda t: [np.inf], lambda t: [[1.0]], 1)
         with pytest.raises(NonFiniteLossError):
-            sm.minimize_lm(objective, np.array([1.0]))
+            sm.minimize_lm(objective, np.array([1.0]), LM_ITERS)
 
     def test_singular_normal_equations_are_a_rejection(self):
         # two equal columns and no damping left to tell them apart: the
         # solve fails, which counts as a rejected trial, not an error
         objective = Residual(lambda t: [t[0] + t[1] - 2.0, 0.0],
                              lambda t: [[1.0, 1.0], [0.0, 0.0]], 2)
-        res = sm.minimize_lm(objective, np.array([5.0, 5.0]))
+        res = sm.minimize_lm(objective, np.array([5.0, 5.0]), LM_ITERS)
         assert res.final_loss <= objective.losses[0]
         assert np.isfinite(res.final_loss)
 

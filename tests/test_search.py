@@ -12,8 +12,8 @@ import symode.search as search_mod
 from symode.datasets import TrajectoryDataset
 from symode.errors import NumericalError
 from symode.losses import EulerResidualObjective, FactoredResidualObjective
-from symode.optimize import OptimResult, uniform_init
-from symode.search import CandidatePool, ScoreRecord
+from symode.optimize import LM_ITERS, OptimResult, uniform_init
+from symode.search import LM_SCREEN_ITERS, CandidatePool, ScoreRecord
 
 from conftest import random_sequence
 
@@ -316,12 +316,13 @@ class TestClosedForm:
         factor = search_mod.feature_factor(sir_dataset, 1)
         record = sm.score_sequence(seq, template, sir_dataset, 1,
                                    np.random.default_rng(5), factor)
-        # what Levenberg–Marquardt gives on the factored objective from the
-        # first uniform draw, its loss recomputed on the direct objective
+        # what a screening run of Levenberg–Marquardt gives on the factored
+        # objective from the first uniform draw, its loss recomputed on the
+        # direct objective
         objective = EulerResidualObjective(template, seq, sir_dataset, 1)
         factored = FactoredResidualObjective(objective)
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
-        result = sm.minimize_lm(factored, theta0)
+        result = sm.minimize_lm(factored, theta0, LM_SCREEN_ITERS)
         assert np.array_equal(record.params, result.final_params)
         assert record.loss == objective.loss(result.final_params)
         assert record.score == sm.score_from_loss(record.loss)
@@ -344,7 +345,7 @@ class TestClosedForm:
         factored = FactoredResidualObjective(objective)
         assert factored.factor is not None
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
-        result = sm.minimize_lm(factored, theta0)
+        result = sm.minimize_lm(factored, theta0, LM_SCREEN_ITERS)
         assert np.isfinite(record.loss)
         assert record.loss == objective.loss(result.final_params)
         assert np.array_equal(record.params, result.final_params)
@@ -356,9 +357,9 @@ class TestClosedForm:
         fitted = []
         lm = search_mod.minimize_lm
 
-        def spy(fit, start):
+        def spy(fit, start, iters):
             fitted.append(type(fit))
-            return lm(fit, start)
+            return lm(fit, start, iters)
 
         monkeypatch.setattr(search_mod, "minimize_lm", spy)
         template = sm.build_template("type2", 3)
@@ -415,9 +416,9 @@ class TestFactoredFits:
         objectives = []
         lm = search_mod.minimize_lm
 
-        def spy(fit, start):
+        def spy(fit, start, iters):
             objectives.append(type(fit))
-            return lm(fit, start)
+            return lm(fit, start, iters)
 
         with monkeypatch.context() as patch:
             patch.setattr(search_mod, "minimize_lm", spy)
@@ -434,7 +435,7 @@ class TestFactoredFits:
         before = [(r.loss, r.params.copy()) for r in pool.records()]
         starts = []
 
-        def claims_zero(fit, init):
+        def claims_zero(fit, init, iters):
             starts.append(init.copy())
             return OptimResult(init + 0.5, 0.0, 0, converged=False)
 
@@ -465,7 +466,7 @@ class TestFactoredFits:
                                    search_mod.feature_factor(sir_dataset, 1))
         objective = EulerResidualObjective(template, seq, sir_dataset, 1)
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
-        result = sm.minimize_lm(objective, theta0)
+        result = sm.minimize_lm(objective, theta0, LM_ITERS)
         assert record.loss == result.final_loss
         assert np.array_equal(record.params, result.final_params)
 
@@ -480,9 +481,9 @@ class TestFinetuneRoute:
         lm = search_mod.minimize_lm
         finetune = search_mod._finetune_pool
 
-        def spy(fit, init):
+        def spy(fit, init, iters):
             starts.append(init.tobytes())
-            return lm(fit, init)
+            return lm(fit, init, iters)
 
         def snapshot(pool, *args):
             before.update({r.sequence: (r.params.tobytes(), r.loss)
@@ -516,12 +517,72 @@ class TestFinetuneRoute:
         assert n_closed > 0 and n_iterative > 0
 
 
+class TestFitBudgets:
+    """A first fit on the factored objective is a screening fit of
+    LM_SCREEN_ITERS iterations; a first fit on the direct objective (every
+    type1 fit, and a type2 fit whose factored view has no factor or no
+    finite loss at the start) and every fine-tune fit get LM_ITERS."""
+
+    SEQUENCE = ("sin", "id", "mul", "exp", "add")
+
+    def record_budgets(self, monkeypatch):
+        calls = []
+        lm = search_mod.minimize_lm
+
+        def spy(fit, start, iters):
+            calls.append((type(fit), iters))
+            return lm(fit, start, iters)
+
+        monkeypatch.setattr(search_mod, "minimize_lm", spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["type2", "type1"])
+    def test_search_budgets(self, sir_dataset, monkeypatch, kind):
+        calls = self.record_budgets(monkeypatch)
+        first_fits = []
+        finetune = search_mod._finetune_pool
+
+        def split(pool, *args):
+            first_fits.extend(calls)
+            calls.clear()
+            return finetune(pool, *args)
+
+        monkeypatch.setattr(search_mod, "_finetune_pool", split)
+        cfg = sm.SearchConfig(epochs=3, batch_size=10, templates=kind)
+        sm.search_component(sir_dataset, 1, cfg, component_rng(1, 1))
+        for fit, iters in first_fits:
+            assert iters == (LM_SCREEN_ITERS
+                             if fit is FactoredResidualObjective
+                             else LM_ITERS)
+        assert calls
+        assert all(iters == LM_ITERS for _, iters in calls)
+        fits = {fit for fit, _ in first_fits + calls}
+        assert fits == ({FactoredResidualObjective} if kind == "type2"
+                        else {EulerResidualObjective})
+
+    @pytest.mark.parametrize("fallback", ["no factor", "start not finite"])
+    def test_direct_fallback_keeps_the_full_budget(self, sir_dataset,
+                                                   monkeypatch, fallback):
+        if fallback == "no factor":
+            monkeypatch.setattr(losses_mod, "MAX_FACTOR_COLUMNS", 1)
+        else:
+            monkeypatch.setattr(FactoredResidualObjective, "loss",
+                                lambda self, theta: float("inf"))
+        calls = self.record_budgets(monkeypatch)
+        template = sm.build_template("type2", 3)
+        sm.score_sequence(self.SEQUENCE, template, sir_dataset, 1,
+                          np.random.default_rng(5),
+                          search_mod.feature_factor(sir_dataset, 1))
+        assert calls == [(EulerResidualObjective, LM_ITERS)]
+
+
 class TestLevenbergMarquardtFits:
     """The acceptance of Levenberg–Marquardt on the search path: on random
     sequences fitted iteratively (every type1 sequence, the nonlinear
     type2 ones), the direct loss of ``minimize_lm`` from the uniform start
-    through ``_minimize``, so on the objective ``score_sequence`` picks,
-    against that of ``two_stage_minimize`` on the direct objective from the
+    through ``_minimize``, so on the objective and with the budget that
+    ``score_sequence`` picks, against that of ``two_stage_minimize`` on the
+    direct objective from the
     same start. Losses within a relative TIE of each other are the same
     minimum: LM stops on stalled steps, two-stage on the gradient norm, and
     on type1 about a third of the fits end at the same minimum a few 1e-12
@@ -550,7 +611,7 @@ class TestLevenbergMarquardtFits:
             start_loss = objective.loss(start)
             if not np.isfinite(start_loss):
                 continue
-            _, lm = search_mod._minimize(objective, start)
+            _, lm = search_mod._minimize(objective, start, LM_SCREEN_ITERS)
             two_stage = sm.two_stage_minimize(
                 objective.loss_and_grad, start, sm.OptimConfig()).final_loss
             assert np.array_equal(start, kept)
