@@ -191,7 +191,7 @@ class CompiledExpression:
 
 def compile_plan(template, sequence):
     """The walk of (template, sequence) that :func:`forward_pass` and
-    :func:`weighted_param_gradient` follow, built once per sequence. Per
+    :func:`param_jacobian` follow, built once per sequence. Per
     node, in post-order: (kind, value rule, derivative or adjoint rule,
     alpha index, beta index, children). The kind is "leaf", "unary" or
     "binary"; a leaf's alpha is params[alpha:beta], an interior unary
@@ -224,10 +224,10 @@ def forward_pass(plan, params, leaves):
     operator outputs from :func:`leaf_values`.
 
     Returns (values, caches): values[i] is the (n,) output of node i and
-    caches[i] holds what :func:`weighted_param_gradient` reads (leaf
-    operator matrix or interior operator output). Overflow gives
-    non-finite values, which the caller turns into loss sentinels; the
-    caller also holds the ``np.errstate`` that keeps it from warning.
+    caches[i] holds what :func:`param_jacobian` reads (leaf operator
+    matrix or interior operator output). Overflow gives non-finite values,
+    which the caller turns into loss sentinels; the caller also holds the
+    ``np.errstate`` that keeps it from warning.
     """
     values, caches = [], []
     for (kind, rule, _, alpha, beta, children), U in zip(plan, leaves):
@@ -265,55 +265,29 @@ def _dot(a, b):
     return total
 
 
-def _reverse_sweep(plan, params, values, root_adjoint):
-    """Yield (i, adjoint) for every node i that has parameters, by one
-    reverse sweep of the plan over the values of :func:`forward_pass` at
-    the same ``params``, from the root's adjoint ``root_adjoint``. Nodes
-    have a single parent, so each node's adjoint is written exactly once,
-    before the sweep reaches the node."""
+def param_jacobian(plan, params, values, caches, seed):
+    """The (n, n_params) matrix whose row s is ``seed * d f(X_s) / d
+    theta``, by one reverse sweep of the plan over the values and caches of
+    :func:`forward_pass` at the same ``params``, from ``seed`` on every
+    sample. Nodes have a single parent, so each node's adjoint is written
+    exactly once, before the sweep reaches the node; each parameter's
+    column holds its per-sample term."""
+    jac = np.zeros((values[-1].size, len(params)))
     adj = [None] * len(plan)
-    adj[-1] = root_adjoint
+    adj[-1] = np.full(values[-1].shape, seed)
     for i in reversed(range(len(plan))):
-        kind, _, rule, alpha, _, children = plan[i]
+        kind, _, rule, alpha, beta, children = plan[i]
         a = adj[i]
         if kind == "binary":
             l, r = children
             adj[l], adj[r] = rule(a, values[l], values[r])
             continue
-        yield i, a
-        if kind == "unary":
-            (c,) = children
-            adj[c] = a * (params[alpha] * rule(values[c]))
-
-
-def weighted_param_gradient(plan, params, values, caches, weights):
-    """Gradient of ``sum_n weights_n * f(X_n)`` with respect to the
-    parameters, from the output of :func:`forward_pass` at the same
-    ``params``."""
-    grad = np.zeros(len(params))
-    for i, a in _reverse_sweep(plan, params, values, weights):
-        kind, _, _, alpha, beta, _ = plan[i]
-        if kind == "leaf":
-            grad[alpha:beta] = caches[i].T @ a
-        else:
-            grad[alpha] = _dot(a, caches[i])
-        grad[beta] = a.sum()
-    return grad
-
-
-def param_jacobian(plan, params, values, caches, seed):
-    """The (n, n_params) matrix whose row s is ``seed * d f(X_s) / d
-    theta``: the sweep of :func:`weighted_param_gradient` with ``seed`` on
-    every sample, each node's parameter columns kept per sample instead of
-    summed."""
-    jac = np.zeros((values[-1].size, len(params)))
-    for i, a in _reverse_sweep(plan, params, values,
-                               np.full(values[-1].shape, seed)):
-        kind, _, _, alpha, beta, _ = plan[i]
         if kind == "leaf":
             jac[:, alpha:beta] = caches[i] * a[:, None]
         else:
             jac[:, alpha] = a * caches[i]
+            (c,) = children
+            adj[c] = a * (params[alpha] * rule(values[c]))
         jac[:, beta] = a
     return jac
 
@@ -351,13 +325,13 @@ def evaluate(expr, x):
 
 
 def param_gradient(expr, x):
-    """Exact gradient of f with respect to every parameter at one point."""
+    """Exact gradient of f with respect to every parameter at one point:
+    the one row of its :func:`param_jacobian`."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
     values, caches = _forward(expr, x)
     if not np.isfinite(values[-1][0]):
         raise EvaluationError(f"expression value is not finite at x={x!r}")
-    return weighted_param_gradient(expr.plan, expr.params, values, caches,
-                                   np.ones(1))
+    return param_jacobian(expr.plan, expr.params, values, caches, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from . import expressions as ex
 
 
 class EulerResidualObjective:
-    """Loss and gradient for a fixed (template, sequence, data, component).
+    """Loss, Euler residual and its Jacobian for a fixed (template,
+    sequence, data, component), and the gradient 2 J'r / M from them.
 
     Precomputes the pooled sample pairs and the per-leaf operator outputs,
     which do not depend on the parameters, so repeated calls during
@@ -67,17 +68,15 @@ class EulerResidualObjective:
         loss = self._loss(theta)[0]
         return loss if math.isfinite(loss) else float("inf")
 
+    # jacobian() runs outside residual's own np.errstate
     @np.errstate(over="ignore", invalid="ignore")
     def loss_and_grad(self, theta):
-        loss, r, values, caches = self._loss(theta)
-        if not math.isfinite(loss):
+        loss, r, jacobian = self.residual(theta)
+        if jacobian is None:
             # no minimizer reads the gradient at a non-finite loss
-            return float("inf"), np.zeros(self.n_params)
-        # d loss / d theta = (2 dt / M) * sum_s r_s * (-d phi / d theta)
-        weights = (-2.0 * self.dt / self.m) * r
-        grad = ex.weighted_param_gradient(self._plan, theta, values, caches,
-                                          weights)
-        return loss, grad
+            return loss, np.zeros(self.n_params)
+        # d (|r|^2 / M) / d theta = 2 J'r / M
+        return loss, (2.0 / self.m) * (jacobian().T @ r)
 
     @np.errstate(over="ignore", invalid="ignore")
     def residual(self, theta):

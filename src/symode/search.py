@@ -269,35 +269,36 @@ def _closed_form(factor, template, sequence, form):
 def score_sequence(sequence, template, data, component, rng, factor=None):
     """Fit the parameters of one sequence and score the result.
 
-    Parameters start uniform on [-1, 1]; a non-finite starting loss is
-    retried up to three times before the sequence is written off with a
-    score-0 sentinel. The route follows from the sequence alone: given the
-    component's :func:`feature_factor`, a sequence whose
-    :func:`linear_form` exists takes its least-squares minimum in closed
-    form. Every other sequence, and a closed form whose loss is not
-    finite, runs :func:`~symode.optimize.minimize_lm` from the uniform
-    start through :func:`_minimize`, for ``LM_SCREEN_ITERS`` iterations on
-    the factored objective and ``LM_ITERS`` on the direct one. Every
-    recorded loss is the direct objective's at the recorded parameters.
-    Numerical failures never propagate out of here.
+    The route follows from the sequence alone: given the component's
+    :func:`feature_factor`, a sequence whose :func:`linear_form` exists
+    takes its least-squares minimum in closed form. Every other sequence,
+    and a closed form whose loss is not finite, runs
+    :func:`~symode.optimize.minimize_lm` through :func:`_minimize`, for
+    ``LM_SCREEN_ITERS`` iterations on the factored objective and
+    ``LM_ITERS`` on the direct one, from a start uniform on [-1, 1]. That
+    start is drawn first on either route, but only the iterative route
+    evaluates it: while its loss is not finite it draws again, up to
+    ``MAX_INIT_RETRIES`` times, and then writes the sequence off with a
+    score-0 sentinel. Every recorded loss is the direct objective's at the
+    recorded parameters. Numerical failures never propagate out of here.
     """
     sequence = tuple(sequence)
     objective = EulerResidualObjective(template, sequence, data, component)
-    theta0 = None
-    for _ in range(1 + MAX_INIT_RETRIES):
-        candidate = uniform_init(rng, objective.n_params)
-        if np.isfinite(objective.loss(candidate)):
-            theta0 = candidate
-            break
-    if theta0 is None:
-        return ScoreRecord(sequence, float("inf"),
-                           np.zeros(objective.n_params), component, template)
+    theta0 = uniform_init(rng, objective.n_params)
     form = _closed_form_route(factor, template, sequence)
     if form is not None:
         theta = _closed_form(factor, template, sequence, form)
         loss = objective.loss(theta)
         if np.isfinite(loss):
             return ScoreRecord(sequence, loss, theta, component, template)
+    retries = MAX_INIT_RETRIES
+    while not np.isfinite(objective.loss(theta0)):
+        if retries == 0:
+            return ScoreRecord(sequence, float("inf"),
+                               np.zeros(objective.n_params), component,
+                               template)
+        retries -= 1
+        theta0 = uniform_init(rng, objective.n_params)
     theta, loss = _minimize(objective, theta0, LM_SCREEN_ITERS)
     return ScoreRecord(sequence, loss, theta, component, template)
 

@@ -9,7 +9,7 @@ import symode as sm
 from symode.errors import EvaluationError
 from symode.expressions import (EXP_CLAMP, UNARY_RULES, compile_plan,
                                 forward_pass, leaf_string, leaf_values,
-                                to_symbolic_string, weighted_param_gradient)
+                                param_jacobian, to_symbolic_string)
 
 from conftest import random_sequence
 
@@ -230,9 +230,11 @@ class TestGradient:
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12)
             assert rel <= 1e-5
 
-    def test_weighted_gradient_matches_rows(self):
-        """The batch gradient the search runs equals the weighted sum of the
-        single-point gradients; only the summation order differs."""
+    def test_jacobian_rows_match_point_gradients(self):
+        """Row s of the batch Jacobian the search runs, seeded with 1, is
+        the single-point gradient at X[s]; a batch's leaf matrix-vector
+        product rounds differently from a one-row one, so they agree to
+        rounding only."""
         rng = np.random.default_rng(11)
         for kind, seq in (("type2", ("sin", "id", "mul", "square", "add")),
                           ("type1", ("cos", "id", "mul", "exp"))):
@@ -240,12 +242,13 @@ class TestGradient:
             theta = rng.uniform(-1, 1, t.n_params)
             expr = sm.CompiledExpression(t, seq, theta)
             X = rng.uniform(-1, 1, (20, 3))
-            w = rng.normal(size=20)
             plan = compile_plan(t, seq)
             values, caches = forward_pass(plan, theta, leaf_values(plan, X))
-            g = weighted_param_gradient(plan, theta, values, caches, w)
-            rows = sum(w[i] * sm.param_gradient(expr, X[i]) for i in range(20))
-            assert g == pytest.approx(rows, rel=1e-12, abs=1e-12)
+            J = param_jacobian(plan, theta, values, caches, 1.0)
+            assert J.shape == (20, t.n_params)
+            for s in range(20):
+                assert J[s] == pytest.approx(sm.param_gradient(expr, X[s]),
+                                             rel=1e-12, abs=1e-12)
 
 
 class TestPowerRules:

@@ -350,6 +350,28 @@ class TestClosedForm:
         assert record.loss == objective.loss(result.final_params)
         assert np.array_equal(record.params, result.final_params)
 
+    def test_closed_form_needs_no_finite_start(self):
+        # a quartic leaf of values near 1e76 overflows the loss at every
+        # uniform start, but the feature factor is finite, and so is the
+        # closed form's loss; a closed-form fit evaluates no start
+        data = TrajectoryDataset([np.linspace(1e76, 2e76, 6)[:, None]], 1.0,
+                                 ("x",))
+        template = sm.build_template("type2", 1)
+        seq = ("quartic", "0", "add", "0", "add")
+        factor = search_mod.feature_factor(data, 0)
+        assert factor is not None
+        objective = EulerResidualObjective(template, seq, data, 0)
+        rng = np.random.default_rng(0)
+        assert not any(np.isfinite(objective.loss(uniform_init(rng, 6)))
+                       for _ in range(1 + search_mod.MAX_INIT_RETRIES))
+        record = sm.score_sequence(seq, template, data, 0,
+                                   np.random.default_rng(0), factor)
+        theta = search_mod._closed_form(
+            factor, template, seq, search_mod.linear_form(template, seq))
+        assert np.isfinite(record.loss) and record.score > 0.0
+        assert np.array_equal(record.params, theta)
+        assert record.loss == objective.loss(theta)
+
     def test_nonlinear_sequence_without_factor_fits_factored(
             self, sir_dataset, monkeypatch):
         # the route follows from the sequence: no feature factor leaves a
