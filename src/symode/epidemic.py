@@ -23,6 +23,7 @@ import numpy as np
 
 from .datasets import TrajectoryDataset
 from .errors import NumericalError
+from .forecast import rollout
 
 
 class ModelKind(str, enum.Enum):
@@ -111,7 +112,9 @@ def vector_field(kind, params, x):
 
 def generate_trajectories(kind, params, n_traj, steps, dt, rng,
                           normalize_init=True):
-    """Simulate ``n_traj`` trajectories of ``steps`` explicit-Euler steps.
+    """The :func:`~symode.forecast.rollout` of the true field over ``steps``
+    explicit-Euler steps from each of ``n_traj`` initial states; a state
+    beyond the float range raises a NumericalError naming its step.
 
     Initial compartments are drawn i.i.d. uniform on (0, 1); by default
     each initial state is rescaled to sum to one, which the Euler map then
@@ -125,18 +128,11 @@ def generate_trajectories(kind, params, n_traj, steps, dt, rng,
     init = rng.uniform(0.0, 1.0, size=(n_traj, kind.dim))
     if normalize_init:
         init = init / init.sum(axis=1, keepdims=True)
-    states = np.empty((steps + 1, n_traj, kind.dim))
-    states[0] = init
-    # overflow is reported below, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(steps):
-            states[s + 1] = states[s] + dt * vector_field(kind, params,
-                                                          states[s])
-    finite = np.isfinite(states).all(axis=(1, 2))
-    if not finite.all():
+    result = rollout(lambda x: vector_field(kind, params, x), init, steps, dt)
+    if not result.completed:
         raise NumericalError(f"{kind.value} simulation at dt={dt}: a state "
-                             f"is not finite at step {int(np.argmin(finite))}")
-    trajectories = [states[:, i, :].copy() for i in range(n_traj)]
+                             f"is not finite at step {result.failure_step}")
+    trajectories = [result.states[:, i, :].copy() for i in range(n_traj)]
     return TrajectoryDataset(trajectories, dt, kind.var_names, split="full")
 
 

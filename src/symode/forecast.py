@@ -63,24 +63,25 @@ def replay(model, truth, dt):
         return np.vstack([truth[:1], truth[:-1] + dt * model(truth[:-1])])
 
 
-def _squared_errors(predicted, truth):
+def _mean_squared_error(predicted, truth, axis):
     pred = np.asarray(predicted, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    with np.errstate(over="ignore"):   # an error beyond float range is inf
-        return (pred - truth) ** 2
+    # an error, or a sum of errors, beyond the float range is inf
+    with np.errstate(over="ignore"):
+        return np.mean((pred - truth) ** 2, axis=axis)
 
 
 def per_step_mse(predicted, truth):
     """Mean squared error at each step of stacked trajectories (n, T, d),
     averaged over trajectories and state components: shape (T,)."""
-    return np.mean(_squared_errors(predicted, truth), axis=(0, 2))
+    return _mean_squared_error(predicted, truth, (0, 2))
 
 
 def per_step_component_mse(predicted, truth):
     """Like :func:`per_step_mse` but keeps components separate: (T, d)."""
-    return np.mean(_squared_errors(predicted, truth), axis=0)
+    return _mean_squared_error(predicted, truth, 0)
 
 
 def persistence_baseline(truth):

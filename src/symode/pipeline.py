@@ -143,18 +143,13 @@ MAX_RANK_SUM = 2
 
 
 def _training_error(records, truth, dt):
-    """Roll the system of one pool record per component out from the first
-    state of each trajectory of ``truth`` (n, T, d) over T - 1 steps:
-    (the step at which it diverges, None when it completes; its max
-    per-step MSE against ``truth``, None when it diverges). An error beyond
-    the float range is a divergence, as in the forecast."""
-    result = rollout(SystemModel([ex.CompiledExpression(r.template,
-                                                        r.sequence, r.params)
-                                  for r in records]),
-                     truth[:, 0], truth.shape[1] - 1, dt)
-    predicted = result.states.swapaxes(0, 1)
-    result, curve = cut_forecast(result, per_step_mse(
-        predicted, truth[:, : predicted.shape[1]]))
+    """Score the system of one pool record per component by
+    :func:`_score_forecast` on the training trajectories ``truth``: (the
+    step at which it diverges, None when it completes; its max per-step MSE
+    against ``truth``, None when it diverges)."""
+    result, _, curve, *_ = _score_forecast(
+        SystemModel([ex.CompiledExpression(r.template, r.sequence, r.params)
+                     for r in records]), truth, dt, 1.0)
     if not result.completed:
         return result.failure_step, None
     return None, float(curve.max())
@@ -227,14 +222,14 @@ def _base_document(cfg, var_names, outcomes):
     }
 
 
-def _score_forecast(doc, truth, dt, scale):
-    """Roll the document's system out from the first state of each
-    trajectory of ``truth`` (n, T, d) over T - 1 steps and score it in
-    fitted units: the rollout, its states times ``scale`` and its per-step
-    MSE pooled and per component, all cut by ``cut_forecast``, then the
-    same two MSEs of persistence. Row 0 of each is the initial state."""
-    result = rollout(system_from_document(doc), truth[:, 0],
-                     truth.shape[1] - 1, dt)
+def _score_forecast(system, truth, dt, scale):
+    """Roll ``system`` out from the first state of each trajectory of
+    ``truth`` (n, T, d) over T - 1 steps and score it in fitted units: the
+    rollout, its states times ``scale`` and its per-step MSE pooled and per
+    component, all cut by ``cut_forecast`` (an error beyond the float range
+    is a divergence), then the same two MSEs of persistence. Row 0 of each
+    is the initial state."""
+    result = rollout(system, truth[:, 0], truth.shape[1] - 1, dt)
     # (step, trajectory, d) -> (trajectory, step, d); a diverged rollout
     # keeps the steps that every trajectory completed
     predicted = result.states.swapaxes(0, 1)
@@ -253,7 +248,7 @@ def run_synthetic(cfg):
     outcomes, swap = _choose_system(_search_all_components(train, cfg), train)
     doc = _base_document(cfg, train.var_names, outcomes)
     result, _, curve, by_component, persistence, _ = _score_forecast(
-        doc, np.stack(test.trajectories), test.dt, 1.0)
+        system_from_document(doc), np.stack(test.trajectories), test.dt, 1.0)
     # the reported curves start at the first predicted step
     metrics = doc["metrics"] = {
         "per_step_mse": [float(v) for v in curve[1:]],
@@ -301,8 +296,8 @@ def run_real(cfg):
     # autonomous forecast of the one series from the last training day on
     anchor = cfg.train_days - 1
     (fc, restored, curve, by_component, persistence,
-     persistence_by_component) = _score_forecast(doc, values[None, anchor:],
-                                                 cfg.real_dt, scale)
+     persistence_by_component) = _score_forecast(
+        system_from_document(doc), values[None, anchor:], cfg.real_dt, scale)
     metrics = doc["metrics"] = {
         "forecast_steps": values.shape[0] - cfg.train_days,
         "per_step_mse": [float(v) for v in curve[1:]],

@@ -211,13 +211,6 @@ def linear_form(template, sequence):
     return (terms, units) if walk(template.n_slots - 1, 1.0) else None
 
 
-def _closed_form_route(factor, template, sequence):
-    """The :func:`linear_form` of a sequence that a search holding the
-    feature ``factor`` solves in closed form; None for a sequence it fits
-    iteratively."""
-    return None if factor is None else linear_form(template, sequence)
-
-
 def _set_one(template, sequence, theta, i):
     """Make the constant node i evaluate to 1 (theta starts at zero)."""
     node = template.nodes[i]
@@ -285,7 +278,7 @@ def score_sequence(sequence, template, data, component, rng, factor=None):
     sequence = tuple(sequence)
     objective = EulerResidualObjective(template, sequence, data, component)
     theta0 = uniform_init(rng, objective.n_params)
-    form = _closed_form_route(factor, template, sequence)
+    form = None if factor is None else linear_form(template, sequence)
     if form is not None:
         theta = _closed_form(factor, template, sequence, form)
         loss = objective.loss(theta)
@@ -376,8 +369,8 @@ def _finetune_pool(pool, data, component, factor):
     result is offered back to the pool, which keeps the record with the
     lower direct loss, so the recorded loss never worsens."""
     for record in pool.records():
-        if _closed_form_route(factor, record.template,
-                              record.sequence) is not None:
+        if (factor is not None
+                and linear_form(record.template, record.sequence) is not None):
             continue
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import symode as sm
 from symode.epidemic import ModelKind, benchmark_params
+from symode.errors import NumericalError
 
 
 def rk4_reference(kind, params, x0, t_final, n_steps):
@@ -25,6 +28,26 @@ def euler_to(kind, params, x0, t_final, dt):
     for _ in range(steps):
         x = x + dt * sm.vector_field(kind, params, x)
     return x
+
+
+def euler_loop_reference(kind, params, n_traj, steps, dt, rng,
+                         normalize_init=True):
+    """The generator's protocol written out without ``rollout``: the same
+    initial draw, every Euler step of every trajectory, then a scan of all
+    states. Returns the states (steps + 1, n_traj, d) and the first step
+    at which a state is not finite (None when every state is finite)."""
+    kind = ModelKind(kind)
+    init = rng.uniform(0.0, 1.0, size=(n_traj, kind.dim))
+    if normalize_init:
+        init = init / init.sum(axis=1, keepdims=True)
+    states = np.empty((steps + 1, n_traj, kind.dim))
+    states[0] = init
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps):
+            states[s + 1] = states[s] + dt * sm.vector_field(kind, params,
+                                                             states[s])
+    finite = np.isfinite(states).all(axis=(1, 2))
+    return states, None if finite.all() else int(np.argmin(finite))
 
 
 class TestVectorField:
@@ -120,6 +143,35 @@ class TestGenerator:
                                      np.random.default_rng(42))
         for ta, tb in zip(a.trajectories, b.trajectories):
             assert np.array_equal(ta, tb)
+
+    @pytest.mark.parametrize("normalize_init", [True, False])
+    @pytest.mark.parametrize("kind", [k.value for k in ModelKind])
+    def test_matches_the_euler_loop_bit_for_bit(self, kind, normalize_init):
+        params = benchmark_params(kind)
+        data = sm.generate_trajectories(kind, params, 7, 250, 0.2,
+                                        np.random.default_rng(11),
+                                        normalize_init)
+        states, failure = euler_loop_reference(kind, params, 7, 250, 0.2,
+                                               np.random.default_rng(11),
+                                               normalize_init)
+        assert failure is None
+        assert len(data.trajectories) == 7
+        for i, traj in enumerate(data.trajectories):
+            assert traj.tobytes() == states[:, i].tobytes()
+
+    @pytest.mark.parametrize("kind, beta, step", [
+        ("sir", 1e3, 8), ("seir", 1e10, 8), ("seird", 1e50, 4),
+        ("sir", 1e300, 2)])
+    def test_overflow_names_the_first_non_finite_step(self, kind, beta, step):
+        params = replace(benchmark_params(kind), beta=beta)
+        _, failure = euler_loop_reference(kind, params, 6, 40, 0.2,
+                                          np.random.default_rng(0))
+        assert failure == step
+        with pytest.raises(NumericalError) as raised:
+            sm.generate_trajectories(kind, params, 6, 40, 0.2,
+                                     np.random.default_rng(0))
+        assert str(raised.value) == (f"{kind} simulation at dt=0.2: a state "
+                                     f"is not finite at step {step}")
 
     def test_euler_is_first_order(self):
         """Fixed-horizon global error halves when the step halves."""

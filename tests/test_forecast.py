@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,16 @@ class TestPerStepMse:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             per_step_mse([np.zeros((4, 2))], [np.zeros((5, 2))])
+
+    def test_sum_beyond_float_range_is_inf_without_warning(self):
+        # every squared error, 1e308, is finite; their sum is not
+        truth = np.zeros((2, 3, 2))
+        predicted = np.full_like(truth, 1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pooled = per_step_mse(predicted, truth)
+            by_component = per_step_component_mse(predicted, truth)
+        assert np.all(pooled == np.inf) and np.all(by_component == np.inf)
 
 
 class TestPersistenceBaseline:

@@ -138,6 +138,7 @@ DIVERGING = [(seq, [1e200, 0, 0, 0] + [0] * 8)
              for seq in (LEAF, ("id", "0", "sub", "0", "add"),
                          ("id", "0", "add", "0", "sub"))]
 STILL = (("0", "0", "add", "0", "add"), [0] * 12)
+CONSTANT = (STILL[0], [0, 0, 0, 1e154] + [0] * 8)
 
 
 def planted_outcomes(pools):
@@ -210,6 +211,35 @@ class TestSystemCheck:
             assert np.array_equal(init, np.stack(train.trajectories)[:, 0])
             assert steps == cfg.data.steps
         assert np.array_equal(forecast, np.stack(test.trajectories)[:, 0])
+
+    def test_error_beyond_float_range_is_a_training_divergence(
+            self, monkeypatch, tmp_path):
+        # dR/dt = 1e154: R's winner moves R by 2e153 a step, and no other
+        # component reads R, so every state stays finite over the whole
+        # training horizon, but the per-step MSE leaves the float range
+        pools = [[EXACT_SIR[0]], [EXACT_SIR[1]], [CONSTANT, EXACT_SIR[2]]]
+        cfg, doc, inits = self.run(monkeypatch, tmp_path, pools,
+                                   tiny_synthetic_doc())
+        train, _ = sm.train_test_split(generate_synthetic(cfg),
+                                       cfg.data.train_fraction)
+        truth = np.stack(train.trajectories)
+        template = sm.build_template("type2", 3)
+        winners = sm.SystemModel([
+            sm.CompiledExpression(template, seq, np.array(params, float))
+            for seq, params in (EXACT_SIR[0], EXACT_SIR[1], CONSTANT)])
+        result = sm.rollout(winners, truth[:, 0], cfg.data.steps, cfg.data.dt)
+        assert result.completed
+        with np.errstate(over="ignore"):
+            mse = sm.per_step_mse(result.states.swapaxes(0, 1), truth)
+        step = int(np.argmin(np.isfinite(mse)))
+        assert step == 5 and not np.isfinite(mse).all()
+        assert doc["metrics"]["system_swap"] == {
+            "train_diverged_at_step": step,
+            "pool_rank": {"S": 0, "I": 0, "R": 1}}
+        assert doc["components"][2]["coefficients"] == EXACT_SIR[2][1]
+        assert doc["metrics"]["max_per_step_mse"] < 1e-25
+        # the winners' training rollout, (1, 0, 0)'s and the forecast
+        assert len(inits) == 3
 
     def test_ties_go_to_the_lower_rank_sum(self, monkeypatch, tmp_path):
         # ranks (1, 0, 0) and (2, 0, 0) give the same rollout bits
