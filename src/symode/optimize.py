@@ -36,7 +36,7 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # after LM_STALLS accepted steps in a row that each lower the loss by a
 # relative LM_STALL_RTOL or less, or when its iteration budget is spent.
 # LM_ITERS is the full budget, which the search gives every fit but the
-# screening first fits on the factored objective.
+# screening first fits of type2 sequences.
 LM_DAMPING = 1e-3
 LM_DAMPING_FACTOR = 5.0
 LM_STALL_RTOL = 1e-10

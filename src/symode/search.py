@@ -2,10 +2,11 @@
 controller, keep the best candidates and fine-tune them; and the
 vector-valued system that one expression per component forms. Every
 iterative fit, first fits and fine-tune alike, is
-:func:`~symode.optimize.minimize_lm` through :func:`_minimize`: a first
-fit on the factored objective is a short screening fit of
-``LM_SCREEN_ITERS`` iterations, and every other fit, the fine-tune of
-each pool entry included, has the full ``LM_ITERS``."""
+:func:`~symode.optimize.minimize_lm` on the sequence's
+:class:`~symode.losses.EulerResidualObjective`: a type2 first fit is a
+short screening fit of ``LM_SCREEN_ITERS`` iterations, and every other
+fit, the fine-tune of each pool entry included, has the full
+``LM_ITERS``."""
 
 from __future__ import annotations
 
@@ -16,20 +17,18 @@ import numpy as np
 from . import expressions as ex
 from .controller import ControllerPolicy, policy_update, sample_sequences
 from .errors import NumericalError
-from .losses import (EulerResidualObjective, FactoredResidualObjective,
-                     tsqr)
+from .losses import EulerResidualObjective, tsqr
 from .optimize import LM_ITERS, OptimConfig, minimize_lm, uniform_init
 
 # re-initialization attempts when random parameters give a non-finite loss
 MAX_INIT_RETRIES = 3
-# The iteration budget of a first fit on the factored objective: it only
-# screens the sequence for the pool, whose entries the fine-tune then runs
-# for LM_ITERS more. Measured on perfbench qdr_real, config 0 of run seeds
-# 0-19 (60 winners, against LM_ITERS for every fit): a budget of 15 left 15
-# winner losses more than 1% worse; 20 left 9, none more than 6% worse.
-# Direct-objective fits keep LM_ITERS: screening them as well raised the
-# median test max per-step MSE of sir_type1 run seeds 0-59 from 1.1e-5 to
-# 3.4e-5.
+# The iteration budget of a type2 first fit: it only screens the sequence
+# for the pool, whose entries the fine-tune then runs for LM_ITERS more.
+# Measured on perfbench qdr_real, config 0 of run seeds 0-19 (60 winners,
+# against LM_ITERS for every fit): a budget of 15 left 15 winner losses
+# more than 1% worse; 20 left 9, none more than 6% worse. type1 first fits
+# keep LM_ITERS: screening them as well raised the median test max
+# per-step MSE of sir_type1 run seeds 0-59 from 1.1e-5 to 3.4e-5.
 LM_SCREEN_ITERS = 20
 
 # Unary tags whose leaf is a constant whatever its parameters; every other
@@ -266,14 +265,14 @@ def score_sequence(sequence, template, data, component, rng, factor=None):
     :func:`feature_factor`, a sequence whose :func:`linear_form` exists
     takes its least-squares minimum in closed form. Every other sequence,
     and a closed form whose loss is not finite, runs
-    :func:`~symode.optimize.minimize_lm` through :func:`_minimize`, for
-    ``LM_SCREEN_ITERS`` iterations on the factored objective and
-    ``LM_ITERS`` on the direct one, from a start uniform on [-1, 1]. That
-    start is drawn first on either route, but only the iterative route
-    evaluates it: while its loss is not finite it draws again, up to
-    ``MAX_INIT_RETRIES`` times, and then writes the sequence off with a
-    score-0 sentinel. Every recorded loss is the direct objective's at the
-    recorded parameters. Numerical failures never propagate out of here.
+    :func:`~symode.optimize.minimize_lm` on its Euler residual objective
+    from a start uniform on [-1, 1], for ``LM_SCREEN_ITERS`` iterations on
+    a type2 template and ``LM_ITERS`` on a type1 one. That start is drawn
+    first on either route, but only the iterative route evaluates it: while
+    its loss is not finite it draws again, up to ``MAX_INIT_RETRIES``
+    times, and then writes the sequence off with a score-0 sentinel. Every
+    recorded loss is the objective's at the recorded parameters. Numerical
+    failures never propagate out of here.
     """
     sequence = tuple(sequence)
     objective = EulerResidualObjective(template, sequence, data, component)
@@ -292,24 +291,10 @@ def score_sequence(sequence, template, data, component, rng, factor=None):
                                template)
         retries -= 1
         theta0 = uniform_init(rng, objective.n_params)
-    theta, loss = _minimize(objective, theta0, LM_SCREEN_ITERS)
-    return ScoreRecord(sequence, loss, theta, component, template)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _minimize(objective, start, factored_iters):
-    """Run :func:`~symode.optimize.minimize_lm` from ``start`` for
-    ``factored_iters`` iterations on the
-    :class:`~symode.losses.FactoredResidualObjective` view of the direct
-    ``objective`` when that view has a factor and a finite loss at
-    ``start``, and for ``LM_ITERS`` on ``objective`` itself otherwise.
-    Returns the final parameters and the direct loss there, which is the
-    loss every record holds."""
-    fit, iters = FactoredResidualObjective(objective), factored_iters
-    if fit.factor is None or not np.isfinite(fit.loss(start)):
-        fit, iters = objective, LM_ITERS
-    theta = minimize_lm(fit, start, iters).final_params
-    return theta, objective.loss(theta)
+    fit = minimize_lm(objective, theta0, LM_SCREEN_ITERS
+                      if template.kind == ex.TYPE2 else LM_ITERS)
+    return ScoreRecord(sequence, fit.final_loss, fit.final_params, component,
+                       template)
 
 
 @dataclass
@@ -327,8 +312,10 @@ def search_component(data, component, cfg: SearchConfig, rng):
     scores. After the last epoch each pool entry fitted iteratively is
     fitted again from its recorded parameters, which can only improve its
     recorded loss. A type2 search factors the component's features once,
-    for the closed-form fits of its linear sequences; :func:`score_sequence`
-    and the fine-tune route every sequence by that one factor.
+    for the closed-form fits of its linear sequences: that is its one QR
+    factorization. :func:`score_sequence` and the fine-tune route every
+    sequence by that one factor, and fit every other sequence on its Euler
+    residual.
     """
     template = ex.build_template(cfg.template_for(component), data.dim)
     factor = (feature_factor(data, component) if template.kind == ex.TYPE2
@@ -359,23 +346,24 @@ def search_component(data, component, cfg: SearchConfig, rng):
 
 
 def _finetune_pool(pool, data, component, factor):
-    """Run Levenberg–Marquardt again, through :func:`_minimize`, from the
-    recorded parameters of each pool entry that :func:`score_sequence`
-    fits iteratively, for the full ``LM_ITERS`` on either objective; an
-    entry with a closed form under the search's feature ``factor`` already
-    sits at its least-squares minimum and is skipped. A first fit that
-    stopped on its iteration budget (``LM_SCREEN_ITERS`` for a factored
-    screening fit) or on stalled steps goes on from where it stopped. Each
-    result is offered back to the pool, which keeps the record with the
-    lower direct loss, so the recorded loss never worsens."""
+    """Run Levenberg–Marquardt again on the Euler residual objective, from
+    the recorded parameters of each pool entry that :func:`score_sequence`
+    fits iteratively, for the full ``LM_ITERS``; an entry with a closed
+    form under the search's feature ``factor`` already sits at its
+    least-squares minimum and is skipped. A first fit that stopped on its
+    iteration budget (``LM_SCREEN_ITERS`` for a type2 screening fit) or on
+    stalled steps goes on from where it stopped. LM moves only to a lower
+    loss, and the pool keeps the record with the lower loss, so the
+    recorded loss never worsens."""
     for record in pool.records():
         if (factor is not None
                 and linear_form(record.template, record.sequence) is not None):
             continue
         objective = EulerResidualObjective(record.template, record.sequence,
                                            data, component)
-        theta, loss = _minimize(objective, record.params, LM_ITERS)
-        pool.insert(replace(record, params=theta, loss=loss))
+        fit = minimize_lm(objective, record.params, LM_ITERS)
+        pool.insert(replace(record, params=fit.final_params,
+                            loss=fit.final_loss))
 
 
 class SystemModel:

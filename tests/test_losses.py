@@ -13,9 +13,7 @@ from symode import expressions as ex
 from symode import losses as losses_mod
 from symode.datasets import TrajectoryDataset
 from symode.errors import EvaluationError
-from symode.losses import (MAX_FACTOR_COLUMNS, QR_BUDGET,
-                           EulerResidualObjective, FactoredResidualObjective,
-                           product_width, tsqr)
+from symode.losses import QR_BUDGET, EulerResidualObjective, tsqr
 
 from conftest import random_sequence
 
@@ -313,8 +311,9 @@ def test_public_entries_do_not_warn_at_overflow(sir_dataset, kind, sequence,
                 ex.param_gradient(expr, x[0])
 
 
-# the ab shape (l0 +- l1) * l3 and the ab+c shape (l0 * l1) +- l3, with
-# add and sub, a repeated tag and the constant leaves '0' and '1'
+# the nonlinear type2 shapes: ab is (l0 +- l1) * l3, ab+c is (l0 * l1) +- l3
+# and abc is (l0 * l1) * l3; with add and sub, a repeated tag and the
+# constant leaves '0' and '1'
 AB = [("sin", "id", "add", "exp", "mul"),
       ("square", "cube", "sub", "id", "mul"),
       ("id", "id", "add", "sin", "mul"),
@@ -327,113 +326,65 @@ AB_PLUS_C = [("sin", "id", "mul", "exp", "add"),
 ABC = ("id", "sin", "mul", "cube", "mul")
 
 
-class TestFactoredResidualObjective:
+class TestNonlinearShapes:
+    """The Euler residual objective on the nonlinear type2 shapes, which
+    every type2 fit past the closed form runs Levenberg–Marquardt on."""
+
     @pytest.mark.parametrize("dataset", ["desk_sir_train", "qdr_train"])
     @pytest.mark.parametrize("seq", AB + AB_PLUS_C)
-    def test_matches_direct_loss_and_finite_differences(self, request,
-                                                        dataset, seq):
+    def test_matches_the_template_walk_and_finite_differences(
+            self, request, dataset, seq):
         data = request.getfixturevalue(dataset)
         template = sm.build_template("type2", 3)
         rng = np.random.default_rng(7)
         for component in range(3):
-            direct = EulerResidualObjective(template, seq, data, component)
-            factored = FactoredResidualObjective(direct)
+            objective = EulerResidualObjective(template, seq, data, component)
             theta = rng.uniform(-1, 1, template.n_params)
-            loss, r, jacobian = factored.residual(theta)
-            grad = 2 * (jacobian().T @ r) / direct.m
-            direct_loss, direct_grad = direct.loss_and_grad(theta)
-            assert loss == pytest.approx(direct_loss, rel=1e-12)
-            assert factored.loss(theta) == loss
-            fd = central_differences(factored, theta)
-            scale = np.linalg.norm(direct_grad)
-            assert np.linalg.norm(grad - fd) <= 1e-5 * scale
-            assert np.linalg.norm(grad - direct_grad) <= 1e-10 * scale
-
-    def test_widths_follow_the_shapes(self):
-        for d in (1, 3, 5):
-            template = sm.build_template("type2", d)
-            assert product_width(template, AB[0]) == 2 * (d + 1) ** 2
-            assert product_width(template, AB_PLUS_C[0]) == (d + 1) ** 2 + d + 1
-            assert product_width(template, ("id", "id", "mul", "id",
-                                            "mul")) == (d + 1) ** 3
-            assert product_width(template, ("id",) * 2 + ("add", "id",
-                                                          "sub")) == 3 * (d + 1)
+            loss, grad = objective.loss_and_grad(theta)
+            assert hexes(loss, grad) == hexes(*reference_loss_and_grad(
+                template, seq, theta, data, component))
+            assert objective.loss(theta) == loss
+            fd = central_differences(objective, theta)
+            assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("dataset", ["desk_sir_train", "qdr_train"])
     @pytest.mark.parametrize("seq", [AB[0], AB_PLUS_C[0], ABC])
-    def test_factor_is_that_of_the_stacked_pairs(self, request, dataset,
-                                                 seq):
-        # the view reads the direct objective's leaf values and dy; the
-        # reference builds K from the pairs, one leaf rule at a time
+    def test_jacobian_is_that_of_the_stacked_pairs(self, request, dataset,
+                                                   seq):
+        # the reference builds each leaf's block [f(X), 1] from the pairs,
+        # one leaf rule at a time, and chains the two binary nodes by hand:
+        # d phi / d leaf is the product of the binary partials on its path
         data = request.getfixturevalue(dataset)
         template = sm.build_template("type2", 3)
-        X, X_next = data.stacked_pairs()
-        blocks = []
-        for i, node in enumerate(template.nodes):
-            if node.is_leaf:
-                blocks.append(np.column_stack(
-                    [ex.UNARY_RULES[seq[i]][0](X), np.ones(len(X))]))
-            elif seq[i] == "mul":
-                l, r = node.children
-                blocks.append((blocks[l][:, :, None] * blocks[r][:, None, :])
-                              .reshape(len(X), -1))
-            else:
-                blocks.append(np.hstack([blocks[c] for c in node.children]))
+        X, _ = data.stacked_pairs()
+        theta = np.random.default_rng(8).uniform(-1, 1, template.n_params)
+        blocks = {i: np.column_stack([ex.UNARY_RULES[seq[i]][0](X),
+                                      np.ones(len(X))])
+                  for i, node in enumerate(template.nodes) if node.is_leaf}
+        v = {i: block @ theta[template.slices[i]]
+             for i, block in blocks.items()}
+
+        def partials(tag, a, b):
+            # d (a tag b) / da and d (a tag b) / db
+            if tag == "mul":
+                return b, a
+            one = np.ones_like(a)
+            return one, -one if tag == "sub" else one
+
+        v2 = (v[0] * v[1] if seq[2] == "mul" else
+              v[0] + v[1] if seq[2] == "add" else v[0] - v[1])
+        d2, d3 = partials(seq[4], v2, v[3])
+        d0, d1 = partials(seq[2], v[0], v[1])
+        chain = {0: d2 * d0, 1: d2 * d1, 3: d3}
+        expected = np.zeros((len(X), template.n_params))
+        for i, block in blocks.items():
+            expected[:, template.slices[i]] = (-data.dt * chain[i][:, None]
+                                               * block)
         for component in range(3):
-            dy = X_next[:, component] - X[:, component]
-            expected = tsqr(np.column_stack([blocks[-1], dy]))
-            factored = FactoredResidualObjective(
-                EulerResidualObjective(template, seq, data, component))
-            assert factored.factor.tobytes() == expected.tobytes()
-
-    def test_interior_unary_node_is_refused(self, sir_dataset, monkeypatch):
-        # no factor past the width rule, and none is built: a type1
-        # sequence has no product width, abc at d = 5 has 217 columns
-        monkeypatch.setattr(losses_mod, "tsqr", None)
-        type1 = sm.build_template("type1", 3)
-        seq = ("id", "sin", "mul", "exp")
-        assert product_width(type1, seq) is None
-        assert FactoredResidualObjective(EulerResidualObjective(
-            type1, seq, sir_dataset, 0)).factor is None
-        data = sm.generate_trajectories("seird", sm.benchmark_params("seird"),
-                                        2, 10, 0.2, np.random.default_rng(1))
-        template = sm.build_template("type2", 5)
-        assert product_width(template, ABC) + 1 == 217 > MAX_FACTOR_COLUMNS
-        assert FactoredResidualObjective(EulerResidualObjective(
-            template, ABC, data, 0)).factor is None
-
-    def test_non_finite_feature_has_no_factor(self):
-        data = TrajectoryDataset([np.linspace(1e80, 2e80, 6)[:, None]], 1.0,
-                                 ("x",))
-        template = sm.build_template("type2", 1)
-        factored = FactoredResidualObjective(EulerResidualObjective(
-            template, ("quartic", "id", "mul", "id", "add"), data, 0))
-        assert factored.factor is None
-
-    def test_non_finite_value_is_inf_sentinel(self, sir_dataset):
-        template = sm.build_template("type2", 3)
-        factored = FactoredResidualObjective(
-            EulerResidualObjective(template, AB[0], sir_dataset, 0))
-        theta = np.full(template.n_params, 1e200)
-        # as inside a fit, where the minimizers silence the overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert factored.loss(theta) == float("inf")
-            loss, _, jacobian = factored.residual(theta)
-        assert loss == float("inf") and jacobian is None
-
-    def test_each_call_is_independent_of_the_samples(self, monkeypatch,
-                                                     desk_sir_train):
-        # after the factor, no call reads an array with a row per sample
-        template = sm.build_template("type2", 3)
-        factored = FactoredResidualObjective(
-            EulerResidualObjective(template, AB[0], desk_sir_train, 1))
-        assert factored.factor.shape == (33, 33)
-        monkeypatch.setattr(ex, "forward_pass", None)
-        monkeypatch.setattr(ex, "UNARY_RULES", None)
-        theta = np.linspace(-1, 1, template.n_params)
-        loss, r, jacobian = factored.residual(theta)
-        assert np.isfinite(loss)
-        assert jacobian().shape == (r.size, template.n_params)
+            objective = EulerResidualObjective(template, seq, data, component)
+            _, _, jacobian = objective.residual(theta)
+            J = jacobian()
+            assert np.abs(J - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def residual_differences(objective, theta, h=1e-6):
@@ -450,12 +401,11 @@ def residual_differences(objective, theta, h=1e-6):
 
 
 class TestResidualJacobian:
-    """Both objectives' residual Jacobians against central differences,
-    and 2 J'r / M against the direct objective's ``loss_and_grad``
-    gradient, on random type1 and type2 sequences; 12,000 pairs is above
-    DOT_BUDGET. For the direct objective the second check is an identity,
-    since ``loss_and_grad`` computes 2 J'r / M from ``residual``; the
-    central differences carry it."""
+    """The residual Jacobian against central differences, and 2 J'r / M
+    against ``loss_and_grad``'s gradient, on random type1 and type2
+    sequences; 12,000 pairs is above DOT_BUDGET. The second check is an
+    identity, since ``loss_and_grad`` computes 2 J'r / M from
+    ``residual``; the central differences carry it."""
 
     @pytest.mark.parametrize("kind", ["type1", "type2"])
     @pytest.mark.parametrize("pairs", [1250, 12000])
@@ -468,23 +418,18 @@ class TestResidualJacobian:
         checked = 0
         for _ in range(6):
             seq = random_sequence(template, rng)
-            direct = EulerResidualObjective(template, seq, data, 0)
-            factored = FactoredResidualObjective(direct)
-            assert (factored.factor is None) == (kind == "type1")
+            objective = EulerResidualObjective(template, seq, data, 0)
             theta = rng.uniform(-1, 1, template.n_params)
-            for fit in (direct, factored):
-                if fit is factored and kind == "type1":
-                    continue
-                loss, r, jacobian = fit.residual(theta)
-                assert loss == pytest.approx(float(r @ r) / pairs, rel=1e-12)
-                J = jacobian()
-                assert J.shape == (r.size, template.n_params)
-                fd = residual_differences(fit, theta)
-                assert np.abs(J - fd).max() <= 1e-6 * max(np.abs(J).max(), 1)
-                grad = direct.loss_and_grad(theta)[1]
-                assert (np.linalg.norm(2 * (J.T @ r) / pairs - grad)
-                        <= 1e-11 * np.linalg.norm(grad))
-                checked += 1
+            loss, r, jacobian = objective.residual(theta)
+            assert loss == pytest.approx(float(r @ r) / pairs, rel=1e-12)
+            J = jacobian()
+            assert J.shape == (r.size, template.n_params)
+            fd = residual_differences(objective, theta)
+            assert np.abs(J - fd).max() <= 1e-6 * max(np.abs(J).max(), 1)
+            grad = objective.loss_and_grad(theta)[1]
+            assert (np.linalg.norm(2 * (J.T @ r) / pairs - grad)
+                    <= 1e-11 * np.linalg.norm(grad))
+            checked += 1
         assert checked >= 6
 
     def test_residual_has_no_jacobian_at_a_non_finite_loss(self):
@@ -499,25 +444,21 @@ class TestResidualJacobian:
         def refuse(*args):
             raise AssertionError("reverse sweep run")
 
-        template = sm.build_template("type1", 3)
-        objective = EulerResidualObjective(template, ("sin", "id", "mul",
-                                                      "cos"), sir_dataset, 0)
-        factored = FactoredResidualObjective(EulerResidualObjective(
-            sm.build_template("type2", 3), AB[0], sir_dataset, 0))
+        objectives = [EulerResidualObjective(sm.build_template(kind, 3), seq,
+                                             sir_dataset, 0)
+                      for kind, seq in (("type1", ("sin", "id", "mul", "cos")),
+                                        ("type2", AB[0]))]
         monkeypatch.setattr(ex, "param_jacobian", refuse)
-        monkeypatch.setattr(FactoredResidualObjective, "_sweep", refuse)
-        theta = np.full(template.n_params, 0.3)
-        assert np.isfinite(objective.residual(theta)[0])
-        assert np.isfinite(factored.residual(np.full(12, 0.3))[0])
-        with pytest.raises(AssertionError, match="reverse sweep run"):
-            objective.residual(theta)[2]()
+        for objective in objectives:
+            theta = np.full(objective.n_params, 0.3)
+            assert np.isfinite(objective.residual(theta)[0])
+            with pytest.raises(AssertionError, match="reverse sweep run"):
+                objective.residual(theta)[2]()
 
 
 class TestPowerTagGradients:
-    """Gradient oracles for the power tags in every place a tree puts them
-    (the factored objective's gradient is the 2 J'r / M of its
-    ``residual``); the random oracles above draw cube and quartic only by
-    chance."""
+    """Gradient oracles for the power tags in every place a tree puts them;
+    the random oracles above draw cube and quartic only by chance."""
 
     @pytest.mark.parametrize("tag", ["cube", "quartic"])
     @pytest.mark.parametrize("children", [("id", "sin", "mul"),
@@ -542,17 +483,12 @@ class TestPowerTagGradients:
         seq = (tag, "id", shape[0], tag, shape[1])
         rng = np.random.default_rng(14)
         for component in range(3):
-            direct = EulerResidualObjective(template, seq, data, component)
-            factored = FactoredResidualObjective(direct)
-            assert factored.factor is not None
+            objective = EulerResidualObjective(template, seq, data,
+                                               component)
             theta = rng.uniform(-1, 1, template.n_params)
-            _, r, jacobian = factored.residual(theta)
-            grads = (direct.loss_and_grad(theta)[1],
-                     2 * (jacobian().T @ r) / factored.m)
-            for objective, grad in zip((direct, factored), grads):
-                fd = central_differences(objective, theta)
-                assert (np.linalg.norm(grad - fd)
-                        <= 1e-5 * np.linalg.norm(grad))
+            _, grad = objective.loss_and_grad(theta)
+            fd = central_differences(objective, theta)
+            assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)
 
 
 def test_tsqr_gives_the_gram_matrix_and_rejects_non_finite():
@@ -567,9 +503,9 @@ def test_tsqr_gives_the_gram_matrix_and_rejects_non_finite():
 
 
 def test_every_factor_qr_stays_within_the_budget(monkeypatch):
-    """No QR of a chunked factor, feature factor or factored objective,
-    wakes BLAS threads, at d = 3 and d = 5; the abc shape at d = 5 is too
-    wide for a factor and is fitted on the direct objective."""
+    """No QR of a feature factor wakes BLAS threads, at d = 3 and d = 5;
+    the nonlinear ab, ab+c and abc shapes are fitted on the Euler residual
+    and factor nothing."""
     import symode.search as search_mod
 
     shapes = []
@@ -590,25 +526,28 @@ def test_every_factor_qr_stays_within_the_budget(monkeypatch):
                               np.random.default_rng(0), factor)
     assert max(rows * cols for rows, cols in shapes) <= QR_BUDGET
     widths = {cols for _, cols in shapes}
-    # the feature factors, ab and ab+c at both d, abc at d = 3 only
-    assert widths == {23, 33, 21, 65, 37, 73, 43}
+    # the feature factors: 7 tags x d states, the ones and the target
+    assert widths == {23, 37}
 
 
 # The loss and gradient of a type2 and a type1 sequence on 25,000 random
-# pairs: each loss, and the gradient of type1's interior node, is a dot
-# product over the samples; and the normal equations J'J and J'r that
-# Levenberg–Marquardt forms from the 25,000-row Jacobian of the residual.
+# pairs of 3 states, and of a type2 sequence on 25,000 pairs of 5 states
+# (18 parameters): each loss, and the gradient of type1's interior node, is
+# a dot product over the samples; and the normal equations J'J and J'r
+# that Levenberg–Marquardt forms from the 25,000-row Jacobian of the
+# residual.
 SAMPLE_DOT_SCRIPT = """
 import numpy as np
 import symode as sm
 from symode.datasets import TrajectoryDataset
 from symode.errors import EvaluationError
 rng = np.random.default_rng(0)
-data = TrajectoryDataset([rng.uniform(-1, 1, (25001, 3))], 0.1,
-                         ("x0", "x1", "x2"))
-for kind, seq in (("type2", ("sin", "id", "mul", "exp", "add")),
-                  ("type1", ("sin", "id", "mul", "cos"))):
-    objective = sm.EulerResidualObjective(sm.build_template(kind, 3), seq,
+for kind, d, seq in (("type2", 3, ("sin", "id", "mul", "exp", "add")),
+                     ("type1", 3, ("sin", "id", "mul", "cos")),
+                     ("type2", 5, ("sin", "id", "mul", "exp", "add"))):
+    data = TrajectoryDataset([rng.uniform(-1, 1, (25001, d))], 0.1,
+                             tuple(f"x{j}" for j in range(d)))
+    objective = sm.EulerResidualObjective(sm.build_template(kind, d), seq,
                                           data, 0)
     theta = rng.uniform(-1, 1, objective.n_params)
     loss, grad = objective.loss_and_grad(theta)
@@ -621,8 +560,8 @@ for kind, seq in (("type2", ("sin", "id", "mul", "exp", "add")),
 
 def test_sample_dot_products_do_not_depend_on_blas_threads():
     """OpenBLAS splits a dot product of more than 10,000 entries among its
-    threads; the objective's loss and gradient have the same bits with one
-    thread and with two."""
+    threads; the objective's loss, gradient and normal equations have the
+    same bits with one thread and with two, at 3 states and at 5."""
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -631,7 +570,7 @@ def test_sample_dot_products_do_not_depend_on_blas_threads():
             [sys.executable, "-c", SAMPLE_DOT_SCRIPT], env=env, check=True,
             capture_output=True, text=True).stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0].count("\n") == 2
+    assert outputs[0].count("\n") == 3
 
 
 def test_sample_dot_product_overflows_to_inf_and_nan():

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 import symode as sm
 import symode.losses as losses_mod
 import symode.search as search_mod
+from symode import expressions as ex
 from symode.datasets import TrajectoryDataset
 from symode.errors import NumericalError
-from symode.losses import EulerResidualObjective, FactoredResidualObjective
+from symode.losses import EulerResidualObjective
 from symode.optimize import LM_ITERS, OptimResult, uniform_init
 from symode.search import LM_SCREEN_ITERS, CandidatePool, ScoreRecord
 
@@ -301,7 +302,7 @@ class TestClosedForm:
         cfg = sm.SearchConfig(epochs=2, batch_size=4)
         monkeypatch.setattr(search_mod, "feature_factor", refuse)
         monkeypatch.setattr(search_mod, "_closed_form", refuse)
-        # the factored view of a type1 sequence has no factor to build
+        # nor does a type1 fit factor anything else
         monkeypatch.setattr(losses_mod, "tsqr", refuse)
         sm.search_component(sir_dataset, 2,
                             dataclasses.replace(cfg, templates="type1"),
@@ -316,22 +317,20 @@ class TestClosedForm:
         factor = search_mod.feature_factor(sir_dataset, 1)
         record = sm.score_sequence(seq, template, sir_dataset, 1,
                                    np.random.default_rng(5), factor)
-        # what a screening run of Levenberg–Marquardt gives on the factored
-        # objective from the first uniform draw, its loss recomputed on the
-        # direct objective
+        # what a screening run of Levenberg–Marquardt gives on the Euler
+        # residual objective from the first uniform draw, bit for bit
         objective = EulerResidualObjective(template, seq, sir_dataset, 1)
-        factored = FactoredResidualObjective(objective)
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
-        result = sm.minimize_lm(factored, theta0, LM_SCREEN_ITERS)
+        result = sm.minimize_lm(objective, theta0, LM_SCREEN_ITERS)
         assert np.array_equal(record.params, result.final_params)
+        assert record.loss == result.final_loss
         assert record.loss == objective.loss(result.final_params)
         assert record.score == sm.score_from_loss(record.loss)
-        assert record.loss == pytest.approx(result.final_loss, rel=1e-12)
 
     def test_non_finite_feature_leaves_linear_sequence_to_lm(self):
         # the quartic feature of values near 1e80 is not finite, so there is
-        # no factor, and a linear sequence is fitted like any other: by
-        # Levenberg–Marquardt on its own factored objective
+        # no factor, and a linear sequence is fitted like any other type2
+        # sequence: by a screening run of Levenberg–Marquardt
         data = TrajectoryDataset([np.linspace(1e80, 2e80, 6)[:, None]], 1.0,
                                  ("x",))
         template = sm.build_template("type2", 1)
@@ -342,11 +341,10 @@ class TestClosedForm:
         record = sm.score_sequence(seq, template, data, 0,
                                    np.random.default_rng(5), factor)
         objective = EulerResidualObjective(template, seq, data, 0)
-        factored = FactoredResidualObjective(objective)
-        assert factored.factor is not None
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
-        result = sm.minimize_lm(factored, theta0, LM_SCREEN_ITERS)
+        result = sm.minimize_lm(objective, theta0, LM_SCREEN_ITERS)
         assert np.isfinite(record.loss)
+        assert record.loss == result.final_loss
         assert record.loss == objective.loss(result.final_params)
         assert np.array_equal(record.params, result.final_params)
 
@@ -372,10 +370,10 @@ class TestClosedForm:
         assert np.array_equal(record.params, theta)
         assert record.loss == objective.loss(theta)
 
-    def test_nonlinear_sequence_without_factor_fits_factored(
+    def test_nonlinear_sequence_without_factor_fits_direct(
             self, sir_dataset, monkeypatch):
-        # the route follows from the sequence: no feature factor leaves a
-        # nonlinear sequence on its factored objective all the same
+        # the route follows from the sequence: without a feature factor a
+        # nonlinear sequence is fitted on its Euler residual all the same
         fitted = []
         lm = search_mod.minimize_lm
 
@@ -388,15 +386,43 @@ class TestClosedForm:
         seq = ("sin", "id", "mul", "exp", "add")
         record = sm.score_sequence(seq, template, sir_dataset, 1,
                                    np.random.default_rng(5), None)
-        assert fitted == [FactoredResidualObjective]
+        assert fitted == [EulerResidualObjective]
         objective = EulerResidualObjective(template, seq, sir_dataset, 1)
         assert record.loss == objective.loss(record.params)
 
 
-class TestFactoredFits:
+class TestFeatureFactor:
+    @pytest.mark.parametrize("component", range(3))
+    @pytest.mark.parametrize("dataset", ["desk_sir_train", "qdr_train"])
+    def test_keeps_the_residual_of_every_column_set(self, request, dataset,
+                                                    component):
+        # [Phi | y] built one column at a time from the pairs: each feature
+        # tag of each state (tag-major), the ones column, then y
+        data = request.getfixturevalue(dataset)
+        X, X_next = data.stacked_pairs()
+        columns = [ex.UNARY_RULES[tag][0](X[:, j])
+                   for tag in search_mod.FEATURE_TAGS for j in range(data.dim)]
+        A = np.column_stack(columns + [np.ones(len(X)),
+                                       (X_next[:, component]
+                                        - X[:, component]) / data.dt])
+        R = search_mod.feature_factor(data, component)
+        n = A.shape[1]
+        assert R.shape == (n, n)
+        assert np.allclose(R.T @ R, A.T @ A, rtol=1e-10,
+                           atol=1e-10 * np.abs(A.T @ A).max())
+        rng = np.random.default_rng(component)
+        for _ in range(20):
+            cols = rng.choice(n - 1, int(rng.integers(1, n)), replace=False)
+            w = rng.uniform(-1, 1, cols.size)
+            full = np.linalg.norm(A[:, cols] @ w - A[:, -1])
+            small = np.linalg.norm(R[:, cols] @ w - R[:, -1])
+            assert small == pytest.approx(full, rel=1e-9)
+
+
+class TestIterativeFits:
     """Nonlinear type2 sequences are fitted, and fine-tuned in the pool, on
-    the factored objective; entries with a closed form are not fine-tuned;
-    every recorded loss is the direct objective's."""
+    the Euler residual objective; entries with a closed form are not
+    fine-tuned; every recorded loss is that objective's."""
 
     SEQUENCES = [("id", "0", "add", "0", "add"),        # linear
                  ("id", "sin", "sub", "id", "mul"),     # ab
@@ -431,8 +457,8 @@ class TestFactoredFits:
                                           np.random.default_rng(k), factor))
         return pool, factor
 
-    def test_finetune_runs_on_factored_objectives(self, sir_dataset,
-                                                  monkeypatch):
+    def test_finetune_runs_on_direct_objectives(self, sir_dataset,
+                                                monkeypatch):
         pool, factor = self.pool(sir_dataset)
         before = {r.sequence: r.loss for r in pool.records()}
         objectives = []
@@ -446,30 +472,33 @@ class TestFactoredFits:
             patch.setattr(search_mod, "minimize_lm", spy)
             search_mod._finetune_pool(pool, sir_dataset, 2, factor)
         # the linear sequence has a closed form and is not fine-tuned
-        assert objectives == [FactoredResidualObjective] * 2
+        assert objectives == [EulerResidualObjective] * 2
         for record in pool.records():
             assert record.loss <= before[record.sequence]
             assert self.direct_loss(record, sir_dataset) == record.loss
 
     def test_finetune_keeps_entries_whose_direct_loss_would_worsen(
             self, sir_dataset, monkeypatch):
+        # a fit that ends above its start, with that end's own loss: the
+        # pool keeps the record with the lower loss
         pool, factor = self.pool(sir_dataset)
         before = [(r.loss, r.params.copy()) for r in pool.records()]
         starts = []
 
-        def claims_zero(fit, init, iters):
+        def worsens(fit, init, iters):
             starts.append(init.copy())
-            return OptimResult(init + 0.5, 0.0, 0, converged=False)
+            return OptimResult(init + 0.5, fit.loss(init + 0.5), 0,
+                               converged=False)
 
         with monkeypatch.context() as patch:
-            patch.setattr(search_mod, "minimize_lm", claims_zero)
+            patch.setattr(search_mod, "minimize_lm", worsens)
             search_mod._finetune_pool(pool, sir_dataset, 2, factor)
         after = [(r.loss, r.params) for r in pool.records()]
         for (loss, params), (new_loss, new_params) in zip(before, after):
             assert new_loss == loss
             assert np.array_equal(new_params, params)
-        # both iterative entries were offered parameters whose direct loss
-        # is worse than their own, however low the claimed loss
+        # both iterative entries were offered parameters whose loss is
+        # worse than their own
         offered = [r for r in pool.records()
                    if any(np.array_equal(r.params, s) for s in starts)]
         assert len(starts) == len(offered) == 2
@@ -477,20 +506,37 @@ class TestFactoredFits:
             worse = dataclasses.replace(record, params=record.params + 0.5)
             assert self.direct_loss(worse, sir_dataset) > record.loss
 
-    def test_factored_loss_not_finite_at_start_is_a_direct_fit(
-            self, sir_dataset, monkeypatch):
-        monkeypatch.setattr(FactoredResidualObjective, "loss",
-                            lambda self, theta: float("inf"))
-        template = sm.build_template("type2", 3)
-        seq = self.SEQUENCES[1]
-        record = sm.score_sequence(seq, template, sir_dataset, 1,
-                                   np.random.default_rng(5),
-                                   search_mod.feature_factor(sir_dataset, 1))
-        objective = EulerResidualObjective(template, seq, sir_dataset, 1)
-        theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
-        result = sm.minimize_lm(objective, theta0, LM_ITERS)
-        assert record.loss == result.final_loss
-        assert np.array_equal(record.params, result.final_params)
+    @pytest.mark.parametrize("kind", ["type2", "type1"])
+    def test_one_qr_per_search(self, sir_dataset, monkeypatch, kind):
+        """A type2 component search takes one QR factorization, its
+        feature factor, and a type1 search takes none; every fit, first
+        fits and fine-tune alike, runs on the Euler residual objective."""
+        widths, fitted = [], []
+        qr, lm = losses_mod.tsqr, search_mod.minimize_lm
+
+        def counting_qr(A):
+            widths.append(A.shape[1])
+            return qr(A)
+
+        def spy(fit, start, iters):
+            fitted.append(type(fit))
+            return lm(fit, start, iters)
+
+        for module in (search_mod, losses_mod):
+            monkeypatch.setattr(module, "tsqr", counting_qr)
+        monkeypatch.setattr(search_mod, "minimize_lm", spy)
+        cfg = sm.SearchConfig(epochs=3, batch_size=10, templates=kind)
+        # the feature factor's columns: every feature tag of each state,
+        # the ones column and the target
+        feature_width = len(search_mod.FEATURE_TAGS) * sir_dataset.dim + 2
+        for component in range(sir_dataset.dim):
+            widths.clear()
+            fitted.clear()
+            sm.search_component(sir_dataset, component, cfg,
+                                component_rng(1, component))
+            assert widths == ([feature_width] if kind == "type2" else [])
+            assert fitted
+            assert set(fitted) == {EulerResidualObjective}
 
 
 class TestFinetuneRoute:
@@ -540,10 +586,9 @@ class TestFinetuneRoute:
 
 
 class TestFitBudgets:
-    """A first fit on the factored objective is a screening fit of
-    LM_SCREEN_ITERS iterations; a first fit on the direct objective (every
-    type1 fit, and a type2 fit whose factored view has no factor or no
-    finite loss at the start) and every fine-tune fit get LM_ITERS."""
+    """A type2 first fit is a screening fit of LM_SCREEN_ITERS iterations;
+    a type1 first fit and every fine-tune fit get LM_ITERS. Every fit runs
+    on the Euler residual objective."""
 
     SEQUENCE = ("sin", "id", "mul", "exp", "add")
 
@@ -572,43 +617,49 @@ class TestFitBudgets:
         monkeypatch.setattr(search_mod, "_finetune_pool", split)
         cfg = sm.SearchConfig(epochs=3, batch_size=10, templates=kind)
         sm.search_component(sir_dataset, 1, cfg, component_rng(1, 1))
-        for fit, iters in first_fits:
-            assert iters == (LM_SCREEN_ITERS
-                             if fit is FactoredResidualObjective
-                             else LM_ITERS)
-        assert calls
+        assert first_fits and calls
+        assert {iters for _, iters in first_fits} == {
+            LM_SCREEN_ITERS if kind == "type2" else LM_ITERS}
         assert all(iters == LM_ITERS for _, iters in calls)
-        fits = {fit for fit, _ in first_fits + calls}
-        assert fits == ({FactoredResidualObjective} if kind == "type2"
-                        else {EulerResidualObjective})
+        assert {fit for fit, _ in first_fits + calls} == {
+            EulerResidualObjective}
 
-    @pytest.mark.parametrize("fallback", ["no factor", "start not finite"])
-    def test_direct_fallback_keeps_the_full_budget(self, sir_dataset,
-                                                   monkeypatch, fallback):
-        if fallback == "no factor":
-            monkeypatch.setattr(losses_mod, "MAX_FACTOR_COLUMNS", 1)
+    @pytest.mark.parametrize("case", ["no factor", "start not finite"])
+    def test_screening_budget_follows_the_template_alone(
+            self, sir_dataset, monkeypatch, case):
+        # neither a missing feature factor nor a start drawn again changes
+        # the objective or the budget of a type2 first fit
+        factor = search_mod.feature_factor(sir_dataset, 1)
+        draws = []
+        if case == "no factor":
+            factor = None
         else:
-            monkeypatch.setattr(FactoredResidualObjective, "loss",
-                                lambda self, theta: float("inf"))
+            def init(rng, count):
+                draws.append(count)
+                if len(draws) > 1:
+                    return uniform_init(rng, count)
+                return np.full(count, 1e200)
+
+            monkeypatch.setattr(search_mod, "uniform_init", init)
         calls = self.record_budgets(monkeypatch)
         template = sm.build_template("type2", 3)
-        sm.score_sequence(self.SEQUENCE, template, sir_dataset, 1,
-                          np.random.default_rng(5),
-                          search_mod.feature_factor(sir_dataset, 1))
-        assert calls == [(EulerResidualObjective, LM_ITERS)]
+        record = sm.score_sequence(self.SEQUENCE, template, sir_dataset, 1,
+                                   np.random.default_rng(5), factor)
+        assert calls == [(EulerResidualObjective, LM_SCREEN_ITERS)]
+        assert len(draws) == (2 if case == "start not finite" else 0)
+        assert np.isfinite(record.loss)
 
 
 class TestLevenbergMarquardtFits:
     """The acceptance of Levenberg–Marquardt on the search path: on random
     sequences fitted iteratively (every type1 sequence, the nonlinear
-    type2 ones), the direct loss of ``minimize_lm`` from the uniform start
-    through ``_minimize``, so on the objective and with the budget that
-    ``score_sequence`` picks, against that of ``two_stage_minimize`` on the
-    direct objective from the
-    same start. Losses within a relative TIE of each other are the same
-    minimum: LM stops on stalled steps, two-stage on the gradient norm, and
-    on type1 about a third of the fits end at the same minimum a few 1e-12
-    apart, on either side."""
+    type2 ones), the loss of ``minimize_lm`` from the uniform start with
+    the budget that ``score_sequence`` picks, against that of
+    ``two_stage_minimize`` on the same objective from the same start.
+    Losses within a relative TIE of each other are the same minimum: LM
+    stops on stalled steps, two-stage on the gradient norm, and on type1
+    about a third of the fits end at the same minimum a few 1e-12 apart, on
+    either side."""
 
     TIE = 1e-9
 
@@ -633,7 +684,8 @@ class TestLevenbergMarquardtFits:
             start_loss = objective.loss(start)
             if not np.isfinite(start_loss):
                 continue
-            _, lm = search_mod._minimize(objective, start, LM_SCREEN_ITERS)
+            lm = sm.minimize_lm(objective, start, LM_SCREEN_ITERS
+                                if kind == "type2" else LM_ITERS).final_loss
             two_stage = sm.two_stage_minimize(
                 objective.loss_and_grad, start, sm.OptimConfig()).final_loss
             assert np.array_equal(start, kept)
