@@ -9,7 +9,8 @@ trajectories with uniform weight:
 A non-finite expression value on any sample yields the +inf sentinel so
 that sequence scoring maps the failure to score 0 instead of aborting.
 Every iterative fit runs on this residual, and its Jacobian gives the
-normal equations of Levenberg–Marquardt.
+normal equations of Levenberg–Marquardt. What the fits of one component
+read from the data, :class:`ComponentSamples`, is derived once.
 
 :func:`tsqr` folds a tall matrix into its R factor, one bounded QR at a
 time.
@@ -24,29 +25,43 @@ import numpy as np
 from . import expressions as ex
 
 
-class EulerResidualObjective:
-    """Loss, Euler residual and its Jacobian for a fixed (template,
-    sequence, data, component), and the gradient 2 J'r / M from them.
+class ComponentSamples:
+    """The pooled pairs' count ``m`` and step ``dt``, the component's Euler
+    difference ``dy`` and each unary tag's leaf features ``features[tag]``
+    (m x dim). They depend on neither sequence nor parameters, so one set
+    feeds a search's feature factor and every objective; the arrays are
+    read-only, as one write would reach every later fit."""
 
-    Precomputes the pooled sample pairs and the per-leaf operator outputs,
-    which do not depend on the parameters, so repeated calls during
-    optimization only pay for the affine combinations.
-    """
-
-    def __init__(self, template, sequence, data, component):
+    def __init__(self, data, component):
         if not 0 <= component < data.dim:
             raise ValueError(f"component {component} out of range 0..{data.dim - 1}")
-        if template.input_dim != data.dim:
+        X, X_next = data.stacked_pairs()
+        self.component, self.dim, self.dt = component, data.dim, data.dt
+        self.m = X.shape[0]
+        # a difference or a feature that is not finite is the fits' to handle
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.dy = X_next[:, component] - X[:, component]
+            self.features = {tag: rule(X)
+                             for tag, (rule, _) in ex.UNARY_RULES.items()}
+        for array in (self.dy, *self.features.values()):
+            array.flags.writeable = False
+
+
+class EulerResidualObjective:
+    """Loss, Euler residual and its Jacobian for a fixed (template,
+    sequence) on one component's :class:`ComponentSamples`, and the
+    gradient 2 J'r / M from them. Each leaf reads its tag's features from
+    the samples, so a call only pays for the affine combinations.
+    """
+
+    def __init__(self, template, sequence, samples):
+        if template.input_dim != samples.dim:
             raise ValueError("template input_dim does not match dataset dimension")
         ex.validate_sequence(template, sequence)
-        self.template = template
-        self.sequence = tuple(sequence)
-        self._plan = ex.compile_plan(template, self.sequence)
-        self.dt = data.dt
-        X, X_next = data.stacked_pairs()
-        self.dy = X_next[:, component] - X[:, component]
-        self.m = X.shape[0]
-        self._leaves = ex.leaf_values(self._plan, X)
+        self._plan = ex.compile_plan(template, sequence)
+        self.dt, self.dy, self.m = samples.dt, samples.dy, samples.m
+        self._leaves = [samples.features[tag] if kind == "leaf" else None
+                        for (kind, *_), tag in zip(self._plan, sequence)]
         self.n_params = template.n_params
 
     def _loss(self, theta):
@@ -122,11 +137,13 @@ def tsqr(A):
 
 def euler_residual_loss(expr, data, component):
     """Mean squared Euler residual of ``expr`` for one state component."""
-    obj = EulerResidualObjective(expr.template, expr.sequence, data, component)
+    obj = EulerResidualObjective(expr.template, expr.sequence,
+                                 ComponentSamples(data, component))
     return obj.loss(expr.params)
 
 
 def loss_and_gradient(expr, data, component):
     """Loss together with its exact parameter gradient."""
-    obj = EulerResidualObjective(expr.template, expr.sequence, data, component)
+    obj = EulerResidualObjective(expr.template, expr.sequence,
+                                 ComponentSamples(data, component))
     return obj.loss_and_grad(expr.params)

@@ -46,11 +46,10 @@ LM_ITERS = 50
 
 @dataclass
 class OptimConfig:
-    """Iteration budgets of :func:`two_stage_minimize`. The search fits
-    and fine-tunes every sequence by :func:`minimize_lm`, whose budgets are
-    module constants (``LM_ITERS`` here, ``search.LM_SCREEN_ITERS``), so it
-    reads none of these; nothing reads ``t3_iters``, which stays a valid
-    config key because existing configs set it."""
+    """Iteration budgets of :func:`two_stage_minimize`; the search fits by
+    :func:`minimize_lm` and reads none of them. Nothing reads ``t3_iters``:
+    no shipped config sets ``search.optim``, but tests and the benchmark's
+    self-test do, so the key stays valid."""
 
     t1_iters: int = 150
     t2_iters: int = 150

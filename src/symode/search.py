@@ -16,8 +16,8 @@ import numpy as np
 
 from . import expressions as ex
 from .controller import ControllerPolicy, policy_update, sample_sequences
-from .errors import NumericalError
-from .losses import EulerResidualObjective, tsqr
+from .errors import NonFiniteLossError, NumericalError
+from .losses import ComponentSamples, EulerResidualObjective, tsqr
 from .optimize import LM_ITERS, OptimConfig, minimize_lm, uniform_init
 
 # re-initialization attempts when random parameters give a non-finite loss
@@ -152,23 +152,21 @@ class CandidatePool:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def feature_factor(data, component):
+def feature_factor(samples):
     """R of the QR factorization of [Phi | y] for one component, or None
     when a feature is not finite.
 
-    Phi holds every tag of ``FEATURE_TAGS`` applied to each state coordinate
-    of the pooled sample pairs (tag-major columns) and then a ones column;
-    y is the Euler difference quotient of the component. R is built by
+    Phi holds the features ``samples.features[tag]`` of every tag of
+    ``FEATURE_TAGS`` (tag-major columns) and then a ones column; y is the
+    component's Euler difference quotient dy / dt. R is built by
     :func:`~symode.losses.tsqr`, so no QR sees all M rows at once. For
     any column set S, |Phi_S w - y| = |R_S w - R_y|, which is what lets
     every linear sequence of a component search be solved from this one
     small matrix.
     """
-    X, X_next = data.stacked_pairs()
-    y = (X_next[:, component] - X[:, component]) / data.dt
-    return tsqr(np.column_stack([ex.UNARY_RULES[tag][0](X)
-                                 for tag in FEATURE_TAGS]
-                                + [np.ones(X.shape[0]), y]))
+    return tsqr(np.column_stack([samples.features[tag] for tag in FEATURE_TAGS]
+                                + [np.ones(samples.m),
+                                   samples.dy / samples.dt]))
 
 
 def _is_constant(template, sequence, i):
@@ -258,8 +256,9 @@ def _closed_form(factor, template, sequence, form):
 
 # a loss beyond the float range scores 0; it is no cause for a warning
 @np.errstate(over="ignore", invalid="ignore")
-def score_sequence(sequence, template, data, component, rng, factor=None):
-    """Fit the parameters of one sequence and score the result.
+def score_sequence(sequence, template, samples, rng, factor=None):
+    """Fit the parameters of one sequence to a component's samples and
+    score the result.
 
     The route follows from the sequence alone: given the component's
     :func:`feature_factor`, a sequence whose :func:`linear_form` exists
@@ -268,33 +267,33 @@ def score_sequence(sequence, template, data, component, rng, factor=None):
     :func:`~symode.optimize.minimize_lm` on its Euler residual objective
     from a start uniform on [-1, 1], for ``LM_SCREEN_ITERS`` iterations on
     a type2 template and ``LM_ITERS`` on a type1 one. That start is drawn
-    first on either route, but only the iterative route evaluates it: while
-    its loss is not finite it draws again, up to ``MAX_INIT_RETRIES``
-    times, and then writes the sequence off with a score-0 sentinel. Every
-    recorded loss is the objective's at the recorded parameters. Numerical
-    failures never propagate out of here.
+    first on either route; only LM tests it, and a start it refuses as not
+    finite is drawn again, up to ``MAX_INIT_RETRIES`` times, before a
+    score-0 sentinel. Every recorded loss is the objective's at the
+    recorded parameters. Numerical failures never propagate out of here.
     """
     sequence = tuple(sequence)
-    objective = EulerResidualObjective(template, sequence, data, component)
+    objective = EulerResidualObjective(template, sequence, samples)
     theta0 = uniform_init(rng, objective.n_params)
     form = None if factor is None else linear_form(template, sequence)
     if form is not None:
         theta = _closed_form(factor, template, sequence, form)
         loss = objective.loss(theta)
         if np.isfinite(loss):
-            return ScoreRecord(sequence, loss, theta, component, template)
-    retries = MAX_INIT_RETRIES
-    while not np.isfinite(objective.loss(theta0)):
-        if retries == 0:
-            return ScoreRecord(sequence, float("inf"),
-                               np.zeros(objective.n_params), component,
+            return ScoreRecord(sequence, loss, theta, samples.component,
                                template)
-        retries -= 1
-        theta0 = uniform_init(rng, objective.n_params)
-    fit = minimize_lm(objective, theta0, LM_SCREEN_ITERS
-                      if template.kind == ex.TYPE2 else LM_ITERS)
-    return ScoreRecord(sequence, fit.final_loss, fit.final_params, component,
-                       template)
+    iters = LM_SCREEN_ITERS if template.kind == ex.TYPE2 else LM_ITERS
+    for attempt in range(1 + MAX_INIT_RETRIES):
+        if attempt:
+            theta0 = uniform_init(rng, objective.n_params)
+        try:
+            fit = minimize_lm(objective, theta0, iters)
+        except NonFiniteLossError:
+            continue
+        return ScoreRecord(sequence, fit.final_loss, fit.final_params,
+                           samples.component, template)
+    return ScoreRecord(sequence, float("inf"), np.zeros(objective.n_params),
+                       samples.component, template)
 
 
 @dataclass
@@ -311,15 +310,13 @@ def search_component(data, component, cfg: SearchConfig, rng):
     the records into the pool, then update the controller on the batch
     scores. After the last epoch each pool entry fitted iteratively is
     fitted again from its recorded parameters, which can only improve its
-    recorded loss. A type2 search factors the component's features once,
-    for the closed-form fits of its linear sequences: that is its one QR
-    factorization. :func:`score_sequence` and the fine-tune route every
-    sequence by that one factor, and fit every other sequence on its Euler
-    residual.
+    recorded loss. One :class:`~symode.losses.ComponentSamples` feeds every
+    fit; a type2 search factors its features once, its one QR, for the
+    closed-form fits of its linear sequences.
     """
     template = ex.build_template(cfg.template_for(component), data.dim)
-    factor = (feature_factor(data, component) if template.kind == ex.TYPE2
-              else None)
+    samples = ComponentSamples(data, component)
+    factor = feature_factor(samples) if template.kind == ex.TYPE2 else None
     policy = ControllerPolicy.uniform(template, cfg.epsilon, cfg.controller_lr)
     pool = CandidatePool(cfg.pool_capacity)
     history = []
@@ -329,15 +326,14 @@ def search_component(data, component, cfg: SearchConfig, rng):
         scores = np.empty(cfg.batch_size)
         for i, seq in enumerate(batch.sequences):
             if seq not in scored:
-                record = score_sequence(seq, template, data, component,
-                                        rng, factor)
+                record = score_sequence(seq, template, samples, rng, factor)
                 scored[seq] = record
                 pool.insert(record)
             scores[i] = scored[seq].score
         batch.scores = scores
         policy_update(policy, batch, cfg.nu)
         history.append(float(scores.max()))
-    _finetune_pool(pool, data, component, factor)
+    _finetune_pool(pool, samples, factor)
     best = pool.best()
     if best is None:
         raise NumericalError(
@@ -345,7 +341,7 @@ def search_component(data, component, cfg: SearchConfig, rng):
     return SearchOutcome(best, pool, history)
 
 
-def _finetune_pool(pool, data, component, factor):
+def _finetune_pool(pool, samples, factor):
     """Run Levenberg–Marquardt again on the Euler residual objective, from
     the recorded parameters of each pool entry that :func:`score_sequence`
     fits iteratively, for the full ``LM_ITERS``; an entry with a closed
@@ -360,7 +356,7 @@ def _finetune_pool(pool, data, component, factor):
                 and linear_form(record.template, record.sequence) is not None):
             continue
         objective = EulerResidualObjective(record.template, record.sequence,
-                                           data, component)
+                                           samples)
         fit = minimize_lm(objective, record.params, LM_ITERS)
         pool.insert(replace(record, params=fit.final_params,
                             loss=fit.final_loss))

@@ -13,7 +13,7 @@ import numpy as np
 import symode as sm
 from symode.config import run_config_from_dict
 from symode.controller import slot_vocabularies
-from symode.losses import EulerResidualObjective
+from symode.losses import ComponentSamples, EulerResidualObjective
 from symode.pipeline import run_real, run_synthetic
 from symode.search import CandidatePool
 
@@ -57,7 +57,7 @@ def test_c02_oracle_coefficient_recovery():
                                     normalize_init=False)
     template = sm.build_template("type1", 3)
     seq = ("id", "id", "sub", "id")
-    obj = EulerResidualObjective(template, seq, data, 2)
+    obj = EulerResidualObjective(template, seq, ComponentSamples(data, 2))
     init = np.random.default_rng(0).uniform(-1, 1, 10)
     result = sm.two_stage_minimize(obj.loss_and_grad, init, sm.OptimConfig())
     expr = sm.CompiledExpression(template, seq, result.final_params)
@@ -186,7 +186,8 @@ def test_c06_gradient_correctness():
             [rng.uniform(0, 1, (int(rng.integers(3, 10)), d))], 0.2,
             tuple(f"x{j}" for j in range(d)))
         comp = int(rng.integers(d))
-        obj = EulerResidualObjective(template, seq, data, comp)
+        obj = EulerResidualObjective(template, seq,
+                                     ComponentSamples(data, comp))
         theta2 = rng.uniform(-2, 2, p)
         _, grad2 = obj.loss_and_grad(theta2)
         fd2 = np.zeros(p)

@@ -13,7 +13,8 @@ from symode import expressions as ex
 from symode import losses as losses_mod
 from symode.datasets import TrajectoryDataset
 from symode.errors import EvaluationError
-from symode.losses import QR_BUDGET, EulerResidualObjective, tsqr
+from symode.losses import (QR_BUDGET, ComponentSamples,
+                           EulerResidualObjective, tsqr)
 
 from conftest import random_sequence
 
@@ -74,7 +75,8 @@ class TestEulerResidualLoss:
         template = sm.build_template("type2", 1)
         sequence = ("id", "id", "mul", "id", "add")
         data = single_pair_dataset([1e200], [1e200], dt=1.0)
-        objective = EulerResidualObjective(template, sequence, data, 0)
+        objective = EulerResidualObjective(template, sequence,
+                                           ComponentSamples(data, 0))
         loss, grad = objective.loss_and_grad(
             np.array([1e200, 0, 1e200, 0, 1e200, 0]))
         assert loss == float("inf")
@@ -150,7 +152,8 @@ class TestLossGradient:
             data = TrajectoryDataset([rng.uniform(0, 1, (n_rows, d))], 0.2,
                                      tuple(f"x{j}" for j in range(d)))
             comp = int(rng.integers(d))
-            obj = EulerResidualObjective(template, seq, data, comp)
+            obj = EulerResidualObjective(template, seq,
+                                         ComponentSamples(data, comp))
             theta = rng.uniform(-2, 2, obj.n_params)
             _, grad = obj.loss_and_grad(theta)
             fd = central_differences(obj, theta, h=1e-5)
@@ -160,8 +163,50 @@ class TestLossGradient:
     def test_component_out_of_range(self, sir_dataset):
         template = sm.build_template("type2", 3)
         with pytest.raises(ValueError):
-            EulerResidualObjective(template, ("id",) * 2 + ("add", "id", "add"),
-                                   sir_dataset, 3)
+            EulerResidualObjective(template,
+                                   ("id",) * 2 + ("add", "id", "add"),
+                                   ComponentSamples(sir_dataset, 3))
+
+
+class TestComponentSamples:
+    """A component search shares one sample set among its feature factor
+    and every objective, so no fit may change it, and an objective on a
+    set that other sequences used is the objective on a fresh set."""
+
+    def test_arrays_are_read_only(self, sir_dataset):
+        samples = ComponentSamples(sir_dataset, 1)
+        assert set(samples.features) == set(ex.UNARY_TAGS)
+        for array in (samples.dy, *samples.features.values()):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+            with pytest.raises(ValueError):
+                np.add(array, 1.0, out=array)
+
+    @pytest.mark.parametrize("kind,seq", [
+        ("type1", ("sin", "id", "mul", "cos")),
+        ("type2", ("sin", "id", "mul", "exp", "add"))])
+    def test_a_used_set_gives_the_bits_of_a_fresh_one(self, sir_dataset,
+                                                      kind, seq):
+        import symode.search as search_mod
+
+        template = sm.build_template(kind, 3)
+        shared = ComponentSamples(sir_dataset, 2)
+        kept = [a.copy() for a in (shared.dy, *shared.features.values())]
+        factor = search_mod.feature_factor(shared)
+        rng = np.random.default_rng(21)
+        for _ in range(8):
+            sm.score_sequence(random_sequence(template, rng), template,
+                              shared, rng, factor)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            kept, (shared.dy, *shared.features.values())))
+        theta = rng.uniform(-1, 1, template.n_params)
+        bits = []
+        for samples in (shared, ComponentSamples(sir_dataset, 2)):
+            objective = EulerResidualObjective(template, seq, samples)
+            loss, r, jacobian = objective.residual(theta)
+            bits.append((float(objective.loss(theta)).hex(), float(loss).hex(),
+                         r.tobytes(), jacobian().tobytes()))
+        assert bits[0] == bits[1]
 
 
 def test_loss_and_grad_runs_one_forward_pass(monkeypatch, sir_dataset):
@@ -176,7 +221,7 @@ def test_loss_and_grad_runs_one_forward_pass(monkeypatch, sir_dataset):
     monkeypatch.setattr(ex, "forward_pass", counting)
     template = sm.build_template("type1", 3)
     obj = EulerResidualObjective(template, ("id", "sin", "mul", "exp"),
-                                 sir_dataset, 1)
+                                 ComponentSamples(sir_dataset, 1))
     theta = np.full(obj.n_params, 0.1)
     loss, grad = obj.loss_and_grad(theta)
     assert np.isfinite(loss) and np.any(grad != 0.0)
@@ -262,7 +307,8 @@ def test_compiled_plan_matches_the_template_walk(kind, trajectories, steps):
         for _ in range(6):
             seq = random_sequence(template, rng)
             component = int(rng.integers(3))
-            objective = EulerResidualObjective(template, seq, data, component)
+            objective = EulerResidualObjective(
+                template, seq, ComponentSamples(data, component))
             for theta in (rng.uniform(-1, 1, template.n_params),
                           rng.uniform(-3, 3, template.n_params)):
                 assert hexes(*objective.loss_and_grad(theta)) == hexes(
@@ -295,7 +341,8 @@ def test_public_entries_do_not_warn_at_overflow(sir_dataset, kind, sequence,
     x = sir_dataset.trajectories[0][:5]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        objective = EulerResidualObjective(template, sequence, sir_dataset, 0)
+        objective = EulerResidualObjective(template, sequence,
+                                           ComponentSamples(sir_dataset, 0))
         assert objective.loss(theta) == float("inf")
         loss, grad = objective.loss_and_grad(theta)
         assert loss == float("inf")
@@ -338,7 +385,8 @@ class TestNonlinearShapes:
         template = sm.build_template("type2", 3)
         rng = np.random.default_rng(7)
         for component in range(3):
-            objective = EulerResidualObjective(template, seq, data, component)
+            objective = EulerResidualObjective(
+                template, seq, ComponentSamples(data, component))
             theta = rng.uniform(-1, 1, template.n_params)
             loss, grad = objective.loss_and_grad(theta)
             assert hexes(loss, grad) == hexes(*reference_loss_and_grad(
@@ -381,7 +429,8 @@ class TestNonlinearShapes:
             expected[:, template.slices[i]] = (-data.dt * chain[i][:, None]
                                                * block)
         for component in range(3):
-            objective = EulerResidualObjective(template, seq, data, component)
+            objective = EulerResidualObjective(
+                template, seq, ComponentSamples(data, component))
             _, _, jacobian = objective.residual(theta)
             J = jacobian()
             assert np.abs(J - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -418,7 +467,8 @@ class TestResidualJacobian:
         checked = 0
         for _ in range(6):
             seq = random_sequence(template, rng)
-            objective = EulerResidualObjective(template, seq, data, 0)
+            objective = EulerResidualObjective(template, seq,
+                                               ComponentSamples(data, 0))
             theta = rng.uniform(-1, 1, template.n_params)
             loss, r, jacobian = objective.residual(theta)
             assert loss == pytest.approx(float(r @ r) / pairs, rel=1e-12)
@@ -436,7 +486,8 @@ class TestResidualJacobian:
         data = single_pair_dataset([1e200, 0.0], [0.0, 0.0], 1.0)
         template = sm.build_template("type2", 2)
         objective = EulerResidualObjective(
-            template, ("quartic", "0", "add", "0", "add"), data, 0)
+            template, ("quartic", "0", "add", "0", "add"),
+            ComponentSamples(data, 0))
         loss, _, jacobian = objective.residual(np.ones(template.n_params))
         assert loss == float("inf") and jacobian is None
 
@@ -445,7 +496,7 @@ class TestResidualJacobian:
             raise AssertionError("reverse sweep run")
 
         objectives = [EulerResidualObjective(sm.build_template(kind, 3), seq,
-                                             sir_dataset, 0)
+                                             ComponentSamples(sir_dataset, 0))
                       for kind, seq in (("type1", ("sin", "id", "mul", "cos")),
                                         ("type2", AB[0]))]
         monkeypatch.setattr(ex, "param_jacobian", refuse)
@@ -467,8 +518,9 @@ class TestPowerTagGradients:
         template = sm.build_template("type1", 3)
         rng = np.random.default_rng(14)
         for component in range(3):
-            objective = EulerResidualObjective(template, children + (tag,),
-                                               sir_dataset, component)
+            objective = EulerResidualObjective(
+                template, children + (tag,),
+                ComponentSamples(sir_dataset, component))
             theta = rng.uniform(-1, 1, objective.n_params)
             _, grad = objective.loss_and_grad(theta)
             fd = central_differences(objective, theta)
@@ -483,8 +535,8 @@ class TestPowerTagGradients:
         seq = (tag, "id", shape[0], tag, shape[1])
         rng = np.random.default_rng(14)
         for component in range(3):
-            objective = EulerResidualObjective(template, seq, data,
-                                               component)
+            objective = EulerResidualObjective(
+                template, seq, ComponentSamples(data, component))
             theta = rng.uniform(-1, 1, template.n_params)
             _, grad = objective.loss_and_grad(theta)
             fd = central_differences(objective, theta)
@@ -520,9 +572,10 @@ def test_every_factor_qr_stays_within_the_budget(monkeypatch):
         data = sm.generate_trajectories(model, sm.benchmark_params(model), 4,
                                         300, 0.2, np.random.default_rng(1))
         template = sm.build_template("type2", d)
-        factor = search_mod.feature_factor(data, 0)
+        samples = ComponentSamples(data, 0)
+        factor = search_mod.feature_factor(samples)
         for seq in (AB[0], AB_PLUS_C[0], ABC):
-            sm.score_sequence(seq, template, data, 0,
+            sm.score_sequence(seq, template, samples,
                               np.random.default_rng(0), factor)
     assert max(rows * cols for rows, cols in shapes) <= QR_BUDGET
     widths = {cols for _, cols in shapes}
@@ -541,6 +594,7 @@ import numpy as np
 import symode as sm
 from symode.datasets import TrajectoryDataset
 from symode.errors import EvaluationError
+from symode.losses import ComponentSamples
 rng = np.random.default_rng(0)
 for kind, d, seq in (("type2", 3, ("sin", "id", "mul", "exp", "add")),
                      ("type1", 3, ("sin", "id", "mul", "cos")),
@@ -548,7 +602,7 @@ for kind, d, seq in (("type2", 3, ("sin", "id", "mul", "exp", "add")),
     data = TrajectoryDataset([rng.uniform(-1, 1, (25001, d))], 0.1,
                              tuple(f"x{j}" for j in range(d)))
     objective = sm.EulerResidualObjective(sm.build_template(kind, d), seq,
-                                          data, 0)
+                                          ComponentSamples(data, 0))
     theta = rng.uniform(-1, 1, objective.n_params)
     loss, grad = objective.loss_and_grad(theta)
     _, r, jacobian = objective.residual(theta)

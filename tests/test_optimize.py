@@ -3,7 +3,7 @@ import pytest
 
 import symode as sm
 from symode.errors import NonFiniteLossError
-from symode.losses import EulerResidualObjective
+from symode.losses import ComponentSamples, EulerResidualObjective
 from symode.optimize import (ARMIJO_C, GRAD_TOL, LM_ITERS, LM_STALLS,
                              LR_FIRST, MAX_BACKTRACKS, uniform_init)
 
@@ -102,7 +102,8 @@ class TestFirstOrder:
         series = np.linspace(1e80, 2e80, 30)[:, None]
         data = sm.TrajectoryDataset([series], 1.0, ("x",))
         obj = EulerResidualObjective(sm.build_template("type2", 1),
-                                     ("id", "id", "add", "id", "add"), data, 0)
+                                     ("id", "id", "add", "id", "add"),
+                                     ComponentSamples(data, 0))
         init = uniform_init(np.random.default_rng(5), 6)
         res = sm.minimize_first_order(obj.loss_and_grad, init, 30, LR_FIRST)
         assert res.final_loss <= obj.loss(init) / 10
@@ -202,7 +203,8 @@ class TestTwoStage:
     def test_sir_recovery_of_linear_component(self, sir_dataset_offsimplex):
         template = sm.build_template("type1", 3)
         seq = ("id", "id", "sub", "id")
-        obj = EulerResidualObjective(template, seq, sir_dataset_offsimplex, 2)
+        obj = EulerResidualObjective(
+            template, seq, ComponentSamples(sir_dataset_offsimplex, 2))
         rng = np.random.default_rng(0)
         res = sm.two_stage_minimize(obj.loss_and_grad, rng.uniform(-1, 1, 10),
                                     sm.OptimConfig())

@@ -12,7 +12,7 @@ import symode.search as search_mod
 from symode import expressions as ex
 from symode.datasets import TrajectoryDataset
 from symode.errors import NumericalError
-from symode.losses import EulerResidualObjective
+from symode.losses import ComponentSamples, EulerResidualObjective
 from symode.optimize import LM_ITERS, OptimResult, uniform_init
 from symode.search import LM_SCREEN_ITERS, CandidatePool, ScoreRecord
 
@@ -182,7 +182,8 @@ class TestScoreSequence:
         template = sm.build_template("type2", 3)
         seq = ("id", "id", "sub", "0", "add")
         rng = np.random.default_rng(0)
-        record = sm.score_sequence(seq, template, sir_dataset, 2, rng)
+        record = sm.score_sequence(seq, template,
+                                   ComponentSamples(sir_dataset, 2), rng)
         assert record.score >= 0.999
         assert abs(record.score * (1.0 + record.loss) - 1.0) <= 1e-12
 
@@ -190,7 +191,8 @@ class TestScoreSequence:
         template = sm.build_template("type2", 3)
         seq = ("exp", "exp", "mul", "exp", "mul")
         rng = np.random.default_rng(1)
-        record = sm.score_sequence(seq, template, sir_dataset, 0, rng)
+        record = sm.score_sequence(seq, template,
+                                   ComponentSamples(sir_dataset, 0), rng)
         assert 0.0 <= record.score <= 1.0
 
 
@@ -200,7 +202,7 @@ class TestScoreSequence:
                                  ("x",))
         template = sm.build_template("type2", 1)
         record = sm.score_sequence(("quartic", "id", "add", "id", "add"),
-                                   template, data, 0,
+                                   template, ComponentSamples(data, 0),
                                    np.random.default_rng(0))
         assert record.score == 0.0
         assert record.loss == float("inf")
@@ -221,10 +223,11 @@ class TestScoreSequence:
 
         template = sm.build_template("type2", 3)
         seq = ("sin", "id", "mul", "exp", "add")
-        plain = sm.score_sequence(seq, template, sir_dataset, 1,
+        samples = ComponentSamples(sir_dataset, 1)
+        plain = sm.score_sequence(seq, template, samples,
                                   np.random.default_rng(5))
         monkeypatch.setattr(search_mod, "uniform_init", init)
-        record = sm.score_sequence(seq, template, sir_dataset, 1,
+        record = sm.score_sequence(seq, template, samples,
                                    np.random.default_rng(5))
         if recovers:
             assert len(draws) == 2
@@ -267,17 +270,17 @@ class TestClosedForm:
         linear = linear_sequences(template)
         pick = np.random.default_rng(11)
         for component in range(3):
-            factor = search_mod.feature_factor(data, component)
+            samples = ComponentSamples(data, component)
+            factor = search_mod.feature_factor(samples)
             for k in pick.choice(len(linear), 12, replace=False):
                 seq = linear[k]
-                closed = sm.score_sequence(seq, template, data, component,
+                closed = sm.score_sequence(seq, template, samples,
                                            np.random.default_rng(k), factor)
-                iterative = sm.score_sequence(seq, template, data, component,
+                iterative = sm.score_sequence(seq, template, samples,
                                               np.random.default_rng(k))
                 assert closed.loss <= iterative.loss * (1 + 1e-9), seq
                 # the recorded loss is the objective's at the recorded params
-                objective = EulerResidualObjective(template, seq, data,
-                                                   component)
+                objective = EulerResidualObjective(template, seq, samples)
                 assert objective.loss(closed.params) == closed.loss
 
     @pytest.mark.parametrize("component,seq", [
@@ -289,8 +292,9 @@ class TestClosedForm:
         # dR/dt = gamma I is linear in id; on the simplex S*I is linear in
         # the squares and ids, so dS/dt and dI/dt are exact there too
         template = sm.build_template("type2", 3)
-        factor = search_mod.feature_factor(desk_sir_train, component)
-        record = sm.score_sequence(seq, template, desk_sir_train, component,
+        samples = ComponentSamples(desk_sir_train, component)
+        factor = search_mod.feature_factor(samples)
+        record = sm.score_sequence(seq, template, samples,
                                    np.random.default_rng(0), factor)
         assert record.loss < 1e-25
 
@@ -314,12 +318,13 @@ class TestClosedForm:
         template = sm.build_template("type2", 3)
         seq = ("sin", "id", "mul", "exp", "add")
         assert search_mod.linear_form(template, seq) is None
-        factor = search_mod.feature_factor(sir_dataset, 1)
-        record = sm.score_sequence(seq, template, sir_dataset, 1,
+        samples = ComponentSamples(sir_dataset, 1)
+        factor = search_mod.feature_factor(samples)
+        record = sm.score_sequence(seq, template, samples,
                                    np.random.default_rng(5), factor)
         # what a screening run of Levenberg–Marquardt gives on the Euler
         # residual objective from the first uniform draw, bit for bit
-        objective = EulerResidualObjective(template, seq, sir_dataset, 1)
+        objective = EulerResidualObjective(template, seq, samples)
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
         result = sm.minimize_lm(objective, theta0, LM_SCREEN_ITERS)
         assert np.array_equal(record.params, result.final_params)
@@ -336,11 +341,12 @@ class TestClosedForm:
         template = sm.build_template("type2", 1)
         seq = ("id", "id", "add", "id", "add")
         assert search_mod.linear_form(template, seq) is not None
-        factor = search_mod.feature_factor(data, 0)
+        samples = ComponentSamples(data, 0)
+        factor = search_mod.feature_factor(samples)
         assert factor is None
-        record = sm.score_sequence(seq, template, data, 0,
+        record = sm.score_sequence(seq, template, samples,
                                    np.random.default_rng(5), factor)
-        objective = EulerResidualObjective(template, seq, data, 0)
+        objective = EulerResidualObjective(template, seq, samples)
         theta0 = uniform_init(np.random.default_rng(5), objective.n_params)
         result = sm.minimize_lm(objective, theta0, LM_SCREEN_ITERS)
         assert np.isfinite(record.loss)
@@ -356,13 +362,14 @@ class TestClosedForm:
                                  ("x",))
         template = sm.build_template("type2", 1)
         seq = ("quartic", "0", "add", "0", "add")
-        factor = search_mod.feature_factor(data, 0)
+        samples = ComponentSamples(data, 0)
+        factor = search_mod.feature_factor(samples)
         assert factor is not None
-        objective = EulerResidualObjective(template, seq, data, 0)
+        objective = EulerResidualObjective(template, seq, samples)
         rng = np.random.default_rng(0)
         assert not any(np.isfinite(objective.loss(uniform_init(rng, 6)))
                        for _ in range(1 + search_mod.MAX_INIT_RETRIES))
-        record = sm.score_sequence(seq, template, data, 0,
+        record = sm.score_sequence(seq, template, samples,
                                    np.random.default_rng(0), factor)
         theta = search_mod._closed_form(
             factor, template, seq, search_mod.linear_form(template, seq))
@@ -384,10 +391,11 @@ class TestClosedForm:
         monkeypatch.setattr(search_mod, "minimize_lm", spy)
         template = sm.build_template("type2", 3)
         seq = ("sin", "id", "mul", "exp", "add")
-        record = sm.score_sequence(seq, template, sir_dataset, 1,
+        samples = ComponentSamples(sir_dataset, 1)
+        record = sm.score_sequence(seq, template, samples,
                                    np.random.default_rng(5), None)
         assert fitted == [EulerResidualObjective]
-        objective = EulerResidualObjective(template, seq, sir_dataset, 1)
+        objective = EulerResidualObjective(template, seq, samples)
         assert record.loss == objective.loss(record.params)
 
 
@@ -405,7 +413,7 @@ class TestFeatureFactor:
         A = np.column_stack(columns + [np.ones(len(X)),
                                        (X_next[:, component]
                                         - X[:, component]) / data.dt])
-        R = search_mod.feature_factor(data, component)
+        R = search_mod.feature_factor(ComponentSamples(data, component))
         n = A.shape[1]
         assert R.shape == (n, n)
         assert np.allclose(R.T @ R, A.T @ A, rtol=1e-10,
@@ -429,8 +437,9 @@ class TestIterativeFits:
                  ("square", "id", "mul", "cos", "add")]  # ab+c
 
     def direct_loss(self, record, data):
-        return EulerResidualObjective(record.template, record.sequence, data,
-                                      record.component).loss(record.params)
+        samples = ComponentSamples(data, record.component)
+        return EulerResidualObjective(record.template, record.sequence,
+                                      samples).loss(record.params)
 
     @pytest.mark.parametrize("dataset", ["sir_dataset", "qdr_train"])
     def test_every_recorded_loss_is_the_direct_loss(self, request, dataset):
@@ -450,10 +459,11 @@ class TestIterativeFits:
 
     def pool(self, data):
         template = sm.build_template("type2", 3)
-        factor = search_mod.feature_factor(data, 2)
+        samples = ComponentSamples(data, 2)
+        factor = search_mod.feature_factor(samples)
         pool = CandidatePool(len(self.SEQUENCES))
         for k, seq in enumerate(self.SEQUENCES):
-            pool.insert(sm.score_sequence(seq, template, data, 2,
+            pool.insert(sm.score_sequence(seq, template, samples,
                                           np.random.default_rng(k), factor))
         return pool, factor
 
@@ -470,7 +480,8 @@ class TestIterativeFits:
 
         with monkeypatch.context() as patch:
             patch.setattr(search_mod, "minimize_lm", spy)
-            search_mod._finetune_pool(pool, sir_dataset, 2, factor)
+            search_mod._finetune_pool(pool, ComponentSamples(sir_dataset, 2),
+                                      factor)
         # the linear sequence has a closed form and is not fine-tuned
         assert objectives == [EulerResidualObjective] * 2
         for record in pool.records():
@@ -492,7 +503,8 @@ class TestIterativeFits:
 
         with monkeypatch.context() as patch:
             patch.setattr(search_mod, "minimize_lm", worsens)
-            search_mod._finetune_pool(pool, sir_dataset, 2, factor)
+            search_mod._finetune_pool(pool, ComponentSamples(sir_dataset, 2),
+                                      factor)
         after = [(r.loss, r.params) for r in pool.records()]
         for (loss, params), (new_loss, new_params) in zip(before, after):
             assert new_loss == loss
@@ -567,7 +579,8 @@ class TestFinetuneRoute:
         for component in range(3):
             starts.clear()
             before.clear()
-            assert search_mod.feature_factor(data, component) is not None
+            assert search_mod.feature_factor(
+                ComponentSamples(data, component)) is not None
             out = sm.search_component(data, component, cfg,
                                       component_rng(1, component))
             closed = {seq for seq in before
@@ -629,7 +642,8 @@ class TestFitBudgets:
             self, sir_dataset, monkeypatch, case):
         # neither a missing feature factor nor a start drawn again changes
         # the objective or the budget of a type2 first fit
-        factor = search_mod.feature_factor(sir_dataset, 1)
+        samples = ComponentSamples(sir_dataset, 1)
+        factor = search_mod.feature_factor(samples)
         draws = []
         if case == "no factor":
             factor = None
@@ -643,11 +657,81 @@ class TestFitBudgets:
             monkeypatch.setattr(search_mod, "uniform_init", init)
         calls = self.record_budgets(monkeypatch)
         template = sm.build_template("type2", 3)
-        record = sm.score_sequence(self.SEQUENCE, template, sir_dataset, 1,
+        record = sm.score_sequence(self.SEQUENCE, template, samples,
                                    np.random.default_rng(5), factor)
-        assert calls == [(EulerResidualObjective, LM_SCREEN_ITERS)]
+        # LM refuses the start that is not finite: a call that raises
+        assert calls == [(EulerResidualObjective, LM_SCREEN_ITERS)] * (
+            2 if case == "start not finite" else 1)
         assert len(draws) == (2 if case == "start not finite" else 0)
         assert np.isfinite(record.loss)
+
+    @pytest.mark.parametrize("kind,seq", [
+        ("type2", SEQUENCE), ("type1", ("sin", "id", "mul", "cos"))])
+    def test_first_fit_tests_its_start_once(self, sir_dataset, monkeypatch,
+                                            kind, seq):
+        # minimize_lm tests the start, so the fit evaluates no loss of its
+        # own: one residual call per iteration and one at the start
+        calls = {"loss": 0, "residual": 0}
+        for name in calls:
+            def spy(objective, theta, method=getattr(EulerResidualObjective,
+                                                     name), name=name):
+                calls[name] += 1
+                return method(objective, theta)
+
+            monkeypatch.setattr(EulerResidualObjective, name, spy)
+        template = sm.build_template(kind, 3)
+        samples = ComponentSamples(sir_dataset, 1)
+        factor = (search_mod.feature_factor(samples) if kind == "type2"
+                  else None)
+        record = sm.score_sequence(seq, template, samples,
+                                   np.random.default_rng(5), factor)
+        assert np.isfinite(record.loss)
+        assert calls["loss"] == 0
+        budget = LM_SCREEN_ITERS if kind == "type2" else LM_ITERS
+        assert 1 <= calls["residual"] <= budget + 1
+
+
+class TestOneSampleSet:
+    """A component search stacks the sample pairs once, into one
+    ComponentSamples, and every objective it builds, first fits and
+    fine-tune alike, reads its leaves and Euler difference from it."""
+
+    @pytest.mark.parametrize("kind", ["type2", "type1"])
+    def test_one_stacking_per_search(self, sir_dataset, monkeypatch, kind):
+        stackings, built = [], []
+        stacked_pairs = TrajectoryDataset.stacked_pairs
+        objective_class = search_mod.EulerResidualObjective
+
+        def counting(data):
+            stackings.append(data)
+            return stacked_pairs(data)
+
+        def objective(template, sequence, samples):
+            built.append((template, sequence, samples,
+                          objective_class(template, sequence, samples)))
+            return built[-1][-1]
+
+        monkeypatch.setattr(TrajectoryDataset, "stacked_pairs", counting)
+        monkeypatch.setattr(search_mod, "EulerResidualObjective", objective)
+        cfg = sm.SearchConfig(epochs=3, batch_size=10, templates=kind)
+        for component in range(sir_dataset.dim):
+            stackings.clear()
+            built.clear()
+            sm.search_component(sir_dataset, component, cfg,
+                                component_rng(1, component))
+            assert len(stackings) == 1 and stackings[0] is sir_dataset
+            assert built
+            samples = built[0][2]
+            assert samples.component == component
+            for template, sequence, shared, fit in built:
+                assert shared is samples
+                assert fit.dy is samples.dy
+                leaves = [leaf for leaf in fit._leaves if leaf is not None]
+                tags = [tag for node, tag in zip(template.nodes, sequence)
+                        if node.is_leaf]
+                assert len(leaves) == len(tags)
+                assert all(leaf is samples.features[tag]
+                           for leaf, tag in zip(leaves, tags))
 
 
 class TestLevenbergMarquardtFits:
@@ -677,7 +761,8 @@ class TestLevenbergMarquardtFits:
             if search_mod.linear_form(template, seq) is not None:
                 continue
             component = len(ratios) % 3
-            objective = EulerResidualObjective(template, seq, data, component)
+            objective = EulerResidualObjective(
+                template, seq, ComponentSamples(data, component))
             start = uniform_init(rng, objective.n_params)
             start.setflags(write=False)
             kept = start.copy()
@@ -731,20 +816,21 @@ class TestSearchComponent:
         policy = sm.ControllerPolicy.uniform(template, cfg.epsilon,
                                              cfg.controller_lr)
         pool = search_mod.CandidatePool(cfg.pool_capacity)
+        samples = ComponentSamples(sir_dataset, 2)
         for _ in range(cfg.epochs):
             batch = sm.sample_sequences(policy, template, cfg.batch_size, rng)
             scores = np.empty(cfg.batch_size)
             seen = {}
             for i, seq in enumerate(batch.sequences):
                 if seq not in seen:
-                    seen[seq] = sm.score_sequence(seq, template, sir_dataset,
-                                                  2, rng)
+                    seen[seq] = sm.score_sequence(seq, template, samples,
+                                                  rng)
                     pool.insert(seen[seq])
                 scores[i] = seen[seq].score
             batch.scores = scores
             sm.policy_update(policy, batch, cfg.nu)
         before = {r.sequence: r.loss for r in pool.records()}
-        search_mod._finetune_pool(pool, sir_dataset, 2, None)
+        search_mod._finetune_pool(pool, samples, None)
         for rec in pool.records():
             assert rec.loss <= before[rec.sequence] + 1e-18
 
