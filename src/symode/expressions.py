@@ -270,9 +270,10 @@ def param_jacobian(plan, params, values, caches, seed):
     theta``, by one reverse sweep of the plan over the values and caches of
     :func:`forward_pass` at the same ``params``, from ``seed`` on every
     sample. Nodes have a single parent, so each node's adjoint is written
-    exactly once, before the sweep reaches the node; each parameter's
-    column holds its per-sample term."""
-    jac = np.zeros((values[-1].size, len(params)))
+    exactly once, before the sweep reaches the node. The matrix is the
+    transpose of a C-ordered J' whose every row, one per parameter, is
+    written once and contiguous, so J'J and J'r read whole rows."""
+    jac = np.empty((len(params), values[-1].size))
     adj = [None] * len(plan)
     adj[-1] = np.full(values[-1].shape, seed)
     for i in reversed(range(len(plan))):
@@ -283,13 +284,13 @@ def param_jacobian(plan, params, values, caches, seed):
             adj[l], adj[r] = rule(a, values[l], values[r])
             continue
         if kind == "leaf":
-            jac[:, alpha:beta] = caches[i] * a[:, None]
+            np.multiply(caches[i].T, a, out=jac[alpha:beta])
         else:
-            jac[:, alpha] = a * caches[i]
+            np.multiply(a, caches[i], out=jac[alpha])
             (c,) = children
             adj[c] = a * (params[alpha] * rule(values[c]))
-        jac[:, beta] = a
-    return jac
+        jac[beta] = a
+    return jac.T
 
 
 # overflow gives non-finite values, which the callers report

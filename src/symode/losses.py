@@ -95,7 +95,8 @@ class EulerResidualObjective:
     def residual(self, theta):
         """(loss, r, jacobian): the loss, the Euler residual
         r = dy - phi dt with loss = |r|^2 / M, and a function that returns
-        r's Jacobian -dt d phi / d theta (M x n_params). The Jacobian's
+        r's Jacobian -dt d phi / d theta: M x n_params, the transpose of
+        the C-ordered J' that ``param_jacobian`` writes. The Jacobian's
         sweep runs only when that function is called, so a trial point
         that a minimizer rejects costs one forward pass. A loss that is not
         finite is the +inf sentinel, and its jacobian is None."""

@@ -212,15 +212,16 @@ def minimize_lm(objective, init, iters):
     ``objective.residual(theta)`` returns (loss, r, jacobian), where
     ``jacobian()`` is dr/dtheta; it is called only at accepted points. Each
     iteration solves (J'J + lam D) step = -J'r, with D the diagonal of J'J
-    (a zero entry taken as 1), and accepts the trial only when its loss is
-    finite and lower than the current one, so the current point is always
-    the best one visited; lam starts at LM_DAMPING and is divided by
-    LM_DAMPING_FACTOR on an accepted step and multiplied by it on a
-    rejected one. Stops when the gradient norm 2|J'r| / m is at most
-    GRAD_TOL (converged), after LM_STALLS accepted steps in a row that each
-    lower the loss by a relative LM_STALL_RTOL or less, or after ``iters``
-    iterations. Each iteration makes at most one residual call, so a fit
-    makes at most ``iters + 1``.
+    (a zero entry taken as 1); J'J and J'r read whole rows when J is the
+    transpose of a C-ordered J', as the objective's is. It accepts the
+    trial only when its loss is finite and lower than the current one, so
+    the current point is always the best one visited; lam starts at
+    LM_DAMPING and is divided by LM_DAMPING_FACTOR on an accepted step and
+    multiplied by it on a rejected one. Stops when the gradient norm
+    2|J'r| / m is at most GRAD_TOL (converged), after LM_STALLS accepted
+    steps in a row that each lower the loss by a relative LM_STALL_RTOL or
+    less, or after ``iters`` iterations. Each iteration makes at most one
+    residual call, so a fit makes at most ``iters + 1``.
     """
     theta = np.array(init, dtype=float, copy=True)
     loss, r, jacobian = objective.residual(theta)

@@ -250,6 +250,49 @@ class TestGradient:
                 assert J[s] == pytest.approx(sm.param_gradient(expr, X[s]),
                                              rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_jacobian_writes_every_parameter_row(self, kind, monkeypatch):
+        """param_jacobian allocates J' uninitialised and writes each
+        parameter's row once; built from memory that starts as NaN, with
+        every unary tag at every unary slot and every binary tag at the
+        binary slots, J is finite and has the bits of the normal build."""
+
+        class NanFilledNumpy:
+            """numpy, except that ``empty`` hands out NaN-filled memory."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, *args, **kwargs):
+                return np.full(shape, np.nan, *args, **kwargs)
+
+        import symode.expressions as ex_mod
+        rng = np.random.default_rng(5)
+        t = sm.build_template(kind, 3)
+        X = rng.uniform(-1, 1, (40, 3))
+        theta = rng.uniform(-1, 1, t.n_params)
+        unary_slots = [i for i, node in enumerate(t.nodes)
+                       if node.kind == "unary"]
+        built = 0
+        for op in BINARY:
+            base = [op if node.kind == "binary" else "id" for node in t.nodes]
+            for slot in unary_slots:
+                for tag in UNARY:
+                    seq = tuple(base[:slot] + [tag] + base[slot + 1:])
+                    plan = compile_plan(t, seq)
+                    values, caches = forward_pass(plan, theta,
+                                                  leaf_values(plan, X))
+                    want = param_jacobian(plan, theta, values, caches, -0.1)
+                    with monkeypatch.context() as patched:
+                        patched.setattr(ex_mod, "np", NanFilledNumpy())
+                        got = param_jacobian(plan, theta, values, caches,
+                                             -0.1)
+                    assert np.isfinite(got).all(), seq
+                    assert got.tobytes() == want.tobytes(), seq
+                    built += 1
+        assert built == len(BINARY) * len(unary_slots) * len(UNARY)
+
 
 class TestPowerRules:
     """cube and quartic are products, which NumPy does not send to libm

@@ -235,7 +235,8 @@ def reference_loss_and_grad(template, sequence, theta, data, component):
     and ``template.slices``, one node at a time and in the operations the
     compiled plan must reproduce bit for bit: the residual's Jacobian J,
     seeded with -dt on every sample and each parameter's column kept per
-    sample, and the gradient 2 J'r / M."""
+    sample, and the gradient 2 J'r / M, reduced as the package reduces it:
+    one dot product per row of a C-ordered J'."""
     X, X_next = data.stacked_pairs()
     dy = X_next[:, component] - X[:, component]
     m = X.shape[0]
@@ -278,7 +279,7 @@ def reference_loss_and_grad(template, sequence, theta, data, component):
             J[:, sl.start] = a * caches[i]
             adj[c] = a * (theta[sl][0] * ex.UNARY_RULES[tag][1](values[c]))
         J[:, sl.stop - 1] = a
-    return loss, (2.0 / m) * (J.T @ r)
+    return loss, (2.0 / m) * (np.ascontiguousarray(J.T) @ r)
 
 
 def hexes(loss, grad):
@@ -481,6 +482,28 @@ class TestResidualJacobian:
                     <= 1e-11 * np.linalg.norm(grad))
             checked += 1
         assert checked >= 6
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_jacobian_is_a_view_of_parameter_rows(self, kind, sir_dataset):
+        """The residual Jacobian is M x n_params, the transpose of a
+        C-ordered J' whose rows J'J and J'r read whole; a one-point
+        Jacobian's row is ``param_gradient``, bit for bit."""
+        rng = np.random.default_rng(3)
+        template = sm.build_template(kind, 3)
+        seq = random_sequence(template, rng)
+        samples = ComponentSamples(sir_dataset, 0)
+        objective = EulerResidualObjective(template, seq, samples)
+        theta = rng.uniform(-1, 1, template.n_params)
+        J = objective.residual(theta)[2]()
+        assert J.shape == (samples.m, template.n_params)
+        assert J.T.flags.c_contiguous
+        expr = sm.CompiledExpression(template, seq, theta)
+        x = sir_dataset.stacked_pairs()[0][:1]
+        values, caches = ex.forward_pass(expr.plan, theta,
+                                         ex.leaf_values(expr.plan, x))
+        row = ex.param_jacobian(expr.plan, theta, values, caches, 1.0)
+        assert row.shape == (1, template.n_params)
+        assert sm.param_gradient(expr, x[0]).tobytes() == row[0].tobytes()
 
     def test_residual_has_no_jacobian_at_a_non_finite_loss(self):
         data = single_pair_dataset([1e200, 0.0], [0.0, 0.0], 1.0)
