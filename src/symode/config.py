@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from .dataio import NORMALIZATION_MODES, read_text
-from .epidemic import EpiParams, ModelKind, benchmark_params
+from .epidemic import MODEL_RATES, EpiParams, ModelKind, benchmark_params
 from .errors import ConfigError
 from .search import SearchConfig
 
@@ -33,7 +33,8 @@ _REAL = {"mode": "real"}
 @dataclass
 class ModelConfig:
     """Ground-truth model of synthetic data. ``params`` overrides some of
-    the model's benchmark rate constants; its keys are EpiParams fields."""
+    the model's benchmark rate constants; its keys are the EpiParams fields
+    that the model reads (``MODEL_RATES``)."""
 
     kind: str = "sir"
     params: dict = field(default_factory=dict, metadata={"fields_of": EpiParams})
@@ -43,6 +44,9 @@ class ModelConfig:
         if self.kind not in [m.value for m in ModelKind]:
             raise ValueError(f"kind: unknown model {self.kind!r}")
         self.epi_params()  # range-checks the overridden rates
+        unread = sorted(set(self.params) - set(MODEL_RATES[self.kind]))
+        if unread:
+            raise ValueError(f"params: {self.kind} does not read {unread}")
 
     def epi_params(self):
         """The model's benchmark rate constants with ``params`` applied."""
@@ -82,6 +86,8 @@ class NormalizationConfig:
             raise ValueError("constant: must be > 0")
         if self.mode == "by_constant" and self.constant is None:
             raise ValueError("constant: required for by_constant mode")
+        if self.mode != "by_constant" and self.constant is not None:
+            raise ValueError("constant: read only in by_constant mode")
 
 
 @dataclass

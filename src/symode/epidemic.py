@@ -73,6 +73,14 @@ def benchmark_params(kind):
     return EpiParams()
 
 
+# The EpiParams fields that each model's vector_field reads.
+MODEL_RATES = {
+    ModelKind.SIR: ("beta", "gamma", "mu", "n_pop"),
+    ModelKind.SEIR: ("beta", "gamma", "mu", "sigma", "nu_rate", "n_pop"),
+    ModelKind.SEIRD: ("beta", "gamma", "sigma", "delta", "n_pop"),
+}
+
+
 def vector_field(kind, params, x):
     """Right-hand side of the chosen model. ``x`` may be a single state
     vector or an array whose last axis indexes compartments."""

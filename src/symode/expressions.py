@@ -365,28 +365,30 @@ def _join_affine(terms, constant, precision):
     return "".join(pieces)
 
 
-def _unary_term(tag, operand):
-    """Text of ``u(operand)`` for a bare operand such as a variable name."""
-    if tag == "id":
-        return operand
-    if tag == "square":
-        return operand + "^2"
-    if tag == "cube":
-        return operand + "^3"
-    if tag == "quartic":
-        return operand + "^4"
-    return f"{tag}({operand})"
+def _unary_term(tag, operand, composite):
+    """Text of ``u(operand)``. A composite operand, a subtree's text, is
+    parenthesized unless the tag's own parentheses enclose it."""
+    if tag in ("sin", "cos", "exp"):
+        return f"{tag}({operand})"
+    if composite:
+        operand = f"({operand})"
+    return operand + {"id": "", "square": "^2", "cube": "^3",
+                      "quartic": "^4"}[tag]
 
 
-def leaf_string(tag, alpha, beta, var_names, precision):
-    """Render one unary leaf in the printed-equation style, e.g.
-    ``0.1919*sin(R) + 0.1812*sin(D) + 0.7006*sin(Q) - 0.7283``."""
+def unary_string(tag, alpha, beta, operands, precision, composite=False):
+    """Render one unary node, ``sum_j alpha_j*u(operand_j) + beta``, in the
+    printed-equation style, e.g.
+    ``0.1919*sin(R) + 0.1812*sin(D) + 0.7006*sin(Q) - 0.7283``. A leaf's
+    operands are the variable names; an interior node's one operand is its
+    child's text, which is ``composite``."""
     alpha = np.asarray(alpha, dtype=float)
     if tag == "0":
         return _join_affine([], float(beta), precision)
     if tag == "1":
         return _join_affine([], float(alpha.sum() + beta), precision)
-    terms = [(float(a), _unary_term(tag, name)) for a, name in zip(alpha, var_names)]
+    terms = [(float(a), _unary_term(tag, name, composite))
+             for a, name in zip(alpha, operands)]
     return _join_affine(terms, float(beta), precision)
 
 
@@ -416,19 +418,8 @@ def to_symbolic_string(expr, precision=4, var_names=None):
             sep = " + " if tag == "add" else "*"
             return sep.join(parts)
         theta = params[template.slices[i]]
-        if node.is_leaf:
-            return leaf_string(tag, theta[:-1], theta[-1], var_names,
-                               precision)
-        inner = render(node.children[0])
-        if tag == "0":
-            return _join_affine([], float(theta[1]), precision)
-        if tag == "1":
-            return _join_affine([], float(theta[0] + theta[1]), precision)
-        if tag in ("sin", "cos", "exp"):
-            text = f"{tag}({inner})"
-        else:
-            text = _unary_term(tag, f"({inner})")
-        return _join_affine([(float(theta[0]), text)], float(theta[1]),
-                            precision)
+        operands = var_names if node.is_leaf else [render(node.children[0])]
+        return unary_string(tag, theta[:-1], theta[-1], operands, precision,
+                            composite=not node.is_leaf)
 
     return render(len(template.nodes) - 1)

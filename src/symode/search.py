@@ -169,88 +169,81 @@ def feature_factor(samples):
                                    samples.dy / samples.dt]))
 
 
-def _is_constant(template, sequence, i):
-    """Whether node i is constant whatever its parameters: a '0'/'1' leaf,
-    or a binary node over two constant nodes."""
+def _unit_betas(template, sequence, i):
+    """The betas that, set to 1 with the rest of node i's parameters zero,
+    make node i evaluate to 1 (1 + 0, 1 - 0, 1 * 1); None unless node i is
+    constant whatever its parameters: a '0'/'1' leaf, or a binary node over
+    two constant nodes."""
     node = template.nodes[i]
-    if node.kind == "binary":
-        return all(_is_constant(template, sequence, c) for c in node.children)
-    return node.is_leaf and sequence[i] in CONSTANT_TAGS
+    if node.kind == "unary":
+        constant = node.is_leaf and sequence[i] in CONSTANT_TAGS
+        return [template.slices[i].stop - 1] if constant else None
+    l, r = (_unit_betas(template, sequence, c) for c in node.children)
+    if l is None or r is None:
+        return None
+    return l + r if sequence[i] == "mul" else l
 
 
 def linear_form(template, sequence):
-    """The expression as a signed sum of leaves, when its function class is
+    """The plan of the expression's closed form, when its function class is
     linear in the leaf features; None when it is not.
 
     That holds when every binary node is ``add``/``sub``, except ``mul``
     nodes with a constant operand: scaling the other operand by a constant
-    leaves its function class unchanged. Returns (terms, units): ``terms``
-    lists (leaf index, sign) pairs whose signed sum is the expression once
-    every node in ``units`` (the constant ``mul`` operands) is 1. An
-    interior unary node (type1) is never linear.
+    leaves its function class unchanged. An interior unary node (type1) is
+    never linear. The plan is (columns, signs, targets, betas): the signed
+    :func:`feature_factor` columns whose weights fit the expression, the
+    parameter each weight sets (the ones column's is the first leaf's beta,
+    each non-constant leaf's tag block its alphas), and the
+    :func:`_unit_betas` of each constant ``mul`` operand.
     """
-    terms, units = [], []
+    d = template.input_dim
+    columns, signs, targets, betas = [len(FEATURE_TAGS) * d], [], [], []
 
     def walk(i, sign):
         node = template.nodes[i]
         if node.kind == "unary":
-            terms.append((i, sign))
-            return node.is_leaf
+            if not node.is_leaf:
+                return False
+            sl = template.slices[i]
+            if not signs:
+                signs.append(sign)
+                targets.append(sl.stop - 1)
+            if sequence[i] not in CONSTANT_TAGS:
+                start = FEATURE_TAGS.index(sequence[i]) * d
+                columns.extend(range(start, start + d))
+                signs.extend([sign] * d)
+                targets.extend(range(sl.start, sl.stop - 1))
+            return True
         l, r = node.children
         if sequence[i] == "mul":
             for unit, rest in ((l, r), (r, l)):
-                if _is_constant(template, sequence, unit):
-                    units.append(unit)
+                one = _unit_betas(template, sequence, unit)
+                if one is not None:
+                    betas.extend(one)
                     return walk(rest, sign)
             return False
         return walk(l, sign) and walk(r, -sign if sequence[i] == "sub" else sign)
 
-    return (terms, units) if walk(template.n_slots - 1, 1.0) else None
+    form = columns, signs, targets, betas
+    return form if walk(template.n_slots - 1, 1.0) else None
 
 
-def _set_one(template, sequence, theta, i):
-    """Make the constant node i evaluate to 1 (theta starts at zero)."""
-    node = template.nodes[i]
-    if node.kind == "unary":
-        theta[template.slices[i].stop - 1] = 1.0   # beta; alpha stays 0
-        return
-    l, r = node.children
-    _set_one(template, sequence, theta, l)          # 1 + 0, 1 - 0
-    if sequence[i] == "mul":
-        _set_one(template, sequence, theta, r)      # 1 * 1
-
-
-def _closed_form(factor, template, sequence, form):
-    """Parameters at the least-squares minimum of a linear sequence.
-
-    The solve reads only the factor's rows: an n x (3d+1) problem at most,
-    with n = len(FEATURE_TAGS) * d + 1, whatever the number of samples. Each
-    non-constant leaf's alpha is its block of the solution, the intercept
-    is the first term's beta, and each constant ``mul`` operand is set to 1;
-    every other parameter is zero.
-    """
-    terms, units = form
-    d = template.input_dim
-    n = len(FEATURE_TAGS) * d + 1
-    first, first_sign = terms[0]
-    columns, signs = [n - 1], [first_sign]
-    targets = [template.slices[first].stop - 1]
-    for leaf, sign in terms:
-        if sequence[leaf] in CONSTANT_TAGS:
-            continue
-        start = FEATURE_TAGS.index(sequence[leaf]) * d
-        sl = template.slices[leaf]
-        columns.extend(range(start, start + d))
-        signs.extend([sign] * d)
-        targets.extend(range(sl.start, sl.stop - 1))
+def _closed_form(factor, template, form):
+    """Parameters at the least-squares minimum of a linear sequence, from
+    its :func:`linear_form` plan: each weight sets its target, each beta is
+    1, and every other parameter is zero. The solve reads only the factor's
+    rows: an n x (3d+1) problem at most, with n = len(FEATURE_TAGS) * d + 1,
+    whatever the number of samples."""
+    columns, signs, targets, betas = form
+    n = len(FEATURE_TAGS) * template.input_dim + 1
     # the minimum-norm solution through the SVD (np.linalg.lstsq's gelsd
     # wakes OpenBLAS worker threads at 22 x 10); columns repeat when two
     # leaves share a tag, and on the simplex the ids sum to the ones column
     w = np.linalg.pinv(factor[:n, columns] * signs) @ factor[:n, n]
     theta = np.zeros(template.n_params)
     theta[targets] = w
-    for unit in units:
-        _set_one(template, sequence, theta, unit)
+    theta[betas] = 1.0
     return theta
 
 
@@ -277,7 +270,7 @@ def score_sequence(sequence, template, samples, rng, factor=None):
     theta0 = uniform_init(rng, objective.n_params)
     form = None if factor is None else linear_form(template, sequence)
     if form is not None:
-        theta = _closed_form(factor, template, sequence, form)
+        theta = _closed_form(factor, template, form)
         loss = objective.loss(theta)
         if np.isfinite(loss):
             return ScoreRecord(sequence, loss, theta, samples.component,

@@ -215,6 +215,16 @@ MALFORMED = [
     ("model.params", syn(model={"params": [0.5]}), "expected an object"),
     ("model.params", syn(model={"params": {"betta": 0.5}}),
      "unknown keys ['betta']"),
+    # a rate the model's vector field never reads
+    ("model.params", syn(model={"params": {"delta": 0.1}}),
+     "sir does not read ['delta']"),
+    ("model.params", syn(model={"params": {"sigma": 0.5, "beta": 0.5,
+                                            "nu_rate": 0.1}}),
+     "sir does not read ['nu_rate', 'sigma']"),
+    ("model.params", syn(model={"kind": "seir", "params": {"delta": 0.1}}),
+     "seir does not read ['delta']"),
+    ("model.params", syn(model={"kind": "seird", "params": {"mu": 0.1}}),
+     "seird does not read ['mu']"),
     ("model.params.n_pop", syn(model={"params": {"n_pop": "1"}}),
      "expected float"),
     ("data", syn(data=None), "expected an object"),
@@ -255,6 +265,12 @@ MALFORMED = [
      "must be > 0"),
     ("normalization.constant", real(normalization={"mode": "by_constant"}),
      "required for by_constant mode"),
+    # a constant that no other mode reads
+    ("normalization.constant", real(normalization={"constant": 1000.0}),
+     "read only in by_constant mode"),
+    ("normalization.constant",
+     real(normalization={"mode": "none", "constant": 2.0}),
+     "read only in by_constant mode"),
     ("config", real(model={"kind": "sir"}), "unknown keys ['model']"),
     ("config", real(data={}), "unknown keys ['data']"),
     ("config", real(real_dt=1.0), "unknown keys ['real_dt']"),

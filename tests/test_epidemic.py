@@ -1,10 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import symode as sm
-from symode.epidemic import ModelKind, benchmark_params
+from symode.epidemic import MODEL_RATES, ModelKind, benchmark_params
 from symode.errors import NumericalError
 
 
@@ -100,6 +100,20 @@ class TestVectorField:
             sm.EpiParams(beta=-0.1)
         with pytest.raises(ValueError):
             sm.EpiParams(n_pop=0.0)
+
+    @pytest.mark.parametrize("kind", [k.value for k in ModelKind])
+    def test_model_rates_are_the_fields_read(self, kind):
+        # perturbing an EpiParams field changes the field exactly when the
+        # model's rate set names it, so the set cannot drift from the model
+        params = benchmark_params(kind)
+        states = np.random.default_rng(3).uniform(0.1, 1,
+                                                  (50, ModelKind(kind).dim))
+        base = sm.vector_field(kind, params, states)
+        for f in fields(sm.EpiParams):
+            moved = replace(params, **{f.name: getattr(params, f.name) + 0.25})
+            changed = not np.array_equal(
+                sm.vector_field(kind, moved, states), base)
+            assert changed == (f.name in MODEL_RATES[kind]), f.name
 
     def test_model_dependent_sigma(self):
         assert benchmark_params("seir").sigma == 0.6

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 import symode as sm
 from symode.errors import EvaluationError
-from symode.expressions import (EXP_CLAMP, UNARY_RULES, compile_plan,
-                                forward_pass, leaf_string, leaf_values,
-                                param_jacobian, to_symbolic_string)
+from symode.expressions import (EXP_CLAMP, UNARY_RULES, _join_affine,
+                                compile_plan, forward_pass, leaf_values,
+                                param_jacobian, to_symbolic_string,
+                                unary_string)
 
 from conftest import random_sequence
 
@@ -370,17 +372,17 @@ def test_affine_trees_are_affine(scale, data):
 
 class TestSymbolicString:
     def test_sin_leaf_formats_like_reported_equations(self):
-        out = leaf_string("sin", [0.1919, 0.1812, 0.7006], -0.7283,
-                          ("R", "D", "Q"), precision=4)
+        out = unary_string("sin", [0.1919, 0.1812, 0.7006], -0.7283,
+                           ("R", "D", "Q"), precision=4)
         assert out == "0.1919*sin(R) + 0.1812*sin(D) + 0.7006*sin(Q) - 0.7283"
 
     def test_zero_operator_leaf_prints_zero(self):
-        assert leaf_string("0", [1.0, 2.0], 0.0, ("x", "y"),
-                           precision=4) == "0"
+        assert unary_string("0", [1.0, 2.0], 0.0, ("x", "y"),
+                            precision=4) == "0"
 
     def test_leaf_powers_use_caret(self):
-        out = leaf_string("cube", [-0.9030, 2.4025], 0.0311, ("R", "D"),
-                          precision=4)
+        out = unary_string("cube", [-0.9030, 2.4025], 0.0311, ("R", "D"),
+                           precision=4)
         assert out == "-0.9030*R^3 + 2.4025*D^3 + 0.0311"
 
     def test_whole_tree_string(self):
@@ -408,3 +410,91 @@ class TestSymbolicString:
             scope = dict(env, **{names[j]: x[j] for j in range(d)})
             reevaluated = eval(text.replace("^", "**"), {"__builtins__": {}}, scope)
             assert reevaluated == pytest.approx(sm.evaluate(expr, x), abs=1e-5)
+
+
+# The printer as it was before one renderer printed every unary node: leaves
+# through reference_leaf_string, interior unary nodes through a branch of
+# their own with a second copy of the '0'/'1' rules. The one renderer must
+# print the same strings.
+
+def reference_unary_term(tag, operand):
+    if tag == "id":
+        return operand
+    if tag == "square":
+        return operand + "^2"
+    if tag == "cube":
+        return operand + "^3"
+    if tag == "quartic":
+        return operand + "^4"
+    return f"{tag}({operand})"
+
+
+def reference_leaf_string(tag, alpha, beta, var_names, precision):
+    alpha = np.asarray(alpha, dtype=float)
+    if tag == "0":
+        return _join_affine([], float(beta), precision)
+    if tag == "1":
+        return _join_affine([], float(alpha.sum() + beta), precision)
+    terms = [(float(a), reference_unary_term(tag, name))
+             for a, name in zip(alpha, var_names)]
+    return _join_affine(terms, float(beta), precision)
+
+
+def reference_symbolic_string(expr, precision, var_names):
+    template, sequence, params = expr.template, expr.sequence, expr.params
+
+    def render(i):
+        node = template.nodes[i]
+        tag = sequence[i]
+        if node.kind == "binary":
+            if tag == "sub":
+                return (f"({render(node.children[0])}) - "
+                        f"({render(node.children[1])})")
+            parts = []
+            stack = [node.children[1], node.children[0]]
+            while stack:
+                j = stack.pop()
+                child = template.nodes[j]
+                if child.kind == "binary" and sequence[j] == tag:
+                    stack.extend((child.children[1], child.children[0]))
+                else:
+                    parts.append(f"({render(j)})")
+            return (" + " if tag == "add" else "*").join(parts)
+        theta = params[template.slices[i]]
+        if node.is_leaf:
+            return reference_leaf_string(tag, theta[:-1], theta[-1],
+                                         var_names, precision)
+        inner = render(node.children[0])
+        if tag == "0":
+            return _join_affine([], float(theta[1]), precision)
+        if tag == "1":
+            return _join_affine([], float(theta[0] + theta[1]), precision)
+        if tag in ("sin", "cos", "exp"):
+            text = f"{tag}({inner})"
+        else:
+            text = reference_unary_term(tag, f"({inner})")
+        return _join_affine([(float(theta[0]), text)], float(theta[1]),
+                            precision)
+
+    return render(len(template.nodes) - 1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_every_printed_string_equals_reference(kind, d):
+    # every sequence, once with random coefficients and once with a mix of
+    # random ones, zeros and negative zeros, at 4 and 8 digits
+    template = sm.build_template(kind, d)
+    names = ("S", "I", "R")[:d]
+    rng = np.random.default_rng(d)
+    vocab = [UNARY if node.kind == "unary" else BINARY
+             for node in template.nodes]
+    for seq in itertools.product(*vocab):
+        uniform = rng.uniform(-2, 2, template.n_params)
+        mixed = np.choose(rng.integers(3, size=template.n_params),
+                          [rng.uniform(-2, 2, template.n_params), 0.0, -0.0])
+        for theta in (uniform, mixed):
+            expr = sm.CompiledExpression(template, seq, theta)
+            for precision in (4, 8):
+                assert (to_symbolic_string(expr, precision, names)
+                        == reference_symbolic_string(expr, precision, names))

@@ -372,7 +372,7 @@ class TestClosedForm:
         record = sm.score_sequence(seq, template, samples,
                                    np.random.default_rng(0), factor)
         theta = search_mod._closed_form(
-            factor, template, seq, search_mod.linear_form(template, seq))
+            factor, template, search_mod.linear_form(template, seq))
         assert np.isfinite(record.loss) and record.score > 0.0
         assert np.array_equal(record.params, theta)
         assert record.loss == objective.loss(theta)
@@ -397,6 +397,119 @@ class TestClosedForm:
         assert fitted == [EulerResidualObjective]
         objective = EulerResidualObjective(template, seq, samples)
         assert record.loss == objective.loss(record.params)
+
+
+# The closed form as it was before linear_form returned its plan: a signed
+# list of leaves and the constant mul operands, then a second walk over them
+# to build the columns and set each operand to 1. The plan must reproduce it
+# bit for bit.
+
+def reference_is_constant(template, sequence, i):
+    node = template.nodes[i]
+    if node.kind == "binary":
+        return all(reference_is_constant(template, sequence, c)
+                   for c in node.children)
+    return node.is_leaf and sequence[i] in search_mod.CONSTANT_TAGS
+
+
+def reference_linear_form(template, sequence):
+    terms, units = [], []
+
+    def walk(i, sign):
+        node = template.nodes[i]
+        if node.kind == "unary":
+            terms.append((i, sign))
+            return node.is_leaf
+        l, r = node.children
+        if sequence[i] == "mul":
+            for unit, rest in ((l, r), (r, l)):
+                if reference_is_constant(template, sequence, unit):
+                    units.append(unit)
+                    return walk(rest, sign)
+            return False
+        return walk(l, sign) and walk(r, -sign if sequence[i] == "sub" else sign)
+
+    return (terms, units) if walk(template.n_slots - 1, 1.0) else None
+
+
+def reference_set_one(template, sequence, theta, i):
+    node = template.nodes[i]
+    if node.kind == "unary":
+        theta[template.slices[i].stop - 1] = 1.0
+        return
+    l, r = node.children
+    reference_set_one(template, sequence, theta, l)
+    if sequence[i] == "mul":
+        reference_set_one(template, sequence, theta, r)
+
+
+def reference_closed_form(factor, template, sequence, form):
+    terms, units = form
+    d = template.input_dim
+    n = len(search_mod.FEATURE_TAGS) * d + 1
+    first, first_sign = terms[0]
+    columns, signs = [n - 1], [first_sign]
+    targets = [template.slices[first].stop - 1]
+    for leaf, sign in terms:
+        if sequence[leaf] in search_mod.CONSTANT_TAGS:
+            continue
+        start = search_mod.FEATURE_TAGS.index(sequence[leaf]) * d
+        sl = template.slices[leaf]
+        columns.extend(range(start, start + d))
+        signs.extend([sign] * d)
+        targets.extend(range(sl.start, sl.stop - 1))
+    w = np.linalg.pinv(factor[:n, columns] * signs) @ factor[:n, n]
+    theta = np.zeros(template.n_params)
+    theta[targets] = w
+    for unit in units:
+        reference_set_one(template, sequence, theta, unit)
+    return theta
+
+
+class TestClosedFormPlan:
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_linearity_agrees_with_reference(self, kind, d):
+        template = sm.build_template(kind, d)
+        for seq in all_sequences(template):
+            assert ((search_mod.linear_form(template, seq) is None)
+                    == (reference_linear_form(template, seq) is None)), seq
+
+    @pytest.mark.parametrize("dataset,component",
+                             [("desk_sir_train", 0), ("qdr_train", 1)])
+    def test_theta_bytes_equal_reference(self, request, dataset, component):
+        data = request.getfixturevalue(dataset)
+        template = sm.build_template("type2", data.dim)
+        factor = search_mod.feature_factor(ComponentSamples(data, component))
+        for seq in linear_sequences(template):
+            theta = search_mod._closed_form(
+                factor, template, search_mod.linear_form(template, seq))
+            expected = reference_closed_form(
+                factor, template, seq, reference_linear_form(template, seq))
+            assert theta.tobytes() == expected.tobytes(), seq
+
+    def test_plan_matches_the_evaluator(self):
+        # the plan's weights scattered into theta, with its betas at 1, give
+        # the expression that the signed feature columns do
+        d = 3
+        template = sm.build_template("type2", d)
+        rng = np.random.default_rng(33)
+        X = rng.uniform(-1.5, 1.5, (40, d))
+        features = np.column_stack(
+            [ex.UNARY_RULES[tag][0](X) for tag in search_mod.FEATURE_TAGS]
+            + [np.ones(len(X))])
+        for seq in linear_sequences(template):
+            columns, signs, targets, betas = search_mod.linear_form(template,
+                                                                    seq)
+            w = rng.uniform(-1, 1, len(columns))
+            theta = np.zeros(template.n_params)
+            theta[targets] = w
+            theta[betas] = 1.0
+            value = sm.evaluate_batch(sm.CompiledExpression(template, seq,
+                                                            theta), X)
+            expected = features[:, columns] @ (np.asarray(signs) * w)
+            assert np.linalg.norm(value - expected) <= (
+                1e-12 * np.linalg.norm(expected)), seq
 
 
 class TestFeatureFactor:
