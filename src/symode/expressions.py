@@ -325,14 +325,19 @@ def evaluate(expr, x):
     return val
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def param_gradient(expr, x):
     """Exact gradient of f with respect to every parameter at one point:
-    the one row of its :func:`param_jacobian`."""
+    the one row of its :func:`param_jacobian`; raises EvaluationError if
+    the value or the gradient is not finite."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
     values, caches = _forward(expr, x)
     if not np.isfinite(values[-1][0]):
         raise EvaluationError(f"expression value is not finite at x={x!r}")
-    return param_jacobian(expr.plan, expr.params, values, caches, 1.0)[0]
+    grad = param_jacobian(expr.plan, expr.params, values, caches, 1.0)[0]
+    if not np.isfinite(grad).all():
+        raise EvaluationError(f"expression gradient is not finite at x={x!r}")
+    return grad
 
 
 # ---------------------------------------------------------------------------

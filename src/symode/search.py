@@ -1,12 +1,10 @@
 """The search loop: score sampled operator sequences, update the
 controller, keep the best candidates and fine-tune them; and the
-vector-valued system that one expression per component forms. Every
-iterative fit, first fits and fine-tune alike, is
-:func:`~symode.optimize.minimize_lm` on the sequence's
-:class:`~symode.losses.EulerResidualObjective`: a type2 first fit is a
-short screening fit of ``LM_SCREEN_ITERS`` iterations, and every other
-fit, the fine-tune of each pool entry included, has the full
-``LM_ITERS``."""
+vector-valued system that one expression per component forms. A first
+fit, as :func:`score_sequence` routes it, is a closed form or
+:func:`~symode.optimize.minimize_lm` on the sequence's Euler residual
+objective for ``LM_SCREEN_ITERS`` (type2) or ``LM_ITERS`` (type1)
+iterations; the fine-tune runs LM on every pool entry for ``LM_ITERS``."""
 
 from __future__ import annotations
 
@@ -301,11 +299,11 @@ def search_component(data, component, cfg: SearchConfig, rng):
 
     Every epoch: sample a batch, score each distinct sequence once, insert
     the records into the pool, then update the controller on the batch
-    scores. After the last epoch each pool entry fitted iteratively is
-    fitted again from its recorded parameters, which can only improve its
-    recorded loss. One :class:`~symode.losses.ComponentSamples` feeds every
-    fit; a type2 search factors its features once, its one QR, for the
-    closed-form fits of its linear sequences.
+    scores. After the last epoch every pool entry, closed forms included,
+    is fitted again from its recorded parameters, which can only lower its
+    loss. One :class:`~symode.losses.ComponentSamples` feeds every fit; a
+    type2 search factors its features once, its one QR, for the closed
+    forms of its linear sequences.
     """
     template = ex.build_template(cfg.template_for(component), data.dim)
     samples = ComponentSamples(data, component)
@@ -326,7 +324,7 @@ def search_component(data, component, cfg: SearchConfig, rng):
         batch.scores = scores
         policy_update(policy, batch, cfg.nu)
         history.append(float(scores.max()))
-    _finetune_pool(pool, samples, factor)
+    _finetune_pool(pool, samples)
     best = pool.best()
     if best is None:
         raise NumericalError(
@@ -334,20 +332,16 @@ def search_component(data, component, cfg: SearchConfig, rng):
     return SearchOutcome(best, pool, history)
 
 
-def _finetune_pool(pool, samples, factor):
+def _finetune_pool(pool, samples):
     """Run Levenberg–Marquardt again on the Euler residual objective, from
-    the recorded parameters of each pool entry that :func:`score_sequence`
-    fits iteratively, for the full ``LM_ITERS``; an entry with a closed
-    form under the search's feature ``factor`` already sits at its
-    least-squares minimum and is skipped. A first fit that stopped on its
-    iteration budget (``LM_SCREEN_ITERS`` for a type2 screening fit) or on
-    stalled steps goes on from where it stopped. LM moves only to a lower
-    loss, and the pool keeps the record with the lower loss, so the
-    recorded loss never worsens."""
+    the recorded parameters of every pool entry, for the full
+    ``LM_ITERS``. A first fit that stopped on its iteration budget
+    (``LM_SCREEN_ITERS`` for a type2 screening fit) or on stalled steps
+    goes on from where it stopped. An entry already at its minimum, as a
+    closed form usually is, passes LM's gradient test before any step and
+    keeps its bytes. LM moves only to a lower loss, and the pool keeps the
+    record with the lower loss, so the recorded loss never worsens."""
     for record in pool.records():
-        if (factor is not None
-                and linear_form(record.template, record.sequence) is not None):
-            continue
         objective = EulerResidualObjective(record.template, record.sequence,
                                            samples)
         fit = minimize_lm(objective, record.params, LM_ITERS)

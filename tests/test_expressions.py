@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ class TestGradient:
                 ) / (2 * h)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12)
             assert rel <= 1e-5
+
+    def test_gradient_overflow_is_an_evaluation_error(self):
+        # the value 1e-80 * 1e200 = 1e120 is finite, but its alpha
+        # derivative, 1e200 * (1e30)^4, overflows in the reverse sweep
+        t = sm.build_template("type2", 1)
+        expr = sm.CompiledExpression(t, ("quartic", "id", "mul", "0", "add"),
+                                     np.array([1e-200, 0, 0, 1e200, 0, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sm.evaluate(expr, [1e30]) == pytest.approx(1e120)
+            with pytest.raises(EvaluationError,
+                               match="gradient is not finite at x="):
+                sm.param_gradient(expr, [1e30])
 
     def test_jacobian_rows_match_point_gradients(self):
         """Row s of the batch Jacobian the search runs, seeded with 1, is

@@ -541,9 +541,9 @@ class TestFeatureFactor:
 
 
 class TestIterativeFits:
-    """Nonlinear type2 sequences are fitted, and fine-tuned in the pool, on
-    the Euler residual objective; entries with a closed form are not
-    fine-tuned; every recorded loss is that objective's."""
+    """Nonlinear type2 sequences are fitted, and every pool entry is
+    fine-tuned, on the Euler residual objective; every recorded loss is
+    that objective's."""
 
     SEQUENCES = [("id", "0", "add", "0", "add"),        # linear
                  ("id", "sin", "sub", "id", "mul"),     # ab
@@ -578,11 +578,11 @@ class TestIterativeFits:
         for k, seq in enumerate(self.SEQUENCES):
             pool.insert(sm.score_sequence(seq, template, samples,
                                           np.random.default_rng(k), factor))
-        return pool, factor
+        return pool
 
     def test_finetune_runs_on_direct_objectives(self, sir_dataset,
                                                 monkeypatch):
-        pool, factor = self.pool(sir_dataset)
+        pool = self.pool(sir_dataset)
         before = {r.sequence: r.loss for r in pool.records()}
         objectives = []
         lm = search_mod.minimize_lm
@@ -593,10 +593,9 @@ class TestIterativeFits:
 
         with monkeypatch.context() as patch:
             patch.setattr(search_mod, "minimize_lm", spy)
-            search_mod._finetune_pool(pool, ComponentSamples(sir_dataset, 2),
-                                      factor)
-        # the linear sequence has a closed form and is not fine-tuned
-        assert objectives == [EulerResidualObjective] * 2
+            search_mod._finetune_pool(pool, ComponentSamples(sir_dataset, 2))
+        # the linear sequence's closed form is fine-tuned as well
+        assert objectives == [EulerResidualObjective] * 3
         for record in pool.records():
             assert record.loss <= before[record.sequence]
             assert self.direct_loss(record, sir_dataset) == record.loss
@@ -605,7 +604,7 @@ class TestIterativeFits:
             self, sir_dataset, monkeypatch):
         # a fit that ends above its start, with that end's own loss: the
         # pool keeps the record with the lower loss
-        pool, factor = self.pool(sir_dataset)
+        pool = self.pool(sir_dataset)
         before = [(r.loss, r.params.copy()) for r in pool.records()]
         starts = []
 
@@ -616,17 +615,16 @@ class TestIterativeFits:
 
         with monkeypatch.context() as patch:
             patch.setattr(search_mod, "minimize_lm", worsens)
-            search_mod._finetune_pool(pool, ComponentSamples(sir_dataset, 2),
-                                      factor)
+            search_mod._finetune_pool(pool, ComponentSamples(sir_dataset, 2))
         after = [(r.loss, r.params) for r in pool.records()]
         for (loss, params), (new_loss, new_params) in zip(before, after):
             assert new_loss == loss
             assert np.array_equal(new_params, params)
-        # both iterative entries were offered parameters whose loss is
-        # worse than their own
+        # every entry, the closed form included, was offered parameters
+        # whose loss is worse than its own
         offered = [r for r in pool.records()
                    if any(np.array_equal(r.params, s) for s in starts)]
-        assert len(starts) == len(offered) == 2
+        assert len(starts) == len(offered) == 3
         for record in offered:
             worse = dataclasses.replace(record, params=record.params + 0.5)
             assert self.direct_loss(worse, sir_dataset) > record.loss
@@ -665,50 +663,107 @@ class TestIterativeFits:
 
 
 class TestFinetuneRoute:
+    """The fine-tune runs Levenberg–Marquardt for LM_ITERS on every pool
+    entry, closed forms included: score_sequence alone decides a fit's
+    route, and LM's own gradient test leaves an entry already at its
+    minimum unchanged."""
+
     @pytest.mark.parametrize("dataset", ["desk_sir_train", "qdr_train"])
-    def test_only_iterative_entries_are_fine_tuned(self, request, dataset,
-                                                   monkeypatch):
+    def test_every_entry_is_fine_tuned(self, request, dataset, monkeypatch):
         data = request.getfixturevalue(dataset)
         cfg = sm.SearchConfig(epochs=3, batch_size=10, pool_capacity=30)
-        starts, before = [], {}
+        calls, before = [], {}
         lm = search_mod.minimize_lm
         finetune = search_mod._finetune_pool
 
         def spy(fit, init, iters):
-            starts.append(init.tobytes())
+            calls.append((init.tobytes(), iters))
             return lm(fit, init, iters)
 
-        def snapshot(pool, *args):
+        def snapshot(pool, samples):
             before.update({r.sequence: (r.params.tobytes(), r.loss)
                            for r in pool.records()})
             # the first fits run minimize_lm too; only the fine-tune's count
             with monkeypatch.context() as patch:
                 patch.setattr(search_mod, "minimize_lm", spy)
-                return finetune(pool, *args)
+                return finetune(pool, samples)
 
         monkeypatch.setattr(search_mod, "_finetune_pool", snapshot)
         template = sm.build_template("type2", 3)
         n_closed = n_iterative = 0
         for component in range(3):
-            starts.clear()
+            calls.clear()
             before.clear()
             assert search_mod.feature_factor(
                 ComponentSamples(data, component)) is not None
             out = sm.search_component(data, component, cfg,
                                       component_rng(1, component))
+            assert sorted(calls) == sorted((params, LM_ITERS)
+                                           for params, _ in before.values())
+            after = {r.sequence: r for r in out.pool.records()}
             closed = {seq for seq in before
                       if search_mod.linear_form(template, seq) is not None}
-            iterative = [params for seq, (params, _) in before.items()
-                         if seq not in closed]
-            assert sorted(starts) == sorted(iterative)
-            after = {r.sequence: r for r in out.pool.records()}
-            for seq in closed:
-                params, loss = before[seq]
-                assert after[seq].params.tobytes() == params
-                assert after[seq].loss == loss
+            for seq, (params, loss) in before.items():
+                assert after[seq].loss <= loss
+                if seq in closed and dataset == "desk_sir_train":
+                    # the desk closed forms sit at their minimum
+                    assert after[seq].params.tobytes() == params
+                    assert after[seq].loss == loss
             n_closed += len(closed)
-            n_iterative += len(iterative)
+            n_iterative += len(before) - len(closed)
         assert n_closed > 0 and n_iterative > 0
+
+    def test_screened_linear_entry_is_fine_tuned(self, sir_dataset,
+                                                 monkeypatch):
+        # a closed form whose loss is not finite leaves the linear sequence
+        # to a screening fit, which the fine-tune goes on from
+        seq = ("id", "0", "add", "0", "add")
+        template = sm.build_template("type2", 3)
+        samples = ComponentSamples(sir_dataset, 1)
+        factor = search_mod.feature_factor(samples)
+        assert search_mod.linear_form(template, seq) is not None
+        monkeypatch.setattr(search_mod, "_closed_form",
+                            lambda factor, template, form:
+                            np.full(template.n_params, 1e200))
+        budgets = []
+        lm = search_mod.minimize_lm
+
+        def spy(fit, init, iters):
+            budgets.append(iters)
+            return lm(fit, init, iters)
+
+        monkeypatch.setattr(search_mod, "minimize_lm", spy)
+        record = sm.score_sequence(seq, template, samples,
+                                   np.random.default_rng(3), factor)
+        assert np.isfinite(record.loss)
+        assert budgets == [LM_SCREEN_ITERS]
+        pool = CandidatePool(1)
+        pool.insert(record)
+        search_mod._finetune_pool(pool, samples)
+        assert budgets == [LM_SCREEN_ITERS, LM_ITERS]
+        assert pool.best().loss <= record.loss
+
+    def test_lowers_a_closed_form_off_its_minimum(self, qdr_train):
+        # on qdr_train's Q, LM from the pinv closed form of this sequence
+        # finds a lower loss; no entry's loss rises
+        template = sm.build_template("type2", 3)
+        samples = ComponentSamples(qdr_train, 0)
+        factor = search_mod.feature_factor(samples)
+        sequences = [("id", "sin", "add", "cube", "sub"),
+                     ("exp", "cos", "add", "square", "sub"),
+                     ("id", "0", "add", "0", "add"),
+                     ("sin", "id", "mul", "exp", "add")]
+        pool = CandidatePool(len(sequences))
+        for k, seq in enumerate(sequences):
+            pool.insert(sm.score_sequence(seq, template, samples,
+                                          np.random.default_rng(k), factor))
+        before = {r.sequence: r.loss for r in pool.records()}
+        assert len(before) == len(sequences)
+        search_mod._finetune_pool(pool, samples)
+        after = {r.sequence: r.loss for r in pool.records()}
+        assert after[sequences[0]] < before[sequences[0]]
+        for seq, loss in before.items():
+            assert after[seq] <= loss
 
 
 class TestFitBudgets:
@@ -943,7 +998,7 @@ class TestSearchComponent:
             batch.scores = scores
             sm.policy_update(policy, batch, cfg.nu)
         before = {r.sequence: r.loss for r in pool.records()}
-        search_mod._finetune_pool(pool, samples, None)
+        search_mod._finetune_pool(pool, samples)
         for rec in pool.records():
             assert rec.loss <= before[rec.sequence] + 1e-18
 
