@@ -36,7 +36,7 @@ class ComponentSamples:
         if not 0 <= component < data.dim:
             raise ValueError(f"component {component} out of range 0..{data.dim - 1}")
         X, X_next = data.stacked_pairs()
-        self.component, self.dim, self.dt = component, data.dim, data.dt
+        self.dim, self.dt = data.dim, data.dt
         self.m = X.shape[0]
         # a difference or a feature that is not finite is the fits' to handle
         with np.errstate(over="ignore", invalid="ignore"):
@@ -64,22 +64,12 @@ class EulerResidualObjective:
                         for (kind, *_), tag in zip(self._plan, sequence)]
         self.n_params = template.n_params
 
-    def _loss(self, theta):
-        """One forward pass: the loss, the Euler residual and the pass's
-        values and caches. A phi that is not finite on some sample makes
-        the loss not finite, as does a residual whose square overflows."""
-        values, caches = ex.forward_pass(self._plan, theta, self._leaves)
-        r = self.dy - values[-1] * self.dt
-        return ex._dot(r, r) / self.m, r, values, caches
-
     # Public entries: a loss that is not finite is the +inf sentinel, never
-    # a warning. forward_pass holds no np.errstate of its own; inside a fit
-    # the minimizers hold one for the whole fit, and the decorator form
-    # costs half of a ``with np.errstate`` block per call.
-    @np.errstate(over="ignore", invalid="ignore")
+    # a warning. forward_pass holds no np.errstate of its own, so residual,
+    # the one forward pass, holds one (the decorator form costs half of a
+    # ``with np.errstate`` block per call); loss reads it.
     def loss(self, theta):
-        loss = self._loss(theta)[0]
-        return loss if math.isfinite(loss) else float("inf")
+        return self.residual(theta)[0]
 
     # jacobian() runs outside residual's own np.errstate
     @np.errstate(over="ignore", invalid="ignore")
@@ -93,14 +83,17 @@ class EulerResidualObjective:
 
     @np.errstate(over="ignore", invalid="ignore")
     def residual(self, theta):
-        """(loss, r, jacobian): the loss, the Euler residual
-        r = dy - phi dt with loss = |r|^2 / M, and a function that returns
-        r's Jacobian -dt d phi / d theta: M x n_params, the transpose of
-        the C-ordered J' that ``param_jacobian`` writes. The Jacobian's
-        sweep runs only when that function is called, so a trial point
-        that a minimizer rejects costs one forward pass. A loss that is not
-        finite is the +inf sentinel, and its jacobian is None."""
-        loss, r, values, caches = self._loss(theta)
+        """(loss, r, jacobian) from one forward pass: the loss, the Euler
+        residual r = dy - phi dt with loss = |r|^2 / M, and a function that
+        returns r's Jacobian -dt d phi / d theta: M x n_params, the
+        transpose of the C-ordered J' that ``param_jacobian`` writes. The
+        Jacobian's sweep runs only when that function is called, so a trial
+        point that a minimizer rejects costs one forward pass. A phi that is
+        not finite on some sample, or a residual whose square overflows,
+        gives the +inf sentinel, and its jacobian is None."""
+        values, caches = ex.forward_pass(self._plan, theta, self._leaves)
+        r = self.dy - values[-1] * self.dt
+        loss = ex._dot(r, r) / self.m
         if not math.isfinite(loss):
             return float("inf"), r, None
         return loss, r, lambda: ex.param_jacobian(self._plan, theta, values,

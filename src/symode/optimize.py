@@ -104,30 +104,26 @@ def uniform_init(rng, count):
 def minimize_first_order(fn, init, iters, lr):
     """Adam-style momentum descent with bias correction.
 
-    Runs exactly ``iters`` steps (or stops early on a non-finite loss) and
-    returns the best iterate seen.
+    The second moment is kept as its root, sqrt(v), updated by
+    hypot(sqrt(BETA2) sqrt(v), sqrt(1 - BETA2) g), so no gradient is
+    squared and the step is the same at any gradient scale up to the float
+    range. Runs exactly ``iters`` steps (or stops early on a non-finite
+    loss) and returns the best iterate seen.
     """
     theta = np.array(init, dtype=float, copy=True)
     loss, grad = fn(theta)
     _check_start(loss)
     best = _BestTracker(theta, loss)
     m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    rms = np.zeros_like(theta)   # the root of the second moment
     used = 0
     for t in range(1, iters + 1):
         if not np.isfinite(grad).all():
             break
         m = BETA1 * m + (1.0 - BETA1) * grad
-        v = BETA2 * v + (1.0 - BETA2) * grad * grad
+        rms = np.hypot(math.sqrt(BETA2) * rms, math.sqrt(1.0 - BETA2) * grad)
         m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        # a gradient above ~1.3e154 squares to inf, which would freeze its
-        # coordinate for good; there the step is lr times the sign of m_hat
-        denom = np.sqrt(v_hat) + ADAM_EPS
-        step = lr * m_hat / denom
-        if np.isinf(denom).any():
-            step = np.where(np.isinf(denom), lr * np.sign(m_hat), step)
-        theta = theta - step
+        theta = theta - lr * m_hat / (rms / math.sqrt(1.0 - BETA2**t) + ADAM_EPS)
         loss, grad = fn(theta)
         used = t
         if not math.isfinite(loss):

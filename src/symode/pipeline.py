@@ -201,10 +201,9 @@ def _record_entry(record):
             "score": float(record.score), "loss": float(record.loss)}
 
 
-def _component_entry(record, var_names):
+def _component_entry(k, record, var_names):
     expr = ex.CompiledExpression(record.template, record.sequence, record.params)
-    return {"component": record.component,
-            "name": var_names[record.component],
+    return {"component": k, "name": var_names[k],
             "template": record.template.kind, **_record_entry(record),
             "symbolic": ex.to_symbolic_string(expr, var_names=var_names)}
 
@@ -213,7 +212,8 @@ def _base_document(cfg, var_names, outcomes):
     return {
         "config_echo": cfg.to_dict(),
         "var_names": list(var_names),
-        "components": [_component_entry(o.best, var_names) for o in outcomes],
+        "components": [_component_entry(i, o.best, var_names)
+                       for i, o in enumerate(outcomes)],
         "pool": [{"component": i,
                   "entries": [_record_entry(r) for r in o.pool.records()]}
                  for i, o in enumerate(outcomes)],

@@ -97,7 +97,6 @@ class ScoreRecord:
     sequence: tuple
     loss: float
     params: np.ndarray
-    component: int
     template: ex.TreeTemplate
 
     @property
@@ -271,8 +270,7 @@ def score_sequence(sequence, template, samples, rng, factor=None):
         theta = _closed_form(factor, template, form)
         loss = objective.loss(theta)
         if np.isfinite(loss):
-            return ScoreRecord(sequence, loss, theta, samples.component,
-                               template)
+            return ScoreRecord(sequence, loss, theta, template)
     iters = LM_SCREEN_ITERS if template.kind == ex.TYPE2 else LM_ITERS
     for attempt in range(1 + MAX_INIT_RETRIES):
         if attempt:
@@ -281,10 +279,9 @@ def score_sequence(sequence, template, samples, rng, factor=None):
             fit = minimize_lm(objective, theta0, iters)
         except NonFiniteLossError:
             continue
-        return ScoreRecord(sequence, fit.final_loss, fit.final_params,
-                           samples.component, template)
+        return ScoreRecord(sequence, fit.final_loss, fit.final_params, template)
     return ScoreRecord(sequence, float("inf"), np.zeros(objective.n_params),
-                       samples.component, template)
+                       template)
 
 
 @dataclass

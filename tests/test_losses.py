@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -334,8 +335,9 @@ def test_compiled_plan_matches_the_template_walk(kind, trajectories, steps):
 def test_public_entries_do_not_warn_at_overflow(sir_dataset, kind, sequence,
                                                 scale, phi_finite):
     """Inside a fit the minimizers hold one np.errstate for the whole fit;
-    every public entry holds its own, so an overflowing theta gives the
-    entry's sentinel or its named error, never a RuntimeWarning."""
+    every public entry holds its own or reads ``residual``, which holds
+    one, so an overflowing theta gives the entry's sentinel or its named
+    error, never a RuntimeWarning."""
     template = sm.build_template(kind, 3)
     theta = np.full(template.n_params, scale)
     expr = sm.CompiledExpression(template, sequence, theta)
@@ -372,6 +374,50 @@ AB_PLUS_C = [("sin", "id", "mul", "exp", "add"),
              ("cos", "cos", "mul", "1", "add"),
              ("exp", "id", "mul", "0", "sub")]
 ABC = ("id", "sin", "mul", "cube", "mul")
+
+
+# per template kind: (sequence, scale of a theta full of it, what phi is
+# on the samples there)
+EVALUATION_CASES = {
+    "type1": [(("cube", "id", "mul", "square"), 0.5, "finite"),
+              (("cube", "id", "mul", "square"), 1e200, "inf"),
+              (("id", "id", "sub", "sin"), 1e308, "nan"),
+              (("id", "id", "add", "id"), 1e150, "square overflows")],
+    "type2": [(("exp", "cube", "mul", "id", "add"), 0.5, "finite"),
+              (("exp", "cube", "mul", "id", "add"), 1e200, "inf"),
+              (("id", "id", "sub", "0", "add"), 1e308, "nan"),
+              (("1", "0", "add", "0", "add"), 1e200, "square overflows")],
+}
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_loss_is_the_residual_evaluation(sir_dataset, kind):
+    """``loss`` reads ``residual``, the objective's one forward pass: the
+    same bits on a finite theta, and the +inf sentinel with no Jacobian
+    where phi overflows, where it is nan and where the residual's square
+    overflows."""
+    template = sm.build_template(kind, 3)
+    samples = ComponentSamples(sir_dataset, 0)
+    X = sir_dataset.stacked_pairs()[0]
+    for sequence, scale, phi in EVALUATION_CASES[kind]:
+        theta = np.full(template.n_params, scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = ex.evaluate_batch(
+                sm.CompiledExpression(template, sequence, theta), X)
+        if phi == "inf":
+            assert np.isinf(values).any() and not np.isnan(values).any()
+        elif phi == "nan":
+            assert np.isnan(values).any()
+        else:
+            assert np.isfinite(values).all()
+        objective = EulerResidualObjective(template, sequence, samples)
+        loss, _, jacobian = objective.residual(theta)
+        assert objective.loss(theta).hex() == loss.hex()
+        assert (jacobian is None) == (phi != "finite")
+        if phi == "finite":
+            assert math.isfinite(loss)
+        else:
+            assert loss == float("inf")
 
 
 class TestNonlinearShapes:

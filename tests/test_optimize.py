@@ -96,17 +96,34 @@ class TestFirstOrder:
         # reported loss is re-checkable at the reported parameters
         assert quadratic(res.final_params)[0] == pytest.approx(res.final_loss)
 
-    def test_overflowing_moment_still_steps(self):
-        # gradients near 1e160 square to inf in the second moment; those
-        # coordinates step by lr * sign(m_hat) instead of stalling at 0
-        series = np.linspace(1e80, 2e80, 30)[:, None]
+    @staticmethod
+    def series_objective(scale):
+        series = np.linspace(scale, 2 * scale, 30)[:, None]
         data = sm.TrajectoryDataset([series], 1.0, ("x",))
-        obj = EulerResidualObjective(sm.build_template("type2", 1),
-                                     ("id", "id", "add", "id", "add"),
-                                     ComponentSamples(data, 0))
+        return EulerResidualObjective(sm.build_template("type2", 1),
+                                      ("id", "id", "add", "id", "add"),
+                                      ComponentSamples(data, 0))
+
+    def test_overflowing_moment_still_steps(self):
+        # gradients near 1e160 would square to inf; the second moment is
+        # kept as its root, by hypot, so those coordinates step as any other
+        obj = self.series_objective(1e80)
         init = uniform_init(np.random.default_rng(5), 6)
         res = sm.minimize_first_order(obj.loss_and_grad, init, 30, LR_FIRST)
         assert res.final_loss <= obj.loss(init) / 10
+
+    def test_steps_do_not_depend_on_the_gradient_scale(self):
+        """Adam's step is scale-free: on a series scaled by 1e80, whose
+        gradients would square past the float range, and by 1e70, whose
+        gradients do not, the loss falls by the same ratio."""
+        ratios = []
+        for scale in (1e80, 1e70):
+            obj = self.series_objective(scale)
+            init = uniform_init(np.random.default_rng(5), 6)
+            res = sm.minimize_first_order(obj.loss_and_grad, init, 150,
+                                          LR_FIRST)
+            ratios.append(res.final_loss / obj.loss(init))
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
 
 
 class TestBFGS:

@@ -146,12 +146,11 @@ def planted_outcomes(pools):
     entries per component, ranked in the order given."""
     template = sm.build_template("type2", 3)
     outcomes = []
-    for component, entries in enumerate(pools):
+    for entries in pools:
         pool = CandidatePool(len(entries))
         for rank, (seq, params) in enumerate(entries):
             pool.insert(ScoreRecord(seq, 10.0 ** (rank - 30),
-                                    np.array(params, float), component,
-                                    template))
+                                    np.array(params, float), template))
         outcomes.append(SearchOutcome(pool.best(), pool, [0.5]))
     return outcomes
 

@@ -24,17 +24,16 @@ def component_rng(seed, component):
     return np.random.default_rng(np.random.SeedSequence([seed, component]))
 
 
-def make_record(sequence, loss, component=0):
+def make_record(sequence, loss):
     template = sm.build_template("type2", 2)
-    return ScoreRecord(tuple(sequence), loss, np.zeros(9), component,
-                       template)
+    return ScoreRecord(tuple(sequence), loss, np.zeros(9), template)
 
 
-def random_record(rng, component=0):
+def random_record(rng):
     template = sm.build_template("type2", 2)
     seq = random_sequence(template, rng)
     loss = float(rng.uniform(0, 10))
-    return ScoreRecord(seq, loss, np.zeros(9), component, template)
+    return ScoreRecord(seq, loss, np.zeros(9), template)
 
 
 # few sequences and few losses, so that a stream repeats both
@@ -549,8 +548,8 @@ class TestIterativeFits:
                  ("id", "sin", "sub", "id", "mul"),     # ab
                  ("square", "id", "mul", "cos", "add")]  # ab+c
 
-    def direct_loss(self, record, data):
-        samples = ComponentSamples(data, record.component)
+    def direct_loss(self, record, data, component):
+        samples = ComponentSamples(data, component)
         return EulerResidualObjective(record.template, record.sequence,
                                       samples).loss(record.params)
 
@@ -568,7 +567,7 @@ class TestIterativeFits:
             assert any(search_mod.linear_form(template, r.sequence) is None
                        for r in records)
             for record in records:
-                assert self.direct_loss(record, data) == record.loss
+                assert self.direct_loss(record, data, component) == record.loss
 
     def pool(self, data):
         template = sm.build_template("type2", 3)
@@ -598,7 +597,7 @@ class TestIterativeFits:
         assert objectives == [EulerResidualObjective] * 3
         for record in pool.records():
             assert record.loss <= before[record.sequence]
-            assert self.direct_loss(record, sir_dataset) == record.loss
+            assert self.direct_loss(record, sir_dataset, 2) == record.loss
 
     def test_finetune_keeps_entries_whose_direct_loss_would_worsen(
             self, sir_dataset, monkeypatch):
@@ -627,7 +626,7 @@ class TestIterativeFits:
         assert len(starts) == len(offered) == 3
         for record in offered:
             worse = dataclasses.replace(record, params=record.params + 0.5)
-            assert self.direct_loss(worse, sir_dataset) > record.loss
+            assert self.direct_loss(worse, sir_dataset, 2) > record.loss
 
     @pytest.mark.parametrize("kind", ["type2", "type1"])
     def test_one_qr_per_search(self, sir_dataset, monkeypatch, kind):
@@ -890,7 +889,8 @@ class TestOneSampleSet:
             assert len(stackings) == 1 and stackings[0] is sir_dataset
             assert built
             samples = built[0][2]
-            assert samples.component == component
+            assert samples.dy.tobytes() == ComponentSamples(
+                sir_dataset, component).dy.tobytes()
             for template, sequence, shared, fit in built:
                 assert shared is samples
                 assert fit.dy is samples.dy
