@@ -62,11 +62,19 @@ class SampleBatch:
 
 def sample_sequences(policy, template, n, rng):
     """Draw ``n`` operator sequences; each slot independently uses the
-    uniform branch with probability epsilon, otherwise the softmax."""
+    uniform branch with probability epsilon, otherwise the softmax.
+
+    A softmax draw is ``rng.choice(len(vocab), p=p)`` with each slot's CDF
+    computed once per batch: the same arithmetic and the same call on
+    ``rng`` that ``Generator.choice`` makes, so the same choices."""
     if n < 1:
         raise ValueError("batch size must be >= 1")
     vocabs = slot_vocabularies(template)
-    probs = policy.probabilities()
+    cdfs = []
+    for p in policy.probabilities():
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        cdfs.append(cdf)
     choices = np.zeros((n, len(vocabs)), dtype=int)
     sequences = []
     for i in range(n):
@@ -75,7 +83,7 @@ def sample_sequences(policy, template, n, rng):
             if rng.random() < policy.epsilon:
                 idx = int(rng.integers(len(vocab)))
             else:
-                idx = int(rng.choice(len(vocab), p=probs[j]))
+                idx = int(cdfs[j].searchsorted(rng.random(), side="right"))
             choices[i, j] = idx
             tags.append(vocab[idx])
         sequences.append(tuple(tags))

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,67 +65,85 @@ def _search_all_components(data, cfg):
     def search(i):
         return search_component(data, i, search_cfg, rng=_component_rng(cfg, i))
 
-    if data.dim > 1:
-        # imported here, so that commands which never search do not pay it
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _in_forked_children(search, data.dim,
-                                       multiprocessing.get_context("fork"))
+    if data.dim > 1 and hasattr(os, "fork"):
+        return _in_forked_children(search, data.dim)
     return [search(i) for i in range(data.dim)]
 
 
-def _in_forked_children(search, n, ctx):
-    """``[search(0), ..., search(n - 1)]``, each call in its own forked
-    child process, all started together. Each child sends its result, or
-    its exception, back through a one-way pipe, and the pipes are read in
-    component order. The first failure read is raised: a child's exception
-    with its type and message, or a NumericalError when a child ended
-    without sending anything. So the failure of the lowest-numbered
-    failing component is raised, whatever the order the failures happen
-    in, and no component above it is awaited. Every child is stopped and
-    reaped before this returns or raises."""
-    children, readers = [], []
+def _in_forked_children(search, n):
+    """``[search(0), ..., search(n - 1)]``, each call in its own child
+    process from ``os.fork``, all started together. Each child writes its
+    pickled result, or its exception, to its own pipe and ends with
+    ``os._exit``, and the pipes are read in component order. The first
+    failure read is raised: a child's exception with its type and message,
+    or a NumericalError naming the component and its exit code when a
+    child ended without a complete reply. So the failure of the
+    lowest-numbered failing component is raised, whatever the order the
+    failures happen in, and no component above it is awaited. Every child
+    is stopped and reaped before this returns or raises, so the caller's
+    children's resource usage counts the searches."""
+    # a child must not write the parent's buffered text a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, readers = [], []
     try:
         for i in range(n):
-            reader, writer = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child_main, args=(search, i, writer))
-            child.start()
-            # only the child holds the write end now, so its exit is EOF
-            writer.close()
-            children.append(child)
+            reader, writer = os.pipe()
             readers.append(reader)
-        results = []
-        for i, (child, reader) in enumerate(zip(children, readers)):
             try:
-                result, error = reader.recv()
-            except EOFError:
-                child.join()
+                pid = os.fork()
+                if pid == 0:
+                    _child_main(search, i, writer)  # never returns
+            finally:
+                # only the child holds the write end now, so its exit is EOF
+                os.close(writer)
+            pids.append(pid)
+        results = []
+        for i, reader in enumerate(readers):
+            with open(reader, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+            status = os.waitpid(pids[i], 0)[1]
+            pids[i] = None
+            if status != 0:
                 raise NumericalError(
                     f"component {i}: the search process ended with exit "
-                    f"code {child.exitcode} and sent no result") from None
+                    f"code {os.waitstatus_to_exitcode(status)} and sent no "
+                    f"result")
+            result, error = pickle.loads(reply)
             if error is not None:
                 raise _rebuild_exception(*error)
             results.append(result)
-        for child in children:
-            child.join()
         return results
     finally:
-        for child in children:
-            if child.is_alive():
-                child.terminate()
-            child.join()
+        running = [pid for pid in pids if pid is not None]
+        if running:
+            import signal
+            for pid in running:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
         for reader in readers:
-            reader.close()
+            os.close(reader)
 
 
 def _child_main(search, i, writer):
+    """Run ``search(i)`` in a forked child, write the pickled reply to the
+    pipe ``writer`` and end the process, whatever happens: the child never
+    returns into its caller, and exits with 0 only once the whole reply is
+    written (a reply that cannot be pickled exits with 1). ``os._exit``
+    flushes no buffer that the child inherited."""
+    status = 1
     try:
-        reply = (search(i), None)
-    except BaseException as exc:  # Ctrl-C too: the parent raises it
-        import traceback
-        reply = (None, (type(exc), exc.args, vars(exc),
-                        traceback.format_exc()))
-    writer.send(reply)
+        try:
+            reply = (search(i), None)
+        except BaseException as exc:  # Ctrl-C too: the parent raises it
+            import traceback
+            reply = (None, (type(exc), exc.args, vars(exc),
+                            traceback.format_exc()))
+        with open(writer, "wb") as pipe:
+            pipe.write(pickle.dumps(reply))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _rebuild_exception(cls, args, state, child_traceback):

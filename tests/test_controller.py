@@ -57,6 +57,47 @@ class TestSampling:
             assert all(tag in vocab for tag, vocab in zip(seq, vocabs))
 
 
+def reference_sample_sequences(policy, template, n, rng):
+    """The per-slot ``rng.choice`` loop that ``sample_sequences`` must
+    reproduce draw for draw."""
+    vocabs = slot_vocabularies(template)
+    probs = policy.probabilities()
+    choices = np.zeros((n, len(vocabs)), dtype=int)
+    sequences = []
+    for i in range(n):
+        tags = []
+        for j, vocab in enumerate(vocabs):
+            if rng.random() < policy.epsilon:
+                idx = int(rng.integers(len(vocab)))
+            else:
+                idx = int(rng.choice(len(vocab), p=probs[j]))
+            choices[i, j] = idx
+            tags.append(vocab[idx])
+        sequences.append(tuple(tags))
+    return sequences, choices
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+@pytest.mark.parametrize("logits", ["uniform", "random"])
+@pytest.mark.parametrize("epsilon", [0.1, 1.0])
+def test_sampling_matches_per_slot_choice_draw_for_draw(kind, logits,
+                                                        epsilon):
+    template = sm.build_template(kind, 3)
+    policy = fresh_policy(template, epsilon=epsilon)
+    for seed in range(5):
+        if logits == "random":
+            init = np.random.default_rng(100 + seed)
+            for slot in policy.logits:
+                slot[:] = init.normal(scale=3.0, size=slot.size)
+        rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+        batch = sm.sample_sequences(policy, template, 200, rng)
+        sequences, choices = reference_sample_sequences(policy, template, 200,
+                                                        reference_rng)
+        assert batch.sequences == sequences
+        assert np.array_equal(batch.choices, choices)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 class TestLogProb:
     def test_uniform_policy_value(self, type2_template):
         policy = fresh_policy(type2_template)

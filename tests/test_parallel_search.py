@@ -3,10 +3,12 @@ in-process searches, the children's errors raised in the parent, and no
 child left behind."""
 
 import json
-import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,8 +26,16 @@ from symode.search import search_component
 from test_pipeline_cli import tiny_real_doc, tiny_synthetic_doc
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
+    not hasattr(os, "fork"),
     reason="the searches run in-process where the platform cannot fork")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def assert_no_child_left():
+    """The test process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def synthetic_training_data():
@@ -84,7 +94,44 @@ def test_each_component_searches_in_its_own_process(monkeypatch):
     assert [i for i, _ in results] == [0, 1, 2]
     pids = {pid for _, pid in results}
     assert len(pids) == 3 and os.getpid() not in pids
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+SEARCH_SCRIPT = """\
+import sys
+from symode.cli import main
+sys.stdout.write("written before the search\\n")
+status = main(["search", "--config", sys.argv[1], "--epochs", "1",
+               "--out", sys.argv[2]])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
+sys.exit(status)
+"""
+
+
+@pytest.fixture(scope="module")
+def desk_search(tmp_path_factory):
+    """A 3-component desk SIR ``symode search`` in a fresh interpreter whose
+    standard output is a pipe, so that text written before the search is
+    still in its buffer at the fork: its standard output."""
+    out = tmp_path_factory.mktemp("desk")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", SEARCH_SCRIPT,
+         str(ROOT / "configs" / "synthetic_sir_desk.json"), str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    # at one epoch the forecast may diverge (exit 4); the search has run
+    assert done.returncode in (0, 4), done.stderr
+    assert (out / "results.json").is_file()
+    return done.stdout
+
+
+def test_search_forks_without_importing_multiprocessing(desk_search):
+    assert desk_search.splitlines()[-1] == "[]"
+
+
+def test_text_buffered_before_the_fork_is_written_once(desk_search):
+    assert desk_search.count("written before the search") == 1
+    assert desk_search.startswith("written before the search\n")
 
 
 def test_one_component_or_no_fork_searches_in_process(monkeypatch):
@@ -92,8 +139,7 @@ def test_one_component_or_no_fork_searches_in_process(monkeypatch):
                         lambda data, i, cfg, rng: os.getpid())
     assert pipeline._search_all_components(SimpleNamespace(dim=1),
                                            fake_cfg()) == [os.getpid()]
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert pipeline._search_all_components(SimpleNamespace(dim=2),
                                            fake_cfg()) == [os.getpid()] * 2
 
@@ -119,7 +165,7 @@ def test_child_numerical_error_exits_4_with_its_message(tmp_path, capsys,
     assert capsys.readouterr().err == (
         "numerical failure: component 1: no sequence produced a finite loss\n")
     assert not (tmp_path / "o").exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_child_errors_keep_type_message_fields_and_traceback(monkeypatch):
@@ -140,7 +186,7 @@ def test_child_errors_keep_type_message_fields_and_traceback(monkeypatch):
     cause = str(caught.value.__cause__)
     assert "Traceback (most recent call last)" in cause
     assert "KeyError: 'planted'" in cause
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.fixture
@@ -171,7 +217,7 @@ def test_child_that_dies_is_reported_promptly_and_nothing_is_left(monkeypatch,
     with pytest.raises(NumericalError, match=r"^component 2: .*exit code 1"):
         pipeline._search_all_components(SimpleNamespace(dim=3), fake_cfg())
     assert time.monotonic() - start < 20
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_lowest_failing_component_is_raised_whatever_the_arrival_order(
@@ -184,7 +230,7 @@ def test_lowest_failing_component_is_raised_whatever_the_arrival_order(
     monkeypatch.setattr(pipeline, "search_component", search)
     with pytest.raises(NumericalError, match=r"^component 0: planted$"):
         pipeline._search_all_components(SimpleNamespace(dim=3), fake_cfg())
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_failure_waits_for_lower_components_only(monkeypatch, deadline):
@@ -201,7 +247,7 @@ def test_failure_waits_for_lower_components_only(monkeypatch, deadline):
     with pytest.raises(NumericalError, match=r"^component 1: planted$"):
         pipeline._search_all_components(SimpleNamespace(dim=3), fake_cfg())
     assert 0.5 <= time.monotonic() - start < 20
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_results_larger_than_a_pipe_come_back_in_order(monkeypatch, deadline):
@@ -217,4 +263,13 @@ def test_results_larger_than_a_pipe_come_back_in_order(monkeypatch, deadline):
     assert [r.nbytes for r in results] == [1_600_000] * 3
     for i, result in enumerate(results):
         assert np.array_equal(result, np.full(200_000, float(i)))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_child_whose_reply_cannot_be_pickled_is_a_numerical_error(
+        monkeypatch, deadline):
+    monkeypatch.setattr(pipeline, "search_component",
+                        lambda data, i, cfg, rng: (lambda: i) if i == 1 else i)
+    with pytest.raises(NumericalError, match=r"^component 1: .*exit code 1"):
+        pipeline._search_all_components(SimpleNamespace(dim=3), fake_cfg())
+    assert_no_child_left()

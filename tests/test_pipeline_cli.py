@@ -1169,9 +1169,8 @@ class TestCli:
 
 
 def test_cli_import_loads_neither_multiprocessing_nor_scipy():
-    """Set-up cost: ``symode search`` imports multiprocessing only where it
-    forks the component searches, and nothing imports scipy, so neither
-    adds to the import of the CLI."""
+    """Set-up cost: importing the CLI loads neither multiprocessing, which
+    no module of the package imports, nor scipy."""
     script = ("import sys, symode.cli; print(sorted({m.split('.')[0] for m "
               "in sys.modules} & {'multiprocessing', 'scipy'}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
