@@ -4,7 +4,7 @@ Subcommands: ``generate`` (write synthetic trajectory CSV), ``search``
 (run the full pipeline), ``forecast`` (roll a saved system forward from
 new data), ``report`` (re-emit equations and MSE CSV from a results
 document). Exit codes: 0 success, 2 config error, 3 data error, 4
-numerical failure, running out of memory included.
+numerical failure, running out of memory included, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -177,6 +177,9 @@ def main(argv=None):
     except MemoryError as exc:
         print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:  # Ctrl-C: the status a shell gives SIGINT
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -146,7 +146,9 @@ def generate_trajectories(kind, params, n_traj, steps, dt, rng,
 
 def train_test_split(data, train_fraction):
     """Split whole trajectories, in order, into train and test subsets; no
-    trajectory straddles the boundary."""
+    trajectory straddles the boundary. The subsets hold the input's own
+    trajectory arrays, not copies: nothing in the package writes to a
+    trajectory."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must lie in (0, 1)")
     n = data.n_trajectories
@@ -154,9 +156,9 @@ def train_test_split(data, train_fraction):
         raise ValueError("need at least 2 trajectories to split")
     n_train = int(round(train_fraction * n))
     n_train = max(1, min(n - 1, n_train))
-    train = [t.copy() for t in data.trajectories[:n_train]]
-    test = [t.copy() for t in data.trajectories[n_train:]]
     return (
-        TrajectoryDataset(train, data.dt, data.var_names, split="train"),
-        TrajectoryDataset(test, data.dt, data.var_names, split="test"),
+        TrajectoryDataset(data.trajectories[:n_train], data.dt,
+                          data.var_names, split="train"),
+        TrajectoryDataset(data.trajectories[n_train:], data.dt,
+                          data.var_names, split="test"),
     )

@@ -44,8 +44,9 @@ def cut_forecast(result, *per_step):
     and the same objects come back, when every row is finite. JSON and CSV
     have no number for a forecast that left the float range."""
     steps = result.states.shape[0]
-    rows = [np.reshape(a, (steps, -1)) for a in (result.states, *per_step)]
-    finite = np.isfinite(np.hstack(rows)).all(axis=1)
+    finite = np.logical_and.reduce(
+        [np.isfinite(np.reshape(a, (steps, -1))).all(axis=1)
+         for a in (result.states, *per_step)])
     if finite.all():
         return (result, *per_step)
     step = int(np.argmin(finite))
@@ -68,9 +69,11 @@ def _mean_squared_error(predicted, truth, axis):
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    # an error, or a sum of errors, beyond the float range is inf
+    # an error, or a sum of errors, beyond the float range is inf; the
+    # difference is squared in place, the same bits as ``** 2``
     with np.errstate(over="ignore"):
-        return np.mean((pred - truth) ** 2, axis=axis)
+        error = pred - truth
+        return np.mean(np.square(error, out=error), axis=axis)
 
 
 def per_step_mse(predicted, truth):

@@ -165,12 +165,13 @@ MAX_RANK_SUM = 2
 
 def _training_error(records, truth, dt):
     """Score the system of one pool record per component by
-    :func:`_score_forecast` on the training trajectories ``truth``: (the
-    step at which it diverges, None when it completes; its max per-step MSE
-    against ``truth``, None when it diverges)."""
-    result, _, curve, *_ = _score_forecast(
+    :func:`_score_forecast` on the training trajectories ``truth``, its
+    pooled per-step MSE alone: (the step at which it diverges, None when it
+    completes; its max per-step MSE against ``truth``, None when it
+    diverges)."""
+    result, curve = _score_forecast(
         SystemModel([ex.CompiledExpression(r.template, r.sequence, r.params)
-                     for r in records]), truth, dt, 1.0)
+                     for r in records]), truth, dt)
     if not result.completed:
         return result.failure_step, None
     return None, float(curve.max())
@@ -243,24 +244,25 @@ def _base_document(cfg, var_names, outcomes):
     }
 
 
-def _score_forecast(system, truth, dt, scale):
+def _score_forecast(system, truth, dt, by_component=False, scale=None):
     """Roll ``system`` out from the first state of each trajectory of
     ``truth`` (n, T, d) over T - 1 steps and score it in fitted units: the
-    rollout, its states times ``scale`` and its per-step MSE pooled and per
-    component, all cut by ``cut_forecast`` (an error beyond the float range
-    is a divergence), then the same two MSEs of persistence. Row 0 of each
-    is the initial state."""
+    rollout and its per-step MSE, then, where asked for, its per-step MSE
+    per component and its states times ``scale``, all cut by
+    ``cut_forecast`` (an error beyond the float range is a divergence).
+    Row 0 of each is the initial state."""
     result = rollout(system, truth[:, 0], truth.shape[1] - 1, dt)
     # (step, trajectory, d) -> (trajectory, step, d); a diverged rollout
     # keeps the steps that every trajectory completed
     predicted = result.states.swapaxes(0, 1)
     completed = truth[:, : predicted.shape[1]]
-    with np.errstate(over="ignore"):
-        restored = result.states * scale
-    still = np.broadcast_to(truth[:, :1], truth.shape)
-    return (*cut_forecast(result, restored, per_step_mse(predicted, completed),
-                          per_step_component_mse(predicted, completed)),
-            persistence_baseline(truth), per_step_component_mse(still, truth))
+    scored = [per_step_mse(predicted, completed)]
+    if by_component:
+        scored.append(per_step_component_mse(predicted, completed))
+    if scale is not None:
+        with np.errstate(over="ignore"):
+            scored.append(result.states * scale)
+    return cut_forecast(result, *scored)
 
 
 def run_synthetic(cfg):
@@ -268,8 +270,9 @@ def run_synthetic(cfg):
     train, test = train_test_split(full, cfg.data.train_fraction)
     outcomes, swap = _choose_system(_search_all_components(train, cfg), train)
     doc = _base_document(cfg, train.var_names, outcomes)
-    result, _, curve, by_component, persistence, _ = _score_forecast(
-        system_from_document(doc), np.stack(test.trajectories), test.dt, 1.0)
+    truth = np.stack(test.trajectories)
+    result, curve, by_component = _score_forecast(
+        system_from_document(doc), truth, test.dt, by_component=True)
     # the reported curves start at the first predicted step
     metrics = doc["metrics"] = {
         "per_step_mse": [float(v) for v in curve[1:]],
@@ -277,7 +280,8 @@ def run_synthetic(cfg):
             name: [float(v) for v in by_component[1:, j]]
             for j, name in enumerate(train.var_names)
         },
-        "persistence_per_step": [float(v) for v in persistence[1:]],
+        "persistence_per_step": [float(v)
+                                 for v in persistence_baseline(truth)[1:]],
     }
     if result.completed:
         metrics["max_per_step_mse"] = float(curve[1:].max())
@@ -316,19 +320,22 @@ def run_real(cfg):
 
     # autonomous forecast of the one series from the last training day on
     anchor = cfg.train_days - 1
-    (fc, restored, curve, by_component, persistence,
-     persistence_by_component) = _score_forecast(
-        system_from_document(doc), values[None, anchor:], cfg.real_dt, scale)
+    truth = values[None, anchor:]
+    fc, curve, by_component, restored = _score_forecast(
+        system_from_document(doc), truth, cfg.real_dt, by_component=True,
+        scale=scale)
     metrics = doc["metrics"] = {
         "forecast_steps": values.shape[0] - cfg.train_days,
         "per_step_mse": [float(v) for v in curve[1:]],
-        "persistence_per_step": [float(v) for v in persistence[1:]],
+        "persistence_per_step": [float(v)
+                                 for v in persistence_baseline(truth)[1:]],
     }
     # a diverged forecast has no mean to compare with persistence
     if fc.completed:
         metrics["forecast_mse_per_series"] = _series_means(by_component, names)
+    still = np.broadcast_to(truth[:, :1], truth.shape)
     metrics["persistence_mse_per_series"] = _series_means(
-        persistence_by_component, names)
+        per_step_component_mse(still, truth), names)
     # each fit's loss is its one-step Euler MSE on the training pairs
     metrics["teacher_forced_mse_per_series"] = {
         comp["name"]: comp["loss"] for comp in doc["components"]}

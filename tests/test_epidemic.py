@@ -228,6 +228,18 @@ class TestSplit:
         assert sorted(combined) == sorted(original)
         assert len(combined) == 9
 
+    def test_subsets_hold_the_input_arrays(self):
+        rng = np.random.default_rng(10)
+        data = sm.generate_trajectories("sir", benchmark_params("sir"),
+                                        5, 4, 0.2, rng)
+        train, test = sm.train_test_split(data, 0.6)
+        subsets = train.trajectories + test.trajectories
+        assert len(subsets) == len(data.trajectories)
+        for part, whole in zip(subsets, data.trajectories):
+            assert np.shares_memory(part, whole)
+            assert part.shape == whole.shape
+            assert part.tobytes() == whole.tobytes()
+
     def test_too_few_trajectories(self):
         rng = np.random.default_rng(9)
         data = sm.generate_trajectories("sir", benchmark_params("sir"),

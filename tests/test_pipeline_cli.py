@@ -134,9 +134,9 @@ EXACT_SIR = [(PRODUCT, [-0.9, 0, 0, 0, 0, 1, 0, 0, -0.3, 0, 0, 0.3]),
 EXACT_S_SUB = (("id", "id", "mul", "id", "sub"),
                [-0.9, 0, 0, 0, 0, 1, 0, 0, 0.3, 0, 0, -0.3])
 SLOW_S = (PRODUCT, [-0.8, 0, 0, 0, 0, 1, 0, 0, -0.3, 0, 0, 0.3])
-DIVERGING = [(seq, [1e200, 0, 0, 0] + [0] * 8)
-             for seq in (LEAF, ("id", "0", "sub", "0", "add"),
-                         ("id", "0", "add", "0", "sub"))]
+# three sequences of one affine leaf: the other two leaves are constants
+LEAVES = (LEAF, ("id", "0", "sub", "0", "add"), ("id", "0", "add", "0", "sub"))
+DIVERGING = [(seq, [1e200, 0, 0, 0] + [0] * 8) for seq in LEAVES]
 STILL = (("0", "0", "add", "0", "add"), [0] * 12)
 CONSTANT = (STILL[0], [0, 0, 0, 1e154] + [0] * 8)
 
@@ -144,7 +144,7 @@ CONSTANT = (STILL[0], [0, 0, 0, 1e154] + [0] * 8)
 def planted_outcomes(pools):
     """Search outcomes whose pools hold the given (sequence, params)
     entries per component, ranked in the order given."""
-    template = sm.build_template("type2", 3)
+    template = sm.build_template("type2", len(pools))
     outcomes = []
     for entries in pools:
         pool = CandidatePool(len(entries))
@@ -153,6 +153,39 @@ def planted_outcomes(pools):
                                     np.array(params, float), template))
         outcomes.append(SearchOutcome(pool.best(), pool, [0.5]))
     return outcomes
+
+
+def seird_params(*leaves):
+    """Type2 parameters in the five SEIRD states from each leaf's weights,
+    its offset 0."""
+    return [w for alpha in leaves for w in (*alpha, 0.0)]
+
+
+# Type2 expressions of the SEIRD field at the benchmark rates (beta 0.9,
+# sigma 0.5, gamma 0.2, delta 0.05, n_pop 1) and ones with wrong rates,
+# three per component; S's winner leaves the float range at once, and E's
+# has a wrong infection rate.
+NOTHING = [0.0] * 5
+SEIRD_POOLS = [
+    [(LEAF, seird_params([1e200, 0, 0, 0, 0], NOTHING, NOTHING)),
+     (PRODUCT, seird_params([-0.9, 0, 0, 0, 0], [0, 0, 1, 0, 0], NOTHING)),
+     (EXACT_S_SUB[0],
+      seird_params([-0.8, 0, 0, 0, 0], [0, 0, 1, 0, 0], NOTHING))],
+    [(PRODUCT, seird_params([0.8, 0, 0, 0, 0], [0, 0, 1, 0, 0],
+                            [0, -0.5, 0, 0, 0])),
+     (EXACT_S_SUB[0], seird_params([0.9, 0, 0, 0, 0], [0, 0, 1, 0, 0],
+                                   [0, 0.5, 0, 0, 0])),
+     (LEAF, seird_params([0, -0.5, 0, 0, 0], NOTHING, NOTHING))],
+    [(LEAF, seird_params([0, 0.5, -0.25, 0, 0], NOTHING, NOTHING)),
+     (LEAVES[1], seird_params([0, 0.5, -0.3, 0, 0], NOTHING, NOTHING)),
+     (LEAVES[2], seird_params([0, 0.4, -0.25, 0, 0], NOTHING, NOTHING))],
+    [(LEAF, seird_params([0, 0, 0.2, 0, 0], NOTHING, NOTHING)),
+     (LEAVES[1], seird_params([0, 0, 0.3, 0, 0], NOTHING, NOTHING)),
+     (STILL[0], seird_params(NOTHING, NOTHING, NOTHING))],
+    [(LEAF, seird_params([0, 0, 0.05, 0, 0], NOTHING, NOTHING)),
+     (LEAVES[1], seird_params([0, 0, 0.1, 0, 0], NOTHING, NOTHING)),
+     (STILL[0], seird_params(NOTHING, NOTHING, NOTHING))],
+]
 
 
 class TestSystemCheck:
@@ -210,6 +243,64 @@ class TestSystemCheck:
             assert np.array_equal(init, np.stack(train.trajectories)[:, 0])
             assert steps == cfg.data.steps
         assert np.array_equal(forecast, np.stack(test.trajectories)[:, 0])
+
+    def test_five_components_try_every_rank_tuple(self, monkeypatch,
+                                                 tmp_path):
+        """On SEIRD, the winners' training rollout diverges, every other
+        rank tuple with a sum of at most MAX_RANK_SUM is rolled out once,
+        and the one with the lowest training error among those that
+        complete is chosen."""
+        systems = []
+        rollout = pipeline.rollout
+
+        def record(model, init, steps, dt):
+            systems.append(tuple(
+                next(k for k, (_, params) in enumerate(pool)
+                     if np.array_equal(component.params, params))
+                for component, pool in zip(model.components, SEIRD_POOLS)))
+            return rollout(model, init, steps, dt)
+
+        monkeypatch.setattr(pipeline, "rollout", record)
+        doc = tiny_synthetic_doc()
+        doc["model"] = {"kind": "seird"}
+        cfg, written, inits = self.run(monkeypatch, tmp_path, SEIRD_POOLS,
+                                       doc)
+        limit = pipeline.MAX_RANK_SUM
+        candidates = [ranks for ranks in np.ndindex((limit + 1,) * 5)
+                      if 0 < sum(ranks) <= limit]
+        assert len(candidates) == 20
+        # the winners, each candidate once, then the forecast
+        assert len(inits) == len(systems) == 1 + 20 + 1
+        assert systems[0] == (0,) * 5
+        assert sorted(systems[1:-1]) == sorted(candidates)
+
+        train, _ = sm.train_test_split(generate_synthetic(cfg),
+                                       cfg.data.train_fraction)
+        truth = np.stack(train.trajectories)
+        template = sm.build_template("type2", 5)
+        errors = {}
+        for ranks in candidates:
+            system = sm.SystemModel([
+                sm.CompiledExpression(template, pool[k][0],
+                                      np.array(pool[k][1], float))
+                for k, pool in zip(ranks, SEIRD_POOLS)])
+            result = sm.rollout(system, truth[:, 0], cfg.data.steps,
+                                cfg.data.dt)
+            with np.errstate(over="ignore"):
+                mse = sm.per_step_mse(result.states.swapaxes(0, 1),
+                                      truth[:, : result.states.shape[0]])
+            if result.completed and np.isfinite(mse).all():
+                errors[ranks] = mse.max()
+        assert 1 < len(errors) < len(candidates)
+        best = min(errors, key=errors.get)
+        # a rank sum of 2 beats every completing rank sum of 1
+        assert sum(best) == 2
+        assert written["metrics"]["system_swap"] == {
+            "train_diverged_at_step": 1,
+            "pool_rank": dict(zip("SEIRD", best))}
+        for comp, pool, k in zip(written["components"], SEIRD_POOLS, best):
+            assert tuple(comp["sequence"]) == pool[k][0]
+            assert comp["coefficients"] == pool[k][1]
 
     def test_error_beyond_float_range_is_a_training_divergence(
             self, monkeypatch, tmp_path):
@@ -680,6 +771,23 @@ class TestCli:
                          for tid, traj in enumerate(truth.trajectories)
                          for step in range(traj.shape[0])]
         assert_same_bits(values, np.concatenate(truth.trajectories))
+
+    def test_ctrl_c_ends_in_one_line(self, tmp_path, monkeypatch, capsys):
+        def interrupted(data, cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "_search_all_components", interrupted)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_synthetic_doc(
+            out=str(tmp_path / "run"))), encoding="utf-8")
+        try:
+            code = main(["search", "--config", str(cfg_path)])
+        except KeyboardInterrupt:
+            pytest.fail("main let the KeyboardInterrupt through")
+        assert code == 130
+        err = capsys.readouterr().err
+        assert err == "interrupted\n"
+        assert "Traceback" not in err
 
     def test_diverged_search_still_writes_results(self, tmp_path, capsys):
         # this seed's type1 winners complete their training rollout, so
