@@ -156,7 +156,10 @@ def _value(kind, f, value, path, mode):
             return None
         kind = typing.get_args(kind)[0]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{path}: expected {kind.__name__}")
     if kind is float and not math.isfinite(value):
@@ -202,6 +205,7 @@ def load_run_config(path):
     text = read_text(path, ConfigError, "config file")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a syntax error, or an int literal of more digits than int() converts
+    except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return run_config_from_dict(doc)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import allocate
 from .expressions import BINARY_TAGS, UNARY_TAGS
 
 
@@ -75,7 +76,7 @@ def sample_sequences(policy, template, n, rng):
         cdf = p.cumsum()
         cdf /= cdf[-1]
         cdfs.append(cdf)
-    choices = np.zeros((n, len(vocabs)), dtype=int)
+    choices = allocate(np.zeros, shape=(n, len(vocabs)), dtype=int)
     sequences = []
     for i in range(n):
         tags = []

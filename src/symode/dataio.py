@@ -4,7 +4,8 @@ Two file layouts are supported, both UTF-8 (a leading byte-order mark is
 skipped) with LF endings and ``.`` decimals:
 
 * trajectory files: header ``trajectory_id,step,<var1>,...,<vard>``, one
-  row per (trajectory, step), steps consecutive integers in any row order;
+  row per (trajectory, step), steps consecutive integers in any row order,
+  and every trajectory of the same length;
 * observed series: header ``date,<var1>,...`` with strictly increasing,
   evenly spaced ISO-8601 dates (the first two set the spacing, so a
   skipped date is an error) and one trajectory in date order. Beyond
@@ -85,7 +86,8 @@ def _column_order(path, var_names, expected_columns):
 
 
 def _dataset(trajectories, dt, var_names, order):
-    return TrajectoryDataset([t[:, order] for t in trajectories], dt,
+    # np.take writes the chosen columns C-ordered, as every fit reads them
+    return TrajectoryDataset(np.take(trajectories, order, axis=-1), dt,
                              [var_names[j] for j in order])
 
 
@@ -130,10 +132,12 @@ def _trajectories(path, rows, dt, expected_columns):
             if step != prev + 1:
                 raise DataError(f"{path}: row {idx}: trajectory {tid!r}: "
                                 f"step {step} follows step {prev}")
-        arr = np.array([v for _, _, v in ordered], dtype=float)
-        if arr.shape[0] < 2:
+        if len(ordered) < 2:
             raise DataError(f"{path}: trajectory {tid!r} has fewer than 2 rows")
-        trajectories.append(arr)
+        if trajectories and len(ordered) != len(trajectories[0]):
+            raise DataError(f"{path}: trajectory {tid!r} has {len(ordered)} "
+                            f"rows, not {len(trajectories[0])} as the first")
+        trajectories.append([v for _, _, v in ordered])
     return _dataset(trajectories, dt, var_names, order)
 
 
@@ -171,7 +175,7 @@ def _series(path, rows, dt, expected_columns):
         raise EmptyFileError(path)
     if len(values) < 2:
         raise DataError(f"{path}: need at least 2 data rows")
-    return _dataset([np.array(values, dtype=float)], dt, var_names, order)
+    return _dataset([values], dt, var_names, order)
 
 
 def write_csv(path, header, rows):
@@ -218,9 +222,8 @@ def normalize_series(data, mode, constant=None):
         scale = float(constant)
     else:
         with np.errstate(over="ignore"):   # an infinite total fails below
-            scale = max(float(t.sum(axis=1).max()) for t in data.trajectories)
+            scale = float(data.trajectories.sum(axis=2).max())
     if not np.isfinite(scale) or scale <= 0:
         raise ValueError(f"normalization scale must be positive, got {scale}")
-    scaled = [t / scale for t in data.trajectories]
-    return (TrajectoryDataset(scaled, data.dt, data.var_names, data.split),
-            scale)
+    return (TrajectoryDataset(data.trajectories / scale, data.dt,
+                              data.var_names, data.split), scale)

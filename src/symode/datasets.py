@@ -9,35 +9,33 @@ import numpy as np
 
 @dataclass
 class TrajectoryDataset:
-    """Time-indexed state arrays with a common step size.
+    """States of n trajectories of one length, sampled every ``dt`` time
+    units: one C-ordered float array (n, M+1, d), trajectory k at
+    ``trajectories[k]``. A sequence of (M+1, d) arrays of one shape is
+    stacked into it; arrays of different shapes are a ValueError."""
 
-    Each trajectory is an (M+1, d) array of states sampled every ``dt``
-    time units; all trajectories share the same dimension and step size.
-    """
-
-    trajectories: list
+    trajectories: np.ndarray
     dt: float
     var_names: tuple
     split: str = "full"
 
     def __post_init__(self):
-        if not self.trajectories:
+        if len(self.trajectories) == 0:
             raise ValueError("dataset needs at least one trajectory")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         self.var_names = tuple(self.var_names)
-        arrays = []
-        d = len(self.var_names)
-        for k, traj in enumerate(self.trajectories):
-            arr = np.asarray(traj, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != d:
-                raise ValueError(f"trajectory {k}: expected shape (M+1, {d})")
-            if arr.shape[0] < 2:
-                raise ValueError(f"trajectory {k}: needs at least 2 rows")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"trajectory {k}: contains non-finite values")
-            arrays.append(arr)
-        self.trajectories = arrays
+        # one shape for all, so trajectory 0 is the first to break a shape rule
+        arr = np.ascontiguousarray(self.trajectories, dtype=float)
+        if arr.ndim != 3 or arr.shape[2] != self.dim:
+            raise ValueError(f"trajectory 0: expected shape (M+1, {self.dim})")
+        if arr.shape[1] < 2:
+            raise ValueError("trajectory 0: needs at least 2 rows")
+        finite = np.isfinite(arr).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"trajectory {np.argmin(finite)}: contains "
+                             "non-finite values")
+        self.trajectories = arr
 
     @property
     def dim(self):
@@ -50,6 +48,5 @@ class TrajectoryDataset:
     def stacked_pairs(self):
         """All consecutive (state, next state) pairs pooled across
         trajectories, in trajectory order: two (n_pairs, d) arrays."""
-        current = np.vstack([t[:-1] for t in self.trajectories])
-        nxt = np.vstack([t[1:] for t in self.trajectories])
-        return current, nxt
+        return (self.trajectories[:, :-1].reshape(-1, self.dim),
+                self.trajectories[:, 1:].reshape(-1, self.dim))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import TrajectoryDataset
-from .errors import NumericalError
+from .errors import NumericalError, allocate
 from .forecast import rollout
 
 
@@ -133,22 +133,21 @@ def generate_trajectories(kind, params, n_traj, steps, dt, rng,
         raise ValueError("n_traj and steps must be >= 1")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    init = rng.uniform(0.0, 1.0, size=(n_traj, kind.dim))
+    init = allocate(rng.uniform, size=(n_traj, kind.dim))
     if normalize_init:
         init = init / init.sum(axis=1, keepdims=True)
     result = rollout(lambda x: vector_field(kind, params, x), init, steps, dt)
     if not result.completed:
         raise NumericalError(f"{kind.value} simulation at dt={dt}: a state "
                              f"is not finite at step {result.failure_step}")
-    trajectories = [result.states[:, i, :].copy() for i in range(n_traj)]
-    return TrajectoryDataset(trajectories, dt, kind.var_names, split="full")
+    return TrajectoryDataset(result.states.swapaxes(0, 1), dt, kind.var_names,
+                             split="full")
 
 
 def train_test_split(data, train_fraction):
     """Split whole trajectories, in order, into train and test subsets; no
-    trajectory straddles the boundary. The subsets hold the input's own
-    trajectory arrays, not copies: nothing in the package writes to a
-    trajectory."""
+    trajectory straddles the boundary. The subsets are views of the input's
+    array, not copies: nothing in the package writes to a trajectory."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must lie in (0, 1)")
     n = data.n_trajectories

@@ -51,3 +51,13 @@ class EvaluationError(NumericalError):
 
 class NonFiniteLossError(NumericalError):
     """Optimization could not start: loss is NaN/Inf at the initial point."""
+
+
+def allocate(make, **kwargs):
+    """``make(**kwargs)``, a NumPy array constructor. A size NumPy refuses,
+    more bytes or elements than the platform can address, raises
+    MemoryError, as an allocation that fails does."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None

@@ -7,6 +7,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import allocate
+
 
 @dataclass
 class RolloutResult:
@@ -24,7 +26,9 @@ def rollout(model, init, steps, dt):
     the whole batch and is reported as ``failure_step``.
     """
     init = np.asarray(init, dtype=float)
-    states = np.empty((steps + 1, *init.shape))
+    # trajectory-major, so a batch's states.swapaxes(0, 1) is C-ordered
+    states = np.moveaxis(allocate(np.empty, shape=(
+        *init.shape[:-1], steps + 1, init.shape[-1])), -2, 0)
     states[0] = init
     # overflow here is reported through truncation, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -43,9 +47,8 @@ def cut_forecast(result, *per_step):
     not finite, with ``result`` reported as diverged there. Nothing is cut,
     and the same objects come back, when every row is finite. JSON and CSV
     have no number for a forecast that left the float range."""
-    steps = result.states.shape[0]
     finite = np.logical_and.reduce(
-        [np.isfinite(np.reshape(a, (steps, -1))).all(axis=1)
+        [np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
          for a in (result.states, *per_step)])
     if finite.all():
         return (result, *per_step)

@@ -53,8 +53,7 @@ def _search_all_components(data, cfg):
     with more than one component, where the platform can fork, every
     search runs in its own child process and all of them at the same time.
     A child reads ``data`` and ``cfg`` from the memory it inherits, never
-    from a pickled copy: a copy would lose the arrays' memory layout and
-    with it the last bits of the fitted losses.
+    from a pickled copy.
     """
     search_cfg = cfg.search
     kinds = search_cfg.templates
@@ -151,6 +150,8 @@ def _rebuild_exception(cls, args, state, child_traceback):
     package's errors take other arguments than the ``args`` they store),
     with the child's formatted traceback as its cause."""
     exc = cls.__new__(cls, *args)
+    # MemoryError.__new__ may revive a freed instance with empty args
+    exc.args = args
     exc.__dict__.update(state)
     exc.__cause__ = RuntimeError(f"raised in a search process:\n"
                                  f"{child_traceback}")
@@ -194,7 +195,7 @@ def _choose_system(outcomes, train):
     sum, then to the lexicographically lower ranks. If none completes, the
     winners stay.
     """
-    truth, dt = np.stack(train.trajectories), train.dt
+    truth, dt = train.trajectories, train.dt
     pools = [o.pool.records() for o in outcomes]
     step, _ = _training_error([pool[0] for pool in pools], truth, dt)
     if step is None:
@@ -270,7 +271,7 @@ def run_synthetic(cfg):
     train, test = train_test_split(full, cfg.data.train_fraction)
     outcomes, swap = _choose_system(_search_all_components(train, cfg), train)
     doc = _base_document(cfg, train.var_names, outcomes)
-    truth = np.stack(test.trajectories)
+    truth = test.trajectories
     result, curve, by_component = _score_forecast(
         system_from_document(doc), truth, test.dt, by_component=True)
     # the reported curves start at the first predicted step
@@ -302,8 +303,8 @@ def run_real(cfg):
     raw = load_csv(cfg.input_csv, dt=cfg.real_dt)
     if raw.n_trajectories != 1:
         raise DataError(f"{cfg.input_csv}: real mode expects a single series")
-    series = raw.trajectories[0]
-    if series.shape[0] <= cfg.train_days:
+    days = raw.trajectories.shape[1]
+    if days <= cfg.train_days:
         raise DataError(
             f"{cfg.input_csv}: needs more than train_days={cfg.train_days} rows")
     try:
@@ -311,21 +312,21 @@ def run_real(cfg):
                                              cfg.normalization.constant)
     except ValueError as exc:  # a series whose scale is 0 or beyond range
         raise DataError(f"{cfg.input_csv}: {exc}") from None
-    values = normalized.trajectories[0]
+    values = normalized.trajectories
     names = raw.var_names
-    train = TrajectoryDataset([values[: cfg.train_days]], cfg.real_dt, names,
+    train = TrajectoryDataset(values[:, : cfg.train_days], cfg.real_dt, names,
                               split="train")
     outcomes, swap = _choose_system(_search_all_components(train, cfg), train)
     doc = _base_document(cfg, names, outcomes)
 
     # autonomous forecast of the one series from the last training day on
     anchor = cfg.train_days - 1
-    truth = values[None, anchor:]
+    truth = values[:, anchor:]
     fc, curve, by_component, restored = _score_forecast(
         system_from_document(doc), truth, cfg.real_dt, by_component=True,
         scale=scale)
     metrics = doc["metrics"] = {
-        "forecast_steps": values.shape[0] - cfg.train_days,
+        "forecast_steps": days - cfg.train_days,
         "per_step_mse": [float(v) for v in curve[1:]],
         "persistence_per_step": [float(v)
                                  for v in persistence_baseline(truth)[1:]],

@@ -135,6 +135,23 @@ class TestValidation:
                 == run_config_from_dict(minimal_synthetic()).to_dict())
 
 
+@pytest.mark.parametrize("key,literal,message", [
+    # an int beyond the float range in a float field, as NaN is
+    ("dt", "1" + "0" * 400, "data.dt: expected a finite number"),
+    # more digits than int() converts, in any field
+    ("steps", "1" + "0" * 4400, "invalid JSON (Exceeds the limit (4300 "
+                                "digits)"),
+], ids=["beyond-float-range", "too-many-digits"])
+def test_huge_int_literal_is_a_config_error(tmp_path, key, literal, message):
+    path = tmp_path / "cfg.json"
+    doc = json.dumps(syn(data={key: 2}))
+    path.write_text(doc.replace(f'"{key}": 2', f'"{key}": {literal}'),
+                    encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert message in str(err.value)
+
+
 def syn(**keys):
     return {"mode": "synthetic", "model": {"kind": "sir"}, **keys}
 

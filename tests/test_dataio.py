@@ -184,6 +184,13 @@ class TestTrajectoryRoundTrip:
         with pytest.raises(DataError, match=match):
             load_csv(path)
 
+    def test_trajectories_of_different_lengths_rejected(self, tmp_path):
+        path = write(tmp_path, "t.csv", "trajectory_id,step,x\n"
+                     "a,0,1.0\na,1,2.0\nb,0,1.0\nb,1,2.0\nb,2,3.0\n")
+        with pytest.raises(DataError, match=r"t\.csv: trajectory 'b' has 3 "
+                                            r"rows, not 2 as the first$"):
+            load_csv(path)
+
     def test_non_integer_step_rejected(self, tmp_path):
         path = write(tmp_path, "t.csv",
                      "trajectory_id,step,x\n0,0,1.0\n0,1.5,2.0\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import symode as sm
+from symode import epidemic
 from symode.epidemic import MODEL_RATES, ModelKind, benchmark_params
 from symode.errors import NumericalError
 
@@ -126,6 +127,23 @@ class TestVectorField:
 
 
 class TestGenerator:
+    def test_dataset_holds_the_rollouts_own_states(self, monkeypatch):
+        # one C-ordered block, no copy of each trajectory
+        results = []
+        rollout = epidemic.rollout
+
+        def keep(*args):
+            results.append(rollout(*args))
+            return results[-1]
+
+        monkeypatch.setattr(epidemic, "rollout", keep)
+        data = sm.generate_trajectories("sir", benchmark_params("sir"), 5, 4,
+                                        0.2, np.random.default_rng(11))
+        states, = (result.states for result in results)
+        assert data.trajectories.flags.c_contiguous
+        assert np.shares_memory(data.trajectories, states)
+        assert np.array_equal(data.trajectories, states.swapaxes(0, 1))
+
     def test_shapes_and_rows(self):
         rng = np.random.default_rng(3)
         data = sm.generate_trajectories("seir", benchmark_params("seir"),
@@ -233,12 +251,13 @@ class TestSplit:
         data = sm.generate_trajectories("sir", benchmark_params("sir"),
                                         5, 4, 0.2, rng)
         train, test = sm.train_test_split(data, 0.6)
-        subsets = train.trajectories + test.trajectories
-        assert len(subsets) == len(data.trajectories)
-        for part, whole in zip(subsets, data.trajectories):
-            assert np.shares_memory(part, whole)
-            assert part.shape == whole.shape
-            assert part.tobytes() == whole.tobytes()
+        # views of the input's one array, which together hold its bytes in
+        # order
+        for subset in (train, test):
+            assert not subset.trajectories.flags.owndata
+            assert np.shares_memory(subset.trajectories, data.trajectories)
+        assert (train.trajectories.tobytes() + test.trajectories.tobytes()
+                == data.trajectories.tobytes())
 
     def test_too_few_trajectories(self):
         rng = np.random.default_rng(9)

@@ -106,8 +106,8 @@ class TestEulerResidualLoss:
     @settings(max_examples=25)
     def test_trajectory_order_invariance(self, pyrandom):
         rng = np.random.default_rng(pyrandom.randrange(10_000))
-        trajectories = [rng.uniform(0, 1, (int(rng.integers(2, 8)), 2))
-                        for _ in range(4)]
+        rows = int(rng.integers(2, 8))
+        trajectories = [rng.uniform(0, 1, (rows, 2)) for _ in range(4)]
         data = TrajectoryDataset(trajectories, 0.3, ("a", "b"))
         order = list(range(4))
         rng.shuffle(order)

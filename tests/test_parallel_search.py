@@ -52,8 +52,8 @@ def real_training_data(data_dir):
     raw = load_csv(cfg.input_csv, dt=cfg.real_dt)
     normalized, _ = normalize_series(raw, cfg.normalization.mode,
                                      cfg.normalization.constant)
-    window = normalized.trajectories[0][: cfg.train_days]
-    return TrajectoryDataset([window], cfg.real_dt, raw.var_names), cfg
+    window = normalized.trajectories[:, : cfg.train_days]
+    return TrajectoryDataset(window, cfg.real_dt, raw.var_names), cfg
 
 
 def bits(x):
@@ -65,8 +65,9 @@ def test_forked_searches_match_in_process_bit_for_bit(source, data_dir):
     train, cfg = (synthetic_training_data() if source == "synthetic"
                   else real_training_data(data_dir))
     if source == "real":
-        # a column-major view: the layout a pickled copy would not keep
-        assert train.trajectories[0].strides == (8, 8 * 100)
+        # a C-ordered view of the normalized series, as run_real fits it
+        assert train.trajectories.flags.c_contiguous
+        assert not train.trajectories.flags.owndata
     forked = pipeline._search_all_components(train, cfg)
     in_process = [search_component(train, i, cfg.search,
                                    rng=pipeline._component_rng(cfg, i))

@@ -199,7 +199,8 @@ class TestSystemCheck:
         rollout = pipeline.rollout
 
         def spy(model, init, steps, dt):
-            inits.append((np.array(init), steps))
+            # the array itself: the rollout copies it, and nothing writes it
+            inits.append((init, steps))
             return rollout(model, init, steps, dt)
 
         monkeypatch.setattr(pipeline, "rollout", spy)
@@ -243,6 +244,29 @@ class TestSystemCheck:
             assert np.array_equal(init, np.stack(train.trajectories)[:, 0])
             assert steps == cfg.data.steps
         assert np.array_equal(forecast, np.stack(test.trajectories)[:, 0])
+
+    def test_rollouts_start_from_the_split_arrays(self, monkeypatch,
+                                                  tmp_path):
+        """The check and the forecast roll out from the train and test
+        subsets' own arrays, not from a stacked copy of them."""
+        subsets = []
+        split = pipeline.train_test_split
+
+        def keep(data, train_fraction):
+            subsets.extend(split(data, train_fraction))
+            return tuple(subsets)
+
+        monkeypatch.setattr(pipeline, "train_test_split", keep)
+        pools = [[DIVERGING[0], SLOW_S, EXACT_S_SUB], [EXACT_SIR[1]],
+                 [EXACT_SIR[2]]]
+        _, _, inits = self.run(monkeypatch, tmp_path, pools,
+                               tiny_synthetic_doc())
+        train, test = subsets
+        check, (forecast, _) = inits[:-1], inits[-1]
+        assert len(check) == 1 + 2
+        for init, _ in check:
+            assert np.shares_memory(init, train.trajectories)
+        assert np.shares_memory(forecast, test.trajectories)
 
     def test_five_components_try_every_rank_tuple(self, monkeypatch,
                                                  tmp_path):
@@ -1253,25 +1277,37 @@ class TestCli:
         assert capsys.readouterr().err == "config error: --steps: must be >= 1\n"
         assert not (tmp_path / "fc").exists()
 
-    # 1e13 steps, so no overcommit grants the allocation
-    @pytest.mark.parametrize("command", ["generate", "search", "forecast"])
+    # 1e13 steps, so no overcommit grants the allocation; a count of 2**62,
+    # an array larger than NumPy can size at all: the rollout's states, the
+    # generator's initial states or, in a forked search, the sampler's
+    # choices
+    @pytest.mark.parametrize("command,key,count,message", [
+        pytest.param(command, "steps", 10**13, "Unable to allocate ",
+                     id=command)
+        for command in ("generate", "search", "forecast")] + [
+        pytest.param(command, key, 2**62, "array is too big",
+                     id=f"{command}-{key}-2**62")
+        for command, key in (("generate", "steps"), ("search", "steps"),
+                             ("forecast", "steps"),
+                             ("generate", "n_trajectories"),
+                             ("search", "n_trajectories"),
+                             ("search", "batch_size"))])
     def test_out_of_memory_exit_code(self, tmp_path, capsys, sample_csv,
-                                     command):
-        steps = 10_000_000_000_000
+                                     command, key, count, message):
         if command == "forecast":
             path = self._results_file(tmp_path, lambda doc: None)
             argv = ["forecast", "--results", str(path), "--data",
-                    str(sample_csv), "--steps", str(steps)]
+                    str(sample_csv), "--steps", str(count)]
         else:
             doc = tiny_synthetic_doc()
-            doc["data"]["steps"] = steps
+            section = "search" if key == "batch_size" else "data"
+            doc[section] = dict(doc[section], **{key: count})
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             argv = [command, "--config", str(path)]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: out of memory: Unable to "
-                              "allocate ")
+        assert err.startswith(f"numerical failure: out of memory: {message}")
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
